@@ -30,12 +30,16 @@ def main():
     _, _, chart0 = mf.chart_pipeline(f, 0.1, args.dim, r_eval=0.6)
     _, _, chart1 = mf.chart_pipeline(f, 0.7, args.dim, r_eval=0.6)
 
+    ts = np.linspace(0.0, args.t_max, args.steps)
+    grid0 = mf.evaluate_chart_grid(chart0, ts, [args.x])
+    grid1 = mf.evaluate_chart_grid(chart1, ts, [args.x])
+
     rows = ["t,ft0_re,ft0_im,ft1_re,ft1_im,ref0_re,ref0_im,ref1_re,ref1_im"]
     worst_integer_gap = 0.0
     biggest_split = 0.0
-    for t in np.linspace(0.0, args.t_max, args.steps):
-        a = mf.evaluate_iterate_chart(chart0, t, args.x)
-        b = mf.evaluate_iterate_chart(chart1, t, args.x)
+    for i, t in enumerate(ts):
+        a = grid0.value(i, 0)
+        b = grid1.value(i, 0)
         r0 = logistic4_iterate(t, args.x)
         r1 = logistic4_iterate_second(t, args.x)
         rows.append(

@@ -47,14 +47,18 @@ from .flow import (
 )
 from .iterate import (
     IterateExpansion,
+    IterateGrid,
+    PointStatus,
     SchroederChart,
     build_chart,
     build_expansion,
     chart_pipeline,
     chart_value,
     default_chart_radius,
+    evaluate_chart_grid,
     evaluate_iterate_chart,
     evaluate_iterate_matrix,
+    evaluate_matrix_grid,
     verify_linearization,
 )
 from .logistic import (

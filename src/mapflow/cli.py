@@ -37,11 +37,11 @@ from .errors import (
 )
 from .flow import build_field, integrate_flow, lyapunov_logistic
 from .iterate import (
-    build_chart,
+    PointStatus,
     build_expansion,
     chart_pipeline,
-    evaluate_iterate_chart,
-    evaluate_iterate_matrix,
+    evaluate_chart_grid,
+    evaluate_matrix_grid,
 )
 from .logistic import (
     logistic2_iterate,
@@ -49,8 +49,8 @@ from .logistic import (
     logistic4_iterate_second,
     logistic_series,
 )
-from .series import PowerSeries, find_fixed_point
-from .spectral import diagonalize, matrix_log
+from .series import PowerSeries
+from .spectral import matrix_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -323,35 +323,30 @@ def _reference_fn(cfg: RunConfig, x_star: complex):
 
 
 def cmd_iterate(cfg: RunConfig) -> int:
-    f = cfg.map_series()
-    kwargs = {} if cfg.tol is None else {"tol_fix": cfg.tol}
-    frame = find_fixed_point(f, cfg.guess, **kwargs)
-    mg = build_matrix(frame.shifted_map, cfg.dim)
-    fact = diagonalize(mg, frame)
-    chart = build_chart(fact, frame, r_eval=cfg.r_eval)
-    expansion = build_expansion(fact, frame)
+    frame, fact, chart = chart_pipeline(
+        cfg.map_series(), cfg.guess, cfg.dim, r_eval=cfg.r_eval, tol_fix=cfg.tol
+    )
+    grids = []
+    if cfg.route in ("chart", "both"):
+        grids.append(("chart", evaluate_chart_grid(chart, cfg.t_values, cfg.x_values)))
+    if cfg.route in ("matrix", "both"):
+        expansion = build_expansion(fact, frame)
+        grids.append(
+            ("matrix", evaluate_matrix_grid(expansion, cfg.t_values, cfg.x_values))
+        )
+    routes = [
+        (name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist())
+        for name, grid in grids
+    ]
     reference = _reference_fn(cfg, frame.x_star)
 
-    routes = []
-    if cfg.route in ("chart", "both"):
-        routes.append(("chart", lambda t, x: evaluate_iterate_chart(chart, t, x)))
-    if cfg.route in ("matrix", "both"):
-        routes.append(
-            ("matrix", lambda t, x: evaluate_iterate_matrix(expansion, t, x))
-        )
-
     rows = []
-    for t in cfg.t_values:
-        for x in cfg.x_values:
-            for name, fn in routes:
-                try:
-                    value = fn(t, x)
-                    converged = True
-                except (OutOfChart, NonConvergent):
-                    value = None
-                    converged = False
-                ref = reference(t, x) if reference is not None else None
-                rows.append((t, complex(x), value, name, converged, ref))
+    for i, t in enumerate(cfg.t_values):
+        for j, x in enumerate(cfg.x_values):
+            ref = reference(t, x) if reference is not None else None
+            for name, values, converged in routes:
+                value = values[i][j] if converged[i][j] else None
+                rows.append((t, complex(x), value, name, converged[i][j], ref))
 
     if cfg.format == "json":
         payload = [

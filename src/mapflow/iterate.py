@@ -27,6 +27,16 @@ evaluations honest rather than silently wrong:
   f^t = f^k o f^{t-k}, applying the map k extra times afterwards; both sides
   of that identity are analytic wherever the reduced evaluation is, so the
   reduction is branch-safe.
+
+Grid evaluation.  :func:`evaluate_chart_grid` and :func:`evaluate_matrix_grid`
+take a list of times and a list of points.  The parts that do not depend on
+t (the chart value u(x) with its continuation, the mode values phi_k(x)) are
+computed once per point; everything else runs on the whole grid in numpy and
+yields a value or a :class:`PointStatus` per (t, x).  The float operations are
+those of the scalar formulas, done on separate real and imaginary arrays, so
+each grid value is bit-identical to the scalar one.  The scalar
+:func:`evaluate_iterate_chart` and :func:`evaluate_iterate_matrix` are
+one-point grids.
 """
 
 from __future__ import annotations
@@ -34,13 +44,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NonConvergent, OutOfChart
+from .errors import MapflowError, NonConvergent, OutOfChart
 from .series import (
     FixedPointFrame,
     PowerSeries,
+    _tail_start,
     evaluate_with_tail,
     tail_radius,
 )
@@ -83,6 +96,11 @@ class SchroederChart:
         object.__setattr__(self, "forward_radius", tail_radius(self.forward.coeffs))
         object.__setattr__(self, "inverse_radius", tail_radius(self.inverse.coeffs))
 
+    @cached_property
+    def inverse_slope(self) -> PowerSeries:
+        """Derivative of the inverse series: the continuation's Newton slope."""
+        return self.inverse.derivative()
+
     @property
     def x_star(self) -> complex:
         return self.frame.x_star
@@ -102,6 +120,72 @@ class IterateExpansion:
     @property
     def k_max(self) -> int:
         return len(self.modes) - 1
+
+    @cached_property
+    def mode_coeffs(self) -> np.ndarray:
+        """The mode coefficients as one (order, k_max + 1) array."""
+        coeffs = np.array([mode.coeffs for mode in self.modes], dtype=complex).T
+        coeffs.setflags(write=False)
+        return coeffs
+
+
+class PointStatus(IntEnum):
+    """Outcome of one (t, x) point of a grid evaluation."""
+
+    OK = 0
+    # |x - x*| exceeds the chart's r_eval; refused before any evaluation.
+    OUTSIDE_RADIUS = 1
+    # A series tail test failed, or the continuation of u(x) broke down.
+    OUT_OF_CHART = 2
+    # The last mode term of the mode sum is not negligible.
+    NON_CONVERGENT = 3
+
+
+@dataclass(frozen=True, eq=False)
+class IterateGrid:
+    """f^t(x) for every t in ``ts`` (rows) and x in ``xs`` (columns).
+
+    ``values[i, j]`` is f^{ts[i]}(xs[j]) where ``status[i, j]`` is
+    ``PointStatus.OK`` and nan elsewhere.  ``tail[i, j]`` is the size the
+    refusal test compared: the largest trailing term of the inverse chart
+    series (chart route) or the magnitude of the last mode term (mode route);
+    it is nan where the point was never evaluated.  ``column_errors`` maps
+    the index of each x refused for every t to the reason.
+    """
+
+    ts: tuple
+    xs: tuple
+    values: np.ndarray
+    status: np.ndarray
+    tail: np.ndarray
+    column_errors: dict
+
+    def error(self, i: int, j: int) -> MapflowError | None:
+        """The exception the scalar evaluator raises at (ts[i], xs[j])."""
+        status = self.status[i, j]
+        if status == PointStatus.OK:
+            return None
+        if j in self.column_errors:
+            return OutOfChart(self.column_errors[j])
+        where = f"t={self.ts[i]!r}, x={self.xs[j]!r}"
+        if status == PointStatus.OUT_OF_CHART:
+            return OutOfChart(
+                f"series tail {self.tail[i, j]:.3e} at {where} exceeds the "
+                "trust threshold; value would be unreliable"
+            )
+        return NonConvergent(
+            f"mode sum tail {self.tail[i, j]:.3e} at {where} is not negligible "
+            "against the sum; raise the truncation order or move closer to "
+            "the fixed point",
+            last_term=float(self.tail[i, j]),
+        )
+
+    def value(self, i: int, j: int) -> complex:
+        """f^{ts[i]}(xs[j]), or raise the point's OutOfChart / NonConvergent."""
+        exc = self.error(i, j)
+        if exc is not None:
+            raise exc
+        return complex(self.values[i, j])
 
 
 def default_chart_radius(frame: FixedPointFrame) -> float:
@@ -173,7 +257,7 @@ def _checked_eval(series: PowerSeries, x) -> complex:
 def _newton_chart_value(chart: SchroederChart, target: complex, w0: complex) -> complex:
     """Solve chart.inverse(w) = target for w, warm started at w0."""
     inv = chart.inverse
-    dinv = inv.derivative()
+    dinv = chart.inverse_slope
     w = w0
     tol = 1e-13 * max(1.0, abs(target))
     for _ in range(NEWTON_STEPS):
@@ -227,36 +311,161 @@ def _apply_shifted_map(chart: SchroederChart, x: complex) -> complex:
     return chart.x_star + g(x - chart.x_star)
 
 
+def _py_max(a, b):
+    """Elementwise Python ``max(a, b)``: b only where b > a, so nan never wins."""
+    return np.where(b > a, b, a)
+
+
+_math_log = np.frompyfunc(math.log, 1, 1)  # math.log elementwise; np.log can differ by an ulp
+
+
+def _horner_split(coeffs: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> tuple:
+    """Horner's rule on separate real and imaginary float64 arrays.
+
+    Runs the float operations of ``series._horner`` (Python's complex product
+    and sum) elementwise, so every value equals the scalar one bit for bit;
+    numpy's complex multiply does not.  Axis 0 of ``coeffs`` runs over the
+    powers; ``coeffs[m]`` has as many axes as ``zr`` and broadcasts against
+    it.  Returns the real and imaginary parts.
+    """
+    shape = np.broadcast_shapes(coeffs.shape[1:], zr.shape)
+    c = np.stack([coeffs.real, coeffs.imag], axis=1)[::-1]
+    zs = np.stack([-zi, zi])
+    acc = np.zeros((2,) + shape)
+    prod = np.empty_like(acc)
+    cross = np.empty_like(acc)
+    for cm in c:
+        # [ar, ai] * zr + [ai, ar] * [-zi, zi] = [ar zr - ai zi, ai zr + ar zi]
+        np.multiply(acc, zr, out=prod)
+        np.multiply(acc[::-1], zs, out=cross)
+        np.add(prod, cross, out=acc)
+        acc += cm
+    return acc[0], acc[1]
+
+
+def _polynomial_part(series: PowerSeries) -> np.ndarray:
+    """The coefficients without trailing +0 terms (at least one kept).
+
+    From an accumulator of +0, Horner's rule stays at +0 through such terms
+    at any finite argument, so dropping them changes no bit of a value."""
+    c = np.array(series.coeffs, dtype=complex)
+    kept = np.flatnonzero((c != 0) | np.signbit(c.real) | np.signbit(c.imag))
+    return c[: kept[-1] + 1 if kept.size else 1]
+
+
+def _checked_split(series: PowerSeries, xr: np.ndarray, xi: np.ndarray) -> tuple:
+    """``_checked_eval`` elementwise: (re, im, tail, refused).
+
+    np.power can be an ulp off Python's ``**``, so tails within a hair of
+    the threshold are settled by the scalar ``evaluate_with_tail``.
+    """
+    zr = xr - series.base_point.real
+    zi = xi - series.base_point.imag
+    coeffs = np.array(series.coeffs, dtype=complex)[:, np.newaxis]
+    vr, vi = _horner_split(coeffs, zr, zi)
+    az = np.hypot(zr, zi)
+    tail = np.zeros_like(az)
+    for k in range(_tail_start(series.order), series.order):
+        a = abs(series.coeffs[k])
+        if a > 0:
+            tail = _py_max(tail, a * np.power(az, k))
+    limit = EVAL_TAIL_TOL * _py_max(1.0, np.hypot(vr, vi))
+    refused = tail > limit
+    for idx in np.flatnonzero(np.abs(tail - limit) <= 1e-12 * limit):
+        exact = evaluate_with_tail(series, complex(xr[idx], xi[idx]))[1]
+        refused[idx] = exact > limit[idx]
+    return vr, vi, tail, refused
+
+
+def _time_shift_steps(chart: SchroederChart, ts: list, w: np.ndarray, ok) -> np.ndarray:
+    """Integer time shifts k per point that bring |lambda^(t-k) u(x)| within
+    INV_SAFETY of the inverse series radius (0 where none is needed)."""
+    steps = np.zeros(ok.shape, dtype=np.int64)
+    lam_abs = abs(chart.multiplier)
+    safe = INV_SAFETY * chart.inverse_radius
+    abs_w = np.hypot(w.real, w.imag)
+    live = ok & (abs_w > 0)
+    if lam_abs <= 1.0 or not 0 < safe < math.inf or not live.any():
+        return steps
+    log_abs = cmath.log(chart.multiplier).real
+    growth = np.array([math.exp(t * log_abs) for t in ts])
+    magnitude = abs_w * growth[:, np.newaxis]
+    need = live & (magnitude > safe)
+    logs = _math_log(magnitude[need]).astype(float)
+    shift = np.ceil((logs - math.log(safe)) / math.log(lam_abs))
+    steps[need] = np.clip(shift, 0, MAX_TIME_SHIFT)
+    return steps
+
+
+def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
+    """f^t(x) = inverse(lambda^t * forward(x)) for every t in ``ts``, x in ``xs``.
+
+    u(x), continued past the series radius where needed, is computed once
+    per x.  The time-shift reduction, the inverse chart with its tail test
+    and the shifted map then run on the whole grid.  Each value and status
+    equals what :func:`evaluate_iterate_chart` gives at the same point.
+    """
+    ts = [float(t) for t in ts]
+    xs = [complex(x) for x in xs]
+    nt, nx = len(ts), len(xs)
+    status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
+    column_errors = {}
+    w = np.zeros(nx, dtype=complex)
+    for j, x in enumerate(xs):
+        dist = abs(x - chart.x_star)
+        if dist > chart.r_eval * (1.0 + 1e-12):
+            status[:, j] = PointStatus.OUTSIDE_RADIUS
+            column_errors[j] = (
+                f"|x - x*| = {dist:.4g} exceeds the chart radius {chart.r_eval:.4g}"
+            )
+            continue
+        try:
+            w[j] = chart_value(chart, x)
+        except OutOfChart as exc:
+            status[:, j] = PointStatus.OUT_OF_CHART
+            column_errors[j] = str(exc)
+    ok = status == PointStatus.OK
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _time_shift_steps(chart, ts, w, ok)
+        rows, cols = np.nonzero(ok)
+        k = steps[rows, cols]
+        # lambda^(t - k) by the scalar cmath.exp, once per distinct (t, k).
+        log_lam = cmath.log(chart.multiplier)
+        span = MAX_TIME_SHIFT + 1
+        keys, which = np.unique(rows * span + k, return_inverse=True)
+        factor = np.array(
+            [cmath.exp((ts[key // span] - key % span) * log_lam) for key in keys.tolist()],
+            dtype=complex,
+        )[which]
+        wr, wi = w.real[cols], w.imag[cols]
+        ar = factor.real * wr - factor.imag * wi
+        ai = factor.real * wi + factor.imag * wr
+        vr, vi, tail, refused = _checked_split(chart.inverse, ar, ai)
+        g = _polynomial_part(chart.frame.shifted_map)[:, np.newaxis]
+        xr, xi = chart.x_star.real, chart.x_star.imag
+        for s in range(1, int(k.max(initial=0)) + 1):
+            sel = np.flatnonzero((k >= s) & ~refused)
+            # x* + g(value - x*); g is expanded about 0.
+            hr, hi = _horner_split(g, vr[sel] - xr, vi[sel] - xi)
+            vr[sel] = xr + hr
+            vi[sel] = xi + hi
+    status[rows[refused], cols[refused]] = PointStatus.OUT_OF_CHART
+    values = np.full((nt, nx), complex(math.nan, math.nan))
+    good = ~refused
+    values.real[rows[good], cols[good]] = vr[good]
+    values.imag[rows[good], cols[good]] = vi[good]
+    tails = np.full((nt, nx), math.nan)
+    tails[rows, cols] = tail
+    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
+
+
 def evaluate_iterate_chart(chart: SchroederChart, t: float, x) -> complex:
     """f^t(x) = inverse(lambda^t * forward(x)) on the principal branch.
 
     Raises :class:`OutOfChart` when x is outside the chart radius or when the
     evaluation cannot be completed reliably (divergent series argument).
     """
-    x = complex(x)
-    if abs(x - chart.x_star) > chart.r_eval * (1.0 + 1e-12):
-        raise OutOfChart(
-            f"|x - x*| = {abs(x - chart.x_star):.4g} exceeds the chart "
-            f"radius {chart.r_eval:.4g}"
-        )
-    w = chart_value(chart, x)
-    log_lam = cmath.log(chart.multiplier)
-    shift_steps = 0
-    if abs(chart.multiplier) > 1.0 and abs(w) > 0 and not math.isinf(
-        chart.inverse_radius
-    ):
-        safe = INV_SAFETY * chart.inverse_radius
-        magnitude = abs(w) * math.exp(t * log_lam.real)
-        if magnitude > safe > 0:
-            shift_steps = math.ceil(
-                (math.log(magnitude) - math.log(safe)) / math.log(abs(chart.multiplier))
-            )
-            shift_steps = min(max(0, shift_steps), MAX_TIME_SHIFT)
-    arg = cmath.exp((t - shift_steps) * log_lam) * w
-    value = _checked_eval(chart.inverse, arg)
-    for _ in range(shift_steps):
-        value = _apply_shifted_map(chart, value)
-    return value
+    return evaluate_chart_grid(chart, (t,), (x,)).value(0, 0)
 
 
 def build_expansion(
@@ -285,6 +494,53 @@ def build_expansion(
     )
 
 
+def evaluate_matrix_grid(
+    expansion: IterateExpansion, ts, xs, tail_tol: float = TAIL_TOL
+) -> IterateGrid:
+    """f^t(x) = sum_k lambda^{k t} phi_k(x) for every t in ``ts``, x in ``xs``.
+
+    The mode values phi_k(x) are computed once per x; the weighted sums run
+    per t over all points.  A point is ``NON_CONVERGENT`` when its last
+    mode's term is not negligible against the sum.  Each value and status
+    equals what :func:`evaluate_iterate_matrix` gives at the same point.
+    """
+    ts = [float(t) for t in ts]
+    xs = [complex(x) for x in xs]
+    nt, nx = len(ts), len(xs)
+    x_arr = np.array(xs, dtype=complex)[np.newaxis, :]
+    bases = np.array([mode.base_point for mode in expansion.modes])[:, np.newaxis]
+    log_lam = cmath.log(expansion.multiplier)
+    values = np.full((nt, nx), complex(math.nan, math.nan))
+    status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
+    tails = np.empty((nt, nx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_re, phi_im = _horner_split(
+            expansion.mode_coeffs[:, :, np.newaxis],
+            x_arr.real - bases.real,
+            x_arr.imag - bases.imag,
+        )
+        for i, t in enumerate(ts):
+            weight = np.array(
+                [cmath.exp(k * t * log_lam) for k in range(len(expansion.modes))],
+                dtype=complex,
+            )[:, np.newaxis]
+            term_re = weight.real * phi_re - weight.imag * phi_im
+            term_im = weight.real * phi_im + weight.imag * phi_re
+            # The scalar sum starts from 0j: 0.0 + first term.
+            term_re[0] += 0.0
+            term_im[0] += 0.0
+            total_re = np.add.accumulate(term_re, axis=0)[-1]
+            total_im = np.add.accumulate(term_im, axis=0)[-1]
+            last = np.hypot(term_re[-1], term_im[-1])
+            limit = tail_tol * _py_max(np.hypot(total_re, total_im), 1e-300)
+            refused = last > limit
+            tails[i] = last
+            status[i, refused] = PointStatus.NON_CONVERGENT
+            values.real[i, ~refused] = total_re[~refused]
+            values.imag[i, ~refused] = total_im[~refused]
+    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, {})
+
+
 def evaluate_iterate_matrix(
     expansion: IterateExpansion, t: float, x, tail_tol: float = TAIL_TOL
 ) -> complex:
@@ -293,21 +549,7 @@ def evaluate_iterate_matrix(
     Raises :class:`NonConvergent` (carrying the last-term magnitude) when the
     final mode's contribution is not negligible against the running sum.
     """
-    x = complex(x)
-    log_lam = cmath.log(expansion.multiplier)
-    total = 0j
-    last = 0j
-    for k, mode in enumerate(expansion.modes):
-        last = cmath.exp(k * t * log_lam) * mode(x)
-        total += last
-    if abs(last) > tail_tol * max(abs(total), 1e-300):
-        raise NonConvergent(
-            f"mode sum tail {abs(last):.3e} is not negligible against "
-            f"{abs(total):.3e}; raise the truncation order or move closer "
-            "to the fixed point",
-            last_term=abs(last),
-        )
-    return total
+    return evaluate_matrix_grid(expansion, (t,), (x,), tail_tol).value(0, 0)
 
 
 def verify_linearization(chart: SchroederChart, x0, n: int) -> float:

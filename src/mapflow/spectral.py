@@ -104,15 +104,19 @@ def diagonalize(
     if abs(lam) <= tol_res:
         raise Superattracting(f"multiplier {lam!r} is numerically zero")
     powers = lam ** np.arange(n)
-    for j in range(n):
-        for k in range(j + 1, n):
-            gap = abs(powers[j] - powers[k])
-            if gap < tol_res * max(abs(powers[j]), abs(powers[k])):
-                raise ResonantEigenvalues(
-                    f"eigenvalues lambda^{j} and lambda^{k} are "
-                    f"indistinguishable (gap {gap:.3e})",
-                    pair=(j, k),
-                )
+    # All pairs j < k at once; hypot on the parts is the scalar abs().
+    diff = powers[:, np.newaxis] - powers[np.newaxis, :]
+    gap = np.hypot(diff.real, diff.imag)
+    size = np.hypot(powers.real, powers.imag)
+    scale = np.maximum(size[:, np.newaxis], size[np.newaxis, :])
+    close = np.triu(gap < tol_res * scale, k=1)
+    if close.any():
+        j, k = (int(i) for i in np.argwhere(close)[0])
+        raise ResonantEigenvalues(
+            f"eigenvalues lambda^{j} and lambda^{k} are "
+            f"indistinguishable (gap {gap[j, k]:.3e})",
+            pair=(j, k),
+        )
     V = np.eye(n, dtype=complex)
     for k in range(1, n):
         for j in range(k - 1, -1, -1):
@@ -137,6 +141,9 @@ def diagonalize(
 def _sandwich(S: SpectralFactorization, diag: np.ndarray):
     """T^{-1} V^{-1} diag V T together with the chart-frame core."""
     core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
+    if S.shift.x_star == 0:
+        # The shift matrices are identities: skip two n x n products.
+        return core, core
     full = S.shift.inverse @ core @ S.shift.forward
     return full, core
 

@@ -36,8 +36,9 @@ from .flow import (
 from .iterate import (
     build_expansion,
     chart_pipeline,
+    evaluate_chart_grid,
     evaluate_iterate_chart,
-    evaluate_iterate_matrix,
+    evaluate_matrix_grid,
 )
 from .logistic import (
     logistic2_iterate,
@@ -126,13 +127,14 @@ _C4_POINTS = (0.01, 0.05, 0.1)
 def _iterate_errors(dim: int):
     """Per-sample absolute errors of both routes against the closed iterate."""
     frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    expansion = build_expansion(fact, frame)
+    by_chart = evaluate_chart_grid(chart, _C4_TIMES, _C4_POINTS)
+    by_modes = evaluate_matrix_grid(build_expansion(fact, frame), _C4_TIMES, _C4_POINTS)
     errs = {}
-    for t in _C4_TIMES:
-        for x in _C4_POINTS:
+    for i, t in enumerate(_C4_TIMES):
+        for j, x in enumerate(_C4_POINTS):
             ref = logistic4_iterate(t, x)
-            ec = abs(evaluate_iterate_chart(chart, t, x) - ref)
-            em = abs(evaluate_iterate_matrix(expansion, t, x) - ref)
+            ec = abs(by_chart.value(i, j) - ref)
+            em = abs(by_modes.value(i, j) - ref)
             errs[(t, x)] = (ec, em)
     return errs
 
@@ -147,27 +149,34 @@ def check_iterate_oracle(dim: int = 40) -> CheckResult:
 
 def check_mu2_oracle(dim: int = 40) -> CheckResult:
     _, _, chart = _pipeline(2.0, 0.1, dim, 0.3)
+    times, points = (0.5, 1.5), (0.01, 0.1)
+    grid = evaluate_chart_grid(chart, times, points)
     dev = 0.0
-    for t in (0.5, 1.5):
-        for x in (0.01, 0.1):
+    for i, t in enumerate(times):
+        for j, x in enumerate(points):
             ref = logistic2_iterate(t, x)
-            dev = max(dev, abs(evaluate_iterate_chart(chart, t, x) - ref))
+            dev = max(dev, abs(grid.value(i, j) - ref))
     return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={dim}")
 
 
 def check_semigroup(dim: int = 40) -> CheckResult:
     frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
     expansion = build_expansion(fact, frame)
-    routes = {
-        "chart": lambda t, x: evaluate_iterate_chart(chart, t, x),
-        "matrix": lambda t, x: evaluate_iterate_matrix(expansion, t, x),
-    }
+    routes = (
+        lambda ts, xs: evaluate_chart_grid(chart, ts, xs),
+        lambda ts, xs: evaluate_matrix_grid(expansion, ts, xs),
+    )
+    times, points = (0.25, 0.5, 1.0), (0.005, 0.01, 0.02)
     per_pair = {}
-    for fn in routes.values():
-        for s in (0.25, 0.5, 1.0):
-            for t in (0.25, 0.5, 1.0):
-                for x in (0.005, 0.01, 0.02):
-                    gap = abs(fn(s + t, x) - fn(s, fn(t, x)))
+    for evaluate in routes:
+        inner = evaluate(times, points)  # f^t(x)
+        # f^s(f^t(x)): row s, column (t, x) in row-major order
+        outer = evaluate(times, [inner.value(i, j) for i in range(3) for j in range(3)])
+        whole = evaluate([s + t for s in times for t in times], points)  # f^(s+t)(x)
+        for a, s in enumerate(times):
+            for b, t in enumerate(times):
+                for j in range(3):
+                    gap = abs(whole.value(3 * a + b, j) - outer.value(a, 3 * b + j))
                     key = (s, t)
                     per_pair[key] = max(per_pair.get(key, 0.0), gap)
     dev = max(per_pair.values())
@@ -187,14 +196,14 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
     at half-integer time with a genuinely complex branch."""
     _, _, chart0 = _pipeline(4.0, 0.1, dim, 0.6)
     _, _, chart1 = _pipeline(4.0, 0.7, dim, 0.6)
-    x = 0.3
+    times, x = (1.0, 2.0, 3.0, 0.5), 0.3
+    grid0 = evaluate_chart_grid(chart0, times, (x,))
+    grid1 = evaluate_chart_grid(chart1, times, (x,))
     worst_int = 0.0
-    for t in (1.0, 2.0, 3.0):
-        a = evaluate_iterate_chart(chart0, t, x)
-        b = evaluate_iterate_chart(chart1, t, x)
-        worst_int = max(worst_int, abs(a - b))
-    v0 = evaluate_iterate_chart(chart0, 0.5, x)
-    v1 = evaluate_iterate_chart(chart1, 0.5, x)
+    for i in range(3):
+        worst_int = max(worst_int, abs(grid0.value(i, 0) - grid1.value(i, 0)))
+    v0 = grid0.value(3, 0)
+    v1 = grid1.value(3, 0)
     split = abs(v0 - v1)
     imag = abs(v1.imag)
     ok = worst_int <= 1e-6 and split >= 1e-3 and imag >= 1e-3

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapflow as mf
-from mapflow.iterate import SchroederChart, chart_value
+from mapflow.iterate import (
+    INV_SAFETY,
+    MAX_TIME_SHIFT,
+    TAIL_TOL,
+    SchroederChart,
+    _apply_shifted_map,
+    _checked_eval,
+    chart_value,
+)
 from mapflow.logistic import (
     logistic2_chart,
     logistic4_chart,
@@ -353,3 +362,127 @@ def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
             a = mf.evaluate_iterate_chart(chart, t, x)
             b = mf.evaluate_iterate_chart(scaled, t, x)
             assert abs(a - b) < 1e-9
+
+
+# --- grid evaluation ---------------------------------------------------------------
+
+def _loop_chart(chart, t, x):
+    """The per-point chart route, written with Python complex arithmetic."""
+    x = complex(x)
+    if abs(x - chart.x_star) > chart.r_eval * (1.0 + 1e-12):
+        raise mf.OutOfChart("outside r_eval")
+    w = chart_value(chart, x)
+    log_lam = cmath.log(chart.multiplier)
+    steps = 0
+    if abs(chart.multiplier) > 1.0 and abs(w) > 0 and not math.isinf(chart.inverse_radius):
+        safe = INV_SAFETY * chart.inverse_radius
+        magnitude = abs(w) * math.exp(t * log_lam.real)
+        if magnitude > safe > 0:
+            steps = math.ceil(
+                (math.log(magnitude) - math.log(safe)) / math.log(abs(chart.multiplier))
+            )
+            steps = min(max(0, steps), MAX_TIME_SHIFT)
+    value = _checked_eval(chart.inverse, cmath.exp((t - steps) * log_lam) * w)
+    for _ in range(steps):
+        value = _apply_shifted_map(chart, value)
+    return value
+
+
+def _loop_matrix(expansion, t, x):
+    """The per-point mode sum, written with Python complex arithmetic."""
+    log_lam = cmath.log(expansion.multiplier)
+    total = last = 0j
+    for k, mode in enumerate(expansion.modes):
+        last = cmath.exp(k * t * log_lam) * mode(complex(x))
+        total += last
+    if abs(last) > TAIL_TOL * max(abs(total), 1e-300):
+        raise mf.NonConvergent("tail", last_term=abs(last))
+    return total
+
+
+def _assert_grid_matches_loop(grid, loop):
+    for i, t in enumerate(grid.ts):
+        for j, x in enumerate(grid.xs):
+            try:
+                expected = loop(t, x)
+            except (mf.OutOfChart, mf.NonConvergent) as exc:
+                assert grid.status[i, j] != mf.PointStatus.OK, (t, x)
+                assert type(grid.error(i, j)) is type(exc)
+                continue
+            # repr tells the signs of zeros apart
+            assert repr(grid.value(i, j)) == repr(expected), (t, x)
+
+
+def test_chart_grid_is_bit_identical_to_the_point_loop(pipe4_origin, pipe4_second):
+    rng = np.random.default_rng(7)
+    ts = [-1.3, 0.0, 0.5, 2.2, 3.9, *rng.uniform(-2.0, 4.0, 5)]
+    _, _, chart0 = pipe4_origin
+    xs0 = [0.0, -0.0, 0.3, 0.59, 0.7, *rng.uniform(-0.6, 0.6, 6)]
+    _assert_grid_matches_loop(
+        mf.evaluate_chart_grid(chart0, ts, xs0), lambda t, x: _loop_chart(chart0, t, x)
+    )
+    _, _, chart1 = pipe4_second
+    xs1 = [0.2, 0.3, 0.75, 0.9, 1.2, 1.4, *(0.75 + 0.45 * rng.uniform(-1, 1, 6))]
+    _assert_grid_matches_loop(
+        mf.evaluate_chart_grid(chart1, ts, xs1), lambda t, x: _loop_chart(chart1, t, x)
+    )
+
+
+def test_complex_chart_grid_is_bit_identical_to_the_point_loop():
+    f = mf.PowerSeries.from_coefficients([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], order=24)
+    _, _, chart = mf.chart_pipeline(f, 0.0, 24, r_eval=0.65)
+    rng = np.random.default_rng(11)
+    xs = list(0.2 * rng.uniform(-1, 1, 8) + 0.2j * rng.uniform(-1, 1, 8)) + [0.7]
+    _assert_grid_matches_loop(
+        mf.evaluate_chart_grid(chart, [-0.7, 0.5, 1.0, 2.0, 2.6], xs),
+        lambda t, x: _loop_chart(chart, t, x),
+    )
+
+
+def test_matrix_grid_is_bit_identical_to_the_point_loop(pipe4_origin, pipe4_second):
+    rng = np.random.default_rng(5)
+    ts = [-0.5, 0.0, 0.5, 1.5, 4.0, 6.0, *rng.uniform(0.0, 3.0, 4)]
+    for pipe, xs in ((pipe4_origin, rng.uniform(-0.6, 0.3, 8)),
+                     (pipe4_second, rng.uniform(0.64, 0.86, 8))):
+        frame, fact, _ = pipe
+        expansion = mf.build_expansion(fact, frame)
+        _assert_grid_matches_loop(
+            mf.evaluate_matrix_grid(expansion, ts, list(xs)),
+            lambda t, x: _loop_matrix(expansion, t, x),
+        )
+
+
+def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_second):
+    frame, fact, chart0 = pipe4_origin
+    _, _, chart1 = pipe4_second
+    expansion = mf.build_expansion(fact, frame)
+    cases = [
+        # x = 1.4 is past r_eval; continuation cannot reach 1.2.
+        (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 1.4,
+         mf.PointStatus.OUTSIDE_RADIUS, mf.OutOfChart),
+        (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 1.2,
+         mf.PointStatus.OUT_OF_CHART, mf.OutOfChart),
+        # Past the time-shift cap the inverse chart argument fails its tail test.
+        (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart0, 70.0, 0.3,
+         mf.PointStatus.OUT_OF_CHART, mf.OutOfChart),
+        (mf.evaluate_iterate_matrix, mf.evaluate_matrix_grid, expansion, 6.0, 0.25,
+         mf.PointStatus.NON_CONVERGENT, mf.NonConvergent),
+        (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 0.8,
+         mf.PointStatus.OK, None),
+    ]
+    for scalar, grid_fn, obj, t, x, status, exc_type in cases:
+        grid = grid_fn(obj, [t], [x])
+        assert grid.status[0, 0] == status, (t, x)
+        if exc_type is None:
+            assert grid.error(0, 0) is None
+            assert scalar(obj, t, x) == grid.values[0, 0]
+            continue
+        assert math.isnan(grid.values[0, 0].real)
+        with pytest.raises(exc_type) as err:
+            scalar(obj, t, x)
+        payload = grid.error(0, 0)
+        assert type(payload) is exc_type
+        if exc_type is mf.NonConvergent:
+            assert err.value.last_term == payload.last_term == grid.tail[0, 0] > 0
+        else:
+            assert err.value.step is payload.step is None

@@ -116,7 +116,8 @@ def test_resonant_multiplier_rejected():
     mg = build_matrix(frame.shifted_map, 8)
     with pytest.raises(mf.ResonantEigenvalues) as err:
         diagonalize(mg, frame)
-    assert err.value.pair is not None
+    # i^0 = i^4 is the first colliding pair in row-major order.
+    assert err.value.pair == (0, 4)
 
 
 def test_superattracting_rejected():
@@ -245,6 +246,17 @@ def test_log_without_matrix_argument():
     assert abs(L.entries[1, 1] - math.log(4)) < 1e-12
     assert L.chart_series is not None
     assert L.chart_series.base_point == 0
+
+
+def test_log_at_origin_is_the_chart_core():
+    # At x* = 0 the shift matrices are identities, so the full logarithm is
+    # the chart-frame core V^-1 diag(j Log lambda) V itself.
+    _, _, S = factor(4.0, 0.1, 12)
+    diag = np.arange(12) * S.branch.log_multiplier
+    core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
+    L = matrix_log(S)
+    assert np.array_equal(L.entries, core)
+    assert L.chart_series.coeffs == tuple(core[1])
 
 
 def test_principal_branch_for_negative_multiplier():
