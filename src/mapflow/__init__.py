@@ -3,7 +3,7 @@
 The pipeline: expand a map as a truncated power series, embed it as a dense
 Carleman matrix whose rows are the coefficient lists of the map's powers,
 shift to a fixed point so the matrix is upper triangular, diagonalize it by
-a short unitriangular recursion, and read off
+a short unitriangular recursion, and read off, in the fixed-point frame,
 
 * non-integer iterates f^t (matrix powers / linearizing chart),
 * the vector field G with df^t/dt = G(f^t) (matrix logarithm),
@@ -13,14 +13,12 @@ with everything cross-checked against exactly solvable logistic references.
 
 from .carleman import (
     CarlemanMatrix,
-    ShiftTransform,
     build_matrix,
     build_matrix_quadrature,
     leading_window,
     read_matrix_csv,
     scaled_deviation,
     shift_conjugate,
-    shift_transform,
     verify_semigroup,
     write_matrix_csv,
 )
@@ -83,13 +81,11 @@ from .series import (
     tail_radius,
 )
 from .spectral import (
-    LogBranch,
     SpectralFactorization,
     diagonalize,
     fractional_power,
     left_eigenrow,
     matrix_log,
-    write_factorization_csv,
 )
 
 __version__ = "0.1.0"

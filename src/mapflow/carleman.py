@@ -13,17 +13,22 @@ maps given enough nodes).  Their agreement is one of the package's
 verification anchors.
 
 Matrices are built from the coefficient list as stored, i.e. they represent
-the map in the chart of its own expansion; shift to a fixed point first when
-triangular structure is wanted.  A note on comparisons: entries grow like
-multiplier^j times binomials, so meaningful agreement checks are scaled per
-row (see :func:`scaled_deviation`); absolute comparisons at these magnitudes
-would only measure double-precision representation noise.
+the map in the chart of its own expansion.  Triangular structure needs the
+map shifted to a fixed point first; the pipeline builds that matrix directly
+from the shifted map, and :func:`shift_conjugate` is the paper's conjugation
+by the binomial matrices of x - x* and x + x*, kept as its check.  The
+matrix CSV format is the ``matrix`` command's output.
+
+A note on comparisons: entries grow like multiplier^j times binomials, so
+meaningful agreement checks are scaled per row (see
+:func:`scaled_deviation`); absolute comparisons at these magnitudes would
+only measure double-precision representation noise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,18 +43,14 @@ TOL_TRI = 1e-10
 class CarlemanMatrix:
     """Dense complex embedding matrix plus the map it was built from.
 
-    ``chart_series`` is populated by the spectral routines: for matrices that
-    are functions of a factorization (fractional powers, logarithms) it holds
-    the row-1 coefficient series *in the fixed-point chart*, which stays
-    numerically meaningful when the shift conjugation of the full matrix does
-    not.
+    For the functions of a factorization (fractional powers, logarithms)
+    ``source_map`` is the row-1 series about the fixed point.
     """
 
     entries: np.ndarray
     source_map: PowerSeries
     quadrature_nodes: int | None = None
     quadrature_exact: bool | None = None
-    chart_series: PowerSeries | None = field(default=None, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -61,33 +62,6 @@ class CarlemanMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def row(self, j: int) -> np.ndarray:
-        return self.entries[j]
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftTransform:
-    """Carleman matrices of x - x* and x + x*; conjugation by them recenters.
-
-    ``forward`` is lower triangular with binomial entries C(j,k) (-x*)^(j-k);
-    ``inverse`` replaces (-x*) by x*.  Their product is the identity exactly
-    (a binomial identity), up to rounding.
-    """
-
-    x_star: complex
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self):
-        for name in ("forward", "inverse"):
-            a = np.asarray(getattr(self, name), dtype=complex)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @property
-    def dim(self) -> int:
-        return self.forward.shape[0]
 
 
 def build_matrix(f: PowerSeries, dim: int) -> CarlemanMatrix:
@@ -152,14 +126,6 @@ def build_matrix_quadrature(
     )
 
 
-def shift_transform(x_star, dim: int) -> ShiftTransform:
-    """Build the conjugation pair for recentering at ``x_star``."""
-    x_star = complex(x_star)
-    fwd = build_matrix(PowerSeries.from_coefficients([-x_star, 1.0], order=2), dim)
-    inv = build_matrix(PowerSeries.from_coefficients([x_star, 1.0], order=2), dim)
-    return ShiftTransform(x_star=x_star, forward=fwd.entries, inverse=inv.entries)
-
-
 def shift_conjugate(
     M: CarlemanMatrix, frame: FixedPointFrame, tol_tri: float = TOL_TRI
 ) -> CarlemanMatrix:
@@ -183,8 +149,10 @@ def shift_conjugate(
     n = M.dim
     big = 2 * n
     wide = build_matrix(M.source_map, big)
-    T = shift_transform(frame.x_star, big)
-    conj = (T.forward @ wide.entries @ T.inverse)[:n, :n]
+    x_star = complex(frame.x_star)
+    to_fixed = build_matrix(PowerSeries.from_coefficients([-x_star, 1.0], order=2), big)
+    back = build_matrix(PowerSeries.from_coefficients([x_star, 1.0], order=2), big)
+    conj = (to_fixed.entries @ wide.entries @ back.entries)[:n, :n]
     scale = max(1.0, float(np.abs(conj).max()))
     sub = float(np.abs(np.tril(conj, -1)).max())
     if sub > tol_tri * scale:

@@ -19,7 +19,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import verify as verify_mod
 from .carleman import (
@@ -35,7 +34,7 @@ from .errors import (
     OutOfChart,
     RestrictiveConditionViolated,
 )
-from .flow import build_field, integrate_flow, lyapunov_logistic
+from .flow import field_pipeline, integrate_flow, lyapunov_logistic
 from .iterate import (
     PointStatus,
     build_expansion,
@@ -50,7 +49,6 @@ from .logistic import (
     logistic_series,
 )
 from .series import PowerSeries
-from .spectral import matrix_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,68 +59,6 @@ EXIT_NONCONVERGENT = 5
 
 DEFAULT_DIM = 32
 DEFAULT_LYAPUNOV_N = 100_000
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of everything a subcommand needs.
-
-    Fields left as None fall back to per-command defaults, which lets a
-    config file supply them and explicit flags override the file.
-    """
-
-    command: str
-    coeffs: list | None = None
-    preset: str | None = None
-    dim: int | None = None
-    guess: complex = 0j
-    t_values: list = field(default_factory=list)
-    x_values: list = field(default_factory=list)
-    route: str = "both"
-    r_eval: float | None = None
-    tol: float | None = None
-    output: str | None = None
-    format: str | None = None
-    check_quadrature: bool = False
-    quadrature_nodes: int | None = None
-    x0: complex | None = None
-    t_end: float = 1.0
-    dt: float = 1e-3
-    n: int | None = None
-    suite: str = "all"
-
-    def validate(self):
-        needs_map = self.command in {
-            "matrix",
-            "iterate",
-            "chart",
-            "field",
-            "integrate",
-        }
-        if needs_map:
-            if (self.coeffs is None) == (self.preset is None):
-                raise ValueError("exactly one of --coeffs / --preset must be given")
-            if self.dim is None:
-                self.dim = DEFAULT_DIM
-            if self.dim < 4:
-                raise ValueError("--dim must be at least 4")
-        if self.command == "iterate" and (not self.t_values or not self.x_values):
-            raise ValueError("iterate needs non-empty --t and --x grids")
-
-    def map_series(self) -> PowerSeries:
-        if self.preset is not None:
-            name, _, param = self.preset.partition(":")
-            if name != "logistic":
-                raise ValueError(f"unknown preset {self.preset!r}")
-            mu = complex(param) if param else complex(4.0)
-            return logistic_series(mu, self.dim)
-        return PowerSeries.from_coefficients(self.coeffs, 0j, order=self.dim)
-
-    def preset_mu(self) -> complex | None:
-        if self.preset is None:
-            return None
-        _, _, param = self.preset.partition(":")
-        return complex(param) if param else complex(4.0)
 
 
 def _parse_complex_list(text: str) -> list:
@@ -148,51 +84,8 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONVERTERS = {
-    "coeffs": _parse_complex_list,
-    "preset": str,
-    "dim": int,
-    "guess": complex,
-    "fixed_point": complex,
-    "t": _parse_float_list,
-    "x": _parse_complex_list,
-    "route": str,
-    "r_eval": float,
-    "tol": float,
-    "output": str,
-    "format": str,
-    "check_quadrature": lambda s: s.lower() in {"1", "true", "yes"},
-    "quadrature_nodes": int,
-    "x0": complex,
-    "t_end": float,
-    "dt": float,
-    "n": int,
-    "suite": str,
-}
-
-_FIELD_FOR_KEY = {
-    "coeffs": "coeffs",
-    "preset": "preset",
-    "dim": "dim",
-    "guess": "guess",
-    "t": "t_values",
-    "x": "x_values",
-    "route": "route",
-    "r_eval": "r_eval",
-    "tol": "tol",
-    "output": "output",
-    "format": "format",
-    "check_quadrature": "check_quadrature",
-    "quadrature_nodes": "quadrature_nodes",
-    "x0": "x0",
-    "t_end": "t_end",
-    "dt": "dt",
-    "n": "n",
-    "suite": "suite",
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="mapflow",
         description="continuous iterates and flows of analytic 1-D maps",
@@ -203,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeffs", type=_parse_complex_list, default=None,
                        help="map coefficients, lowest degree first, e.g. 0,4,-4")
         p.add_argument("--preset", default=None, help="named map, e.g. logistic:4")
-        p.add_argument("--dim", type=int, default=None,
+        p.add_argument("--dim", type=int, default=DEFAULT_DIM,
                        help=f"truncation order (default {DEFAULT_DIM})")
-        p.add_argument("--guess", type=complex, default=None,
+        p.add_argument("--guess", type=complex, default=0j,
                        help="fixed-point search start (default 0)")
         p.add_argument("--tol", type=float, default=None,
                        help="fixed-point residual tolerance override")
@@ -224,13 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="dump the embedding matrix")
     common(p)
-    p.add_argument("--check-quadrature", action="store_true", default=None,
+    p.add_argument("--check-quadrature", action="store_true",
                    help="also report the builder-agreement deviation")
     p.add_argument("--quadrature-nodes", type=int, default=None)
 
     p = sub.add_parser("iterate", help="evaluate f^t over a (t, x) grid")
     common(p, grids=True)
-    p.add_argument("--route", default=None, choices=("chart", "matrix", "both"))
+    p.add_argument("--route", default="both", choices=("chart", "matrix", "both"))
     p.add_argument("--fixed-point", type=complex, default=None, dest="fixed_point",
                    help="which fixed point's chart to use (overrides --guess)")
 
@@ -243,73 +136,95 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="integrate dx/dt = G(x)")
     common(p)
     p.add_argument("--x0", type=complex, default=None, help="initial state")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
+    p.add_argument("--dt", type=float, default=1e-3)
 
     p = sub.add_parser("lyapunov", help="chain-rule Lyapunov estimate (mu=4)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x0", type=complex, default=None)
+    p.add_argument("--n", type=int, default=DEFAULT_LYAPUNOV_N)
+    p.add_argument("--x0", type=complex, default=0.123456)
     p.add_argument("--output", default=None)
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default=None, choices=sorted(verify_mod.SUITES))
+    p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
-def make_config(ns: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if getattr(ns, "config", None):
-        raw = load_config_file(ns.config)
-        for key, text in raw.items():
-            if key not in _CONVERTERS:
-                raise ValueError(f"unknown config key {key!r}")
-            file_values[key] = _CONVERTERS[key](text)
-    cfg = RunConfig(command=ns.command)
-    for key, attr in _FIELD_FOR_KEY.items():
-        value = getattr(ns, key, None)
-        if value is None:
-            value = file_values.get(key)
-        if value is not None:
-            setattr(cfg, attr, value)
-    fixed_point = getattr(ns, "fixed_point", None)
-    if fixed_point is None:
-        fixed_point = file_values.get("fixed_point")
-    if fixed_point is not None:
-        cfg.guess = fixed_point
-    cfg.validate()
-    return cfg
+def _apply_config_file(parser, commands: dict, ns, argv) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's entries as defaults.
+
+    Each entry is converted by the ``type`` of the command's own flag (a
+    switch reads 1/true/yes as on), so explicit flags still win.  Keys that
+    only other subcommands accept are ignored; keys no subcommand accepts
+    raise ``ValueError``.
+    """
+    own = {a.dest: a for a in commands[ns.command]._actions}
+    known = {a.dest for p in commands.values() for a in p._actions} - {"help", "config"}
+    values = {}
+    for key, text in load_config_file(ns.config).items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        action = own.get(key)
+        if action is None:
+            continue
+        if action.nargs == 0:
+            values[key] = text.lower() in {"1", "true", "yes"}
+        else:
+            values[key] = text if action.type is None else action.type(text)
+    commands[ns.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+def _preset_mu(ns) -> complex | None:
+    if ns.preset is None:
+        return None
+    name, _, param = ns.preset.partition(":")
+    if name != "logistic":
+        raise ValueError(f"unknown preset {ns.preset!r}")
+    return complex(param) if param else complex(4.0)
+
+
+def _map_series(ns) -> PowerSeries:
+    """The map of ``--coeffs`` or ``--preset``, truncated at ``--dim``."""
+    if (ns.coeffs is None) == (ns.preset is None):
+        raise ValueError("exactly one of --coeffs / --preset must be given")
+    if ns.dim < 4:
+        raise ValueError("--dim must be at least 4")
+    mu = _preset_mu(ns)
+    if mu is not None:
+        return logistic_series(mu, ns.dim)
+    return PowerSeries.from_coefficients(ns.coeffs, 0j, order=ns.dim)
+
+
+def _emit(ns, text: str):
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_matrix(cfg: RunConfig) -> int:
-    f = cfg.map_series()
-    M = build_matrix(f, cfg.dim)
+def cmd_matrix(ns) -> int:
+    f = _map_series(ns)
+    M = build_matrix(f, ns.dim)
     buf = io.StringIO()
     write_matrix_csv(M, buf)
-    _emit(cfg, buf.getvalue())
-    if cfg.check_quadrature:
-        Q = build_matrix_quadrature(f, cfg.dim, nodes=cfg.quadrature_nodes)
+    _emit(ns, buf.getvalue())
+    if ns.check_quadrature:
+        Q = build_matrix_quadrature(f, ns.dim, nodes=ns.quadrature_nodes)
         dev = scaled_deviation(M.entries, Q.entries)
         sys.stdout.write(f"quadrature_deviation={dev:.17g}\n")
     return EXIT_OK
 
 
-def _reference_fn(cfg: RunConfig, x_star: complex):
-    mu = cfg.preset_mu()
+def _reference_fn(ns, x_star: complex):
+    mu = _preset_mu(ns)
     if mu is None or mu.imag != 0:
         return None
     if abs(mu - 4.0) < 1e-12:
@@ -322,33 +237,33 @@ def _reference_fn(cfg: RunConfig, x_star: complex):
     return None
 
 
-def cmd_iterate(cfg: RunConfig) -> int:
-    frame, fact, chart = chart_pipeline(
-        cfg.map_series(), cfg.guess, cfg.dim, r_eval=cfg.r_eval, tol_fix=cfg.tol
-    )
+def cmd_iterate(ns) -> int:
+    f = _map_series(ns)
+    if not ns.t or not ns.x:
+        raise ValueError("iterate needs non-empty --t and --x grids")
+    guess = ns.guess if ns.fixed_point is None else ns.fixed_point
+    frame, fact, chart = chart_pipeline(f, guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
     grids = []
-    if cfg.route in ("chart", "both"):
-        grids.append(("chart", evaluate_chart_grid(chart, cfg.t_values, cfg.x_values)))
-    if cfg.route in ("matrix", "both"):
+    if ns.route in ("chart", "both"):
+        grids.append(("chart", evaluate_chart_grid(chart, ns.t, ns.x)))
+    if ns.route in ("matrix", "both"):
         expansion = build_expansion(fact, frame)
-        grids.append(
-            ("matrix", evaluate_matrix_grid(expansion, cfg.t_values, cfg.x_values))
-        )
+        grids.append(("matrix", evaluate_matrix_grid(expansion, ns.t, ns.x)))
     routes = [
         (name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist())
         for name, grid in grids
     ]
-    reference = _reference_fn(cfg, frame.x_star)
+    reference = _reference_fn(ns, frame.x_star)
 
     rows = []
-    for i, t in enumerate(cfg.t_values):
-        for j, x in enumerate(cfg.x_values):
+    for i, t in enumerate(ns.t):
+        for j, x in enumerate(ns.x):
             ref = reference(t, x) if reference is not None else None
             for name, values, converged in routes:
                 value = values[i][j] if converged[i][j] else None
                 rows.append((t, complex(x), value, name, converged[i][j], ref))
 
-    if cfg.format == "json":
+    if ns.format == "json":
         payload = [
             {
                 "t": t,
@@ -363,7 +278,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
             }
             for (t, x, v, name, converged, r) in rows
         ]
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit(ns, json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
 
     lines = ["t,x_re,x_im,ft_re,ft_im,route,converged,ref_re,ref_im"]
@@ -376,14 +291,13 @@ def cmd_iterate(cfg: RunConfig) -> int:
             f"{t:.17g},{x.real:.17g},{x.imag:.17g},{vre},{vim},{name},"
             f"{str(converged).lower()},{rre},{rim}"
         )
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_chart(cfg: RunConfig) -> int:
-    f = cfg.map_series()
+def cmd_chart(ns) -> int:
     _, _, chart = chart_pipeline(
-        f, cfg.guess, cfg.dim, r_eval=cfg.r_eval, tol_fix=cfg.tol
+        _map_series(ns), ns.guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol
     )
     lines = [
         f"chart x_star={chart.x_star.real:.17g}{chart.x_star.imag:+.17g}i "
@@ -395,16 +309,16 @@ def cmd_chart(cfg: RunConfig) -> int:
         u = chart.forward.coeffs[k]
         v = chart.inverse.coeffs[k]
         lines.append(f"{k},{u.real:.17g},{u.imag:.17g},{v.real:.17g},{v.imag:.17g}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_field(cfg: RunConfig) -> int:
-    f = cfg.map_series()
-    _, fact, chart = chart_pipeline(
-        f, cfg.guess, cfg.dim, r_eval=cfg.r_eval, tol_fix=cfg.tol
-    )
-    field_ = build_field(matrix_log(fact), chart)
+def _field(ns):
+    return field_pipeline(_map_series(ns), ns.guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
+
+
+def cmd_field(ns) -> int:
+    field_ = _field(ns)
     lines = [
         f"field x_star={field_.x_star.real:.17g}{field_.x_star.imag:+.17g}i "
         f"lambda={field_.multiplier.real:.17g}{field_.multiplier.imag:+.17g}i "
@@ -413,51 +327,46 @@ def cmd_field(cfg: RunConfig) -> int:
     ]
     for k, c in enumerate(field_.series.coeffs):
         lines.append(f"{k},{c.real:.17g},{c.imag:.17g}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_integrate(cfg: RunConfig) -> int:
-    f = cfg.map_series()
-    frame, fact, chart = chart_pipeline(
-        f, cfg.guess, cfg.dim, r_eval=cfg.r_eval, tol_fix=cfg.tol
-    )
-    field_ = build_field(matrix_log(fact), chart)
-    x0 = cfg.x0 if cfg.x0 is not None else frame.x_star
-    trajectory = integrate_flow(field_, x0, cfg.t_end, dt=cfg.dt)
+def cmd_integrate(ns) -> int:
+    field_ = _field(ns)
+    x0 = ns.x0 if ns.x0 is not None else field_.x_star
+    trajectory = integrate_flow(field_, x0, ns.t_end, dt=ns.dt)
     lines = ["t,x_re,x_im"]
     for t, x in trajectory:
         lines.append(f"{t:.17g},{x.real:.17g},{x.imag:.17g}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_lyapunov(cfg: RunConfig) -> int:
-    x0 = cfg.x0.real if cfg.x0 is not None else 0.123456
-    n = cfg.n if cfg.n is not None else DEFAULT_LYAPUNOV_N
-    sigma = lyapunov_logistic(n, x0)
+def cmd_lyapunov(ns) -> int:
+    x0 = ns.x0.real
+    sigma = lyapunov_logistic(ns.n, x0)
     payload = {
-        "n": n,
+        "n": ns.n,
         "x0": x0,
         "sigma_hat": sigma,
         "reference": 0.6931471805599453,
     }
-    _emit(cfg, json.dumps(payload, indent=2) + "\n")
+    _emit(ns, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suite = cfg.suite
-    results = verify_mod.run_suite(suite, dim=cfg.dim, n=cfg.n)
+def cmd_verify(ns) -> int:
+    suite = ns.suite
+    results = verify_mod.run_suite(suite, dim=ns.dim, n=ns.n)
     all_passed = all(r.passed for r in results)
-    if cfg.format == "csv":
+    if ns.format == "csv":
         lines = ["name,passed,deviation,tolerance"]
         for r in results:
             lines.append(
                 f"{r.name},{str(r.passed).lower()},{r.deviation:.17g},"
                 f"{r.tolerance:.17g}"
             )
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
     else:
         payload = {
             "suite": suite,
@@ -473,7 +382,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             ],
             "all_passed": all_passed,
         }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit(ns, json.dumps(payload, indent=2) + "\n")
     for r in results:
         sys.stderr.write(r.line() + "\n")
     return EXIT_OK if all_passed else EXIT_ERROR
@@ -491,11 +400,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = make_config(ns)
-        return _COMMANDS[ns.command](cfg)
+        if getattr(ns, "config", None):
+            ns = _apply_config_file(parser, commands, ns, argv)
+        return _COMMANDS[ns.command](ns)
     except RestrictiveConditionViolated as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_RESTRICTIVE

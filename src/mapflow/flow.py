@@ -53,16 +53,12 @@ class FlowField:
 def build_field(L: CarlemanMatrix, chart: SchroederChart) -> FlowField:
     """Assemble the flow field from a matrix logarithm and its chart.
 
-    Consumes the logarithm's chart-frame row (``chart_series``), which is the
-    numerically meaningful object for every fixed point.  The coefficients
-    are cross-checked against Log(lambda) * u / u' computed by truncated
-    series division; disagreement raises :class:`BranchMismatch`.
+    Consumes the logarithm's row 1, a series about the fixed point (see
+    :func:`mapflow.spectral.matrix_log`).  The coefficients are cross-checked
+    against Log(lambda) * u / u' computed by truncated series division;
+    disagreement raises :class:`BranchMismatch`.
     """
-    g = L.chart_series
-    if g is None:
-        raise ValueError(
-            "matrix carries no chart-frame row; build it with matrix_log()"
-        )
+    g = L.source_map
     if g.base_point != chart.x_star:
         raise ValueError(
             f"log expanded about {g.base_point!r} but chart sits at "

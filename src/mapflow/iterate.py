@@ -149,8 +149,9 @@ class IterateGrid:
     ``PointStatus.OK`` and nan elsewhere.  ``tail[i, j]`` is the size the
     refusal test compared: the largest trailing term of the inverse chart
     series (chart route) or the magnitude of the last mode term (mode route);
-    it is nan where the point was never evaluated.  ``column_errors`` maps
-    the index of each x refused for every t to the reason.
+    it is inf where the value overflowed and nan where the point was never
+    evaluated.  ``column_errors`` maps the index of each x refused for every
+    t to the reason.
     """
 
     ts: tuple
@@ -311,6 +312,16 @@ def _apply_shifted_map(chart: SchroederChart, x: complex) -> complex:
     return chart.x_star + g(x - chart.x_star)
 
 
+def _exp_or_nan(exp, x):
+    """``exp(x)`` (``math.exp`` or ``cmath.exp``), or nan where it overflows.
+
+    A nan propagates to the point's value, which is then refused."""
+    try:
+        return exp(x)
+    except OverflowError:
+        return math.nan
+
+
 def _py_max(a, b):
     """Elementwise Python ``max(a, b)``: b only where b > a, so nan never wins."""
     return np.where(b > a, b, a)
@@ -388,7 +399,7 @@ def _time_shift_steps(chart: SchroederChart, ts: list, w: np.ndarray, ok) -> np.
     if lam_abs <= 1.0 or not 0 < safe < math.inf or not live.any():
         return steps
     log_abs = cmath.log(chart.multiplier).real
-    growth = np.array([math.exp(t * log_abs) for t in ts])
+    growth = np.array([_exp_or_nan(math.exp, t * log_abs) for t in ts])
     magnitude = abs_w * growth[:, np.newaxis]
     need = live & (magnitude > safe)
     logs = _math_log(magnitude[need]).astype(float)
@@ -434,7 +445,10 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
         span = MAX_TIME_SHIFT + 1
         keys, which = np.unique(rows * span + k, return_inverse=True)
         factor = np.array(
-            [cmath.exp((ts[key // span] - key % span) * log_lam) for key in keys.tolist()],
+            [
+                _exp_or_nan(cmath.exp, (ts[key // span] - key % span) * log_lam)
+                for key in keys.tolist()
+            ],
             dtype=complex,
         )[which]
         wr, wi = w.real[cols], w.imag[cols]
@@ -449,6 +463,10 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
             hr, hi = _horner_split(g, vr[sel] - xr, vi[sel] - xi)
             vr[sel] = xr + hr
             vi[sel] = xi + hi
+        # An overflow anywhere above leaves a non-finite value: refuse it.
+        overflow = ~(np.isfinite(vr) & np.isfinite(vi))
+        tail[overflow] = math.inf
+        refused |= overflow
     status[rows[refused], cols[refused]] = PointStatus.OUT_OF_CHART
     values = np.full((nt, nx), complex(math.nan, math.nan))
     good = ~refused
@@ -484,7 +502,7 @@ def build_expansion(
         k_max = n - 1
     if not 0 <= k_max < n:
         raise ValueError(f"k_max must lie in [0, {n - 1}]")
-    x_star = S.shift.x_star
+    x_star = frame.x_star
     modes = [PowerSeries.constant(x_star, n, base_point=x_star)]
     for k in range(1, k_max + 1):
         coeffs = S.chart_matrix_inv[1, k] * S.chart_matrix[k]
@@ -521,7 +539,10 @@ def evaluate_matrix_grid(
         )
         for i, t in enumerate(ts):
             weight = np.array(
-                [cmath.exp(k * t * log_lam) for k in range(len(expansion.modes))],
+                [
+                    _exp_or_nan(cmath.exp, k * t * log_lam)
+                    for k in range(len(expansion.modes))
+                ],
                 dtype=complex,
             )[:, np.newaxis]
             term_re = weight.real * phi_re - weight.imag * phi_im
@@ -533,8 +554,10 @@ def evaluate_matrix_grid(
             total_im = np.add.accumulate(term_im, axis=0)[-1]
             last = np.hypot(term_re[-1], term_im[-1])
             limit = tail_tol * _py_max(np.hypot(total_re, total_im), 1e-300)
-            refused = last > limit
-            tails[i] = last
+            # A sum that overflowed has no meaningful last-term test.
+            finite = np.isfinite(total_re) & np.isfinite(total_im)
+            refused = ~finite | (last > limit)
+            tails[i] = np.where(finite, last, math.inf)
             status[i, refused] = PointStatus.NON_CONVERGENT
             values.real[i, ~refused] = total_re[~refused]
             values.imag[i, ~refused] = total_im[~refused]

@@ -6,6 +6,12 @@ it is diagonalized by an upper unitriangular matrix computed entry by entry
 from a short recursion; the factorization then gives arbitrary real powers
 and the logarithm by acting on the diagonal alone.
 
+Everything here lives in the fixed-point frame: the factored matrix is that
+of the shifted map g(d) = f(x* + d) - x*, and the powers and the logarithm
+are matrices of g's iterates and of g's generator.  Their row-1 series are
+expanded about x*, which is where the iterate and flow modules evaluate
+them; no matrix is ever conjugated back to the coordinates of f.
+
 The unitriangular factor is itself a Carleman matrix: its row 1 holds the
 coefficients of the linearizing chart and row j is the j-fold convolution of
 row 1.  That observation is what connects the matrix picture to the
@@ -24,17 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleman import CarlemanMatrix, ShiftTransform, shift_transform
+from .carleman import CarlemanMatrix
 from .errors import ResonantEigenvalues, ShiftInconsistent, Superattracting
 from .series import FixedPointFrame, PowerSeries, TOL_RES
-
-
-@dataclass(frozen=True)
-class LogBranch:
-    """Record of the logarithm branch used for non-integer powers."""
-
-    log_multiplier: complex
-    convention: str = "principal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,16 +40,16 @@ class SpectralFactorization:
     """Unitriangular diagonalization of a triangular embedding matrix.
 
     ``chart_matrix`` (upper unitriangular) and ``chart_matrix_inv`` satisfy
-    chart_matrix @ M(g) @ chart_matrix_inv = diag(multiplier^j).  ``shift``
-    carries the recentering transforms so powers of the original (unshifted)
-    matrix can be assembled, and ``branch`` pins the logarithm convention.
+    chart_matrix @ M(g) @ chart_matrix_inv = diag(multiplier^j), where g is
+    the map shifted to the fixed point ``x_star``.  ``log_multiplier`` is the
+    principal logarithm of the multiplier used for every non-integer power.
     """
 
     multiplier: complex
     chart_matrix: np.ndarray
     chart_matrix_inv: np.ndarray
-    shift: ShiftTransform
-    branch: LogBranch
+    x_star: complex
+    log_multiplier: complex
 
     def __post_init__(self):
         for name in ("chart_matrix", "chart_matrix_inv"):
@@ -133,70 +131,40 @@ def diagonalize(
         multiplier=lam,
         chart_matrix=V,
         chart_matrix_inv=W,
-        shift=shift_transform(frame.x_star, n),
-        branch=LogBranch(log_multiplier=cmath.log(lam)),
+        x_star=complex(frame.x_star),
+        log_multiplier=cmath.log(lam),
     )
 
 
-def _sandwich(S: SpectralFactorization, diag: np.ndarray):
-    """T^{-1} V^{-1} diag V T together with the chart-frame core."""
+def _function_of_core(S: SpectralFactorization, diag: np.ndarray) -> CarlemanMatrix:
+    """V^-1 diag V, a function of the shifted map's matrix; row 1 about x*."""
     core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
-    if S.shift.x_star == 0:
-        # The shift matrices are identities: skip two n x n products.
-        return core, core
-    full = S.shift.inverse @ core @ S.shift.forward
-    return full, core
+    return CarlemanMatrix(
+        entries=core, source_map=PowerSeries.from_coefficients(core[1], S.x_star)
+    )
 
 
-def fractional_power(
-    S: SpectralFactorization, M: CarlemanMatrix, t: float
-) -> CarlemanMatrix:
-    """The real power M^t assembled from the factorization of M.
+def fractional_power(S: SpectralFactorization, t: float) -> CarlemanMatrix:
+    """The real power M(g)^t of the factored matrix of the shifted map g.
 
     The diagonal is raised entrywise as exp(j * t * Log multiplier) on the
-    recorded principal branch, so powers form a semigroup in t and integer t
+    principal branch, so powers form a semigroup in t and integer t
     reproduces integer matrix powers on the leading window.  Row 1 of the
-    result is the coefficient list of the t-th iterate; the same row in the
-    fixed-point chart is attached as ``chart_series`` (for a nonzero shift
-    the recentered full matrix is the only numerically fragile part, the
-    chart core is not).
+    result holds the coefficients of g^t, so as a series about x* it is
+    f^t(x) - x*.
     """
-    if M.dim != S.dim:
-        raise ValueError("factorization and matrix dimensions differ")
     j = np.arange(S.dim)
-    diag = np.exp(j * (t * S.branch.log_multiplier))
-    full, core = _sandwich(S, diag)
-    return CarlemanMatrix(
-        entries=full,
-        source_map=PowerSeries.from_coefficients(
-            full[1], M.source_map.base_point
-        ),
-        chart_series=PowerSeries.from_coefficients(core[1], S.shift.x_star),
-    )
+    return _function_of_core(S, np.exp(j * (t * S.log_multiplier)))
 
 
-def matrix_log(
-    S: SpectralFactorization, M: CarlemanMatrix | None = None
-) -> CarlemanMatrix:
-    """Principal logarithm: T^{-1} V^{-1} diag(j Log lambda) V T.
+def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
+    """Principal logarithm V^-1 diag(j Log lambda) V of the shifted map's matrix.
 
-    Row 1 holds the coefficients of the continuous-time vector field
-    generating the iteration; ``chart_series`` carries the same coefficients
-    in the fixed-point chart, which is what the flow module consumes.  ``M``
-    is optional and only pins the dimension check and the base point of the
-    row-1 series.
+    Row 1, as a series about x*, holds the coefficients of the
+    continuous-time vector field generating the iteration; the flow module
+    consumes it.
     """
-    if M is not None and M.dim != S.dim:
-        raise ValueError("factorization and matrix dimensions differ")
-    base = 0j if M is None else M.source_map.base_point
-    j = np.arange(S.dim)
-    diag = j * S.branch.log_multiplier
-    full, core = _sandwich(S, diag)
-    return CarlemanMatrix(
-        entries=full,
-        source_map=PowerSeries.from_coefficients(full[1], base),
-        chart_series=PowerSeries.from_coefficients(core[1], S.shift.x_star),
-    )
+    return _function_of_core(S, np.arange(S.dim) * S.log_multiplier)
 
 
 def left_eigenrow(S: SpectralFactorization) -> np.ndarray:
@@ -206,23 +174,3 @@ def left_eigenrow(S: SpectralFactorization) -> np.ndarray:
     convolution powers rebuild the deeper rows of the factor.
     """
     return S.chart_matrix[1].copy()
-
-
-# --- factorization CSV interchange -------------------------------------------
-
-def write_factorization_csv(S: SpectralFactorization, fh) -> None:
-    """Three blocks (forward factor, inverse factor, diagonal) with headers."""
-    from .carleman import _format_complex
-
-    fh.write(
-        f"factorization dim={S.dim} lambda={_format_complex(S.multiplier)} "
-        f"branch={S.branch.convention}\n"
-    )
-    for name, block in (
-        ("V", S.chart_matrix),
-        ("V_inv", S.chart_matrix_inv),
-        ("diag", S.eigenvalues[np.newaxis, :]),
-    ):
-        fh.write(f"block={name}\n")
-        for row in block:
-            fh.write(",".join(_format_complex(z) for z in row) + "\n")

@@ -222,10 +222,8 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
 
 
 def check_field(dim: int = 40) -> CheckResult:
-    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    mg = build_matrix(frame.shifted_map, dim)
-    log = matrix_log(fact, mg)
-    field = build_field(log, chart)
+    _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    field = build_field(matrix_log(fact), chart)
     dev = 0.0
     for x in (0.01, 0.05, 0.1):
         dev = max(dev, abs(evaluate_field(field, x) - logistic4_field(x)))
@@ -245,9 +243,8 @@ def check_field(dim: int = 40) -> CheckResult:
 
 
 def check_flow_consistency(dim: int = 40) -> CheckResult:
-    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    mg = build_matrix(frame.shifted_map, dim)
-    field = build_field(matrix_log(fact, mg), chart)
+    _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    field = build_field(matrix_log(fact), chart)
     end_1 = integrate_flow(field, 0.01, 1.0, dt=1e-3)[-1][1]
     dev_map = abs(end_1 - 0.0396)
     end_half = integrate_flow(field, 0.01, 0.5, dt=1e-3)[-1][1]

@@ -15,7 +15,6 @@ from mapflow.carleman import (
     read_matrix_csv,
     scaled_deviation,
     shift_conjugate,
-    shift_transform,
     verify_semigroup,
     write_matrix_csv,
 )
@@ -122,28 +121,19 @@ def test_builders_agree_at_dim_32_for_tame_map():
     assert scaled_deviation(a.entries, b.entries) < 1e-10
 
 
-# --- shift transforms -----------------------------------------------------------
+# --- affine maps ---------------------------------------------------------------
 
-def test_shift_transform_binomial_entries():
-    T = shift_transform(0.75, 6)
+def test_affine_map_matrix_binomial_entries():
+    # The matrix of x - x* has entries C(j,k) (-x*)^(j-k): the conjugation
+    # matrix of shift_conjugate.
+    h = PowerSeries.from_coefficients([-0.75, 1.0], order=2)
+    T = build_matrix(h, 6).entries
     for j in range(6):
         for k in range(6):
             expected = (
                 math.comb(j, k) * (-0.75) ** (j - k) if j >= k else 0.0
             )
-            assert abs(T.forward[j, k] - expected) < 1e-14
-
-
-def test_shift_forward_inverse_product_is_identity():
-    T = shift_transform(0.75, 12)
-    assert np.abs(T.forward @ T.inverse - np.eye(12)).max() < 1e-12
-
-
-def test_shift_forward_is_matrix_of_shift_map():
-    x_star = 0.3 - 0.2j
-    T = shift_transform(x_star, 8)
-    h = PowerSeries.from_coefficients([-x_star, 1.0], order=8)
-    assert np.allclose(T.forward, build_matrix(h, 8).entries, atol=0)
+            assert abs(T[j, k] - expected) < 1e-14
 
 
 def test_affine_map_matrix_inverse_is_inverse_map_matrix():

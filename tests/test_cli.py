@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mapflow.cli import main
 
 
@@ -137,6 +139,22 @@ def test_iterate_unconverged_points_flagged(capsys):
     assert fields[3] == ""
 
 
+L4_ORIGIN = ["--preset", "logistic:4", "--fixed-point", "0", "--dim", "40", "--r-eval", "0.6"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*L4_ORIGIN, "--route", "chart", "--t", "1000", "--x", "0.3"],
+    [*L4_ORIGIN, "--route", "matrix", "--t", "100", "--x", "0.3"],
+    ["--preset", "logistic:0.5", "--fixed-point", "0", "--r-eval", "0.3", "--route",
+     "chart", "--t=-2000", "--x", "0.1"],
+], ids=["chart-t1000", "matrix-t100", "chart-contracting-t-2000"])
+def test_iterate_refuses_a_time_whose_multiplier_power_overflows(argv, capsys):
+    code, out, _ = run(["iterate", *argv], capsys)
+    assert code == 0
+    fields = out.splitlines()[1].split(",")
+    assert fields[3:7] == ["", "", argv[argv.index("--route") + 1], "false"]
+
+
 # --- chart / field / integrate -------------------------------------------------
 
 def test_chart_dump(capsys):
@@ -243,6 +261,31 @@ def test_flags_override_config_file(tmp_path, capsys):
     )
     assert code == 0
     assert abs(float(out.splitlines()[1].split(",")[3]) - 0.0784) < 1e-9
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=logistic:4\nwidth=3\n")
+    code, _, err = run(["chart", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert err.startswith("error: ValueError: unknown config key 'width'")
+
+
+def test_config_file_fixed_point_overrides_guess(tmp_path, capsys):
+    # suite belongs to verify only and is ignored here.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=logistic:4\nfixed_point=0.75\nt=1\nx=0.7\nroute=chart\nsuite=all\n")
+    code, out, _ = run(["iterate", "--config", str(cfg), "--guess", "0"], capsys)
+    assert code == 0
+    assert abs(float(out.splitlines()[1].split(",")[3]) - 0.84) < 1e-8
+
+
+def test_config_file_switches_on_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=logistic:4\ndim=8\ncheck_quadrature=yes\n")
+    code, out, _ = run(["matrix", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("quadrature_deviation=")
 
 
 def test_identical_config_byte_identical_output(tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""Byte-for-byte regression tests of ``mapflow iterate`` output.
+"""Byte-for-byte regression tests of ``mapflow`` output.
 
 Each file under ``tests/golden`` is the output of the command line next to
-its name, written before the grid evaluators replaced the per-point loop.
-The grids cover chart continuation at 3/4, time-shift steps, refusals by the
-evaluation radius and by the tail test, negative times, a complex cubic
-given by coefficients, both routes side by side and JSON output.  Command
-lines that reproduce known wrong mode-route values are left out.
+its name.  The ``iterate`` files were written before the grid evaluators
+replaced the per-point loop; the ``chart``, ``field`` and ``integrate``
+files before the spectral routines stopped carrying the shift matrices.
+The iterate grids cover chart continuation at 3/4, time-shift steps,
+refusals by the evaluation radius and by the tail test, negative times, a
+complex cubic given by coefficients, both routes side by side and JSON
+output.  Command lines that reproduce known wrong mode-route values are
+left out.  The chart, field and integrate files pin the fixed point 3/4
+(a negative multiplier, so a complex field) at two orders and the complex
+cubic's field.
 """
 
 from pathlib import Path
@@ -21,29 +26,53 @@ L4_34 = ["--preset", "logistic:4", "--fixed-point", "0.75", "--dim", "40", "--r-
 L2_0 = ["--preset", "logistic:2", "--fixed-point", "0", "--dim", "40", "--r-eval", "0.45"]
 CUBIC = ["--coeffs=0,1.8+0.9j,0.5-0.4j,0.2+0.1j", "--fixed-point", "0", "--dim", "40",
          "--r-eval", "0.65"]
+L4_GUESS_34 = ["--preset", "logistic:4", "--guess", "0.7"]
 
 COMMANDS = {
-    "continuation.csv": [*L4_34, "--route", "chart", "--t=0.3,1.1,2.5",
+    "continuation.csv": ["iterate", *L4_34, "--route", "chart", "--t=0.3,1.1,2.5",
                          "--x=0.15,0.22,0.3,0.38,0.45"],
-    "time_shift.csv": [*L4_0, "--route", "chart", "--t=0.5,1.7,2.9,3.6,4",
+    "time_shift.csv": ["iterate", *L4_0, "--route", "chart", "--t=0.5,1.7,2.9,3.6,4",
                        "--x=-0.45,-0.1,0.2,0.5,0.66"],
-    "refusals.csv": [*L4_34, "--route", "chart", "--t=0.5,3.9",
+    "refusals.csv": ["iterate", *L4_34, "--route", "chart", "--t=0.5,3.9",
                      "--x=0.3,0.8,1.2,1.4"],
-    "negative_t.csv": [*L4_0, "--route", "chart", "--t=-2.5,-1,-0.3",
+    "negative_t.csv": ["iterate", *L4_0, "--route", "chart", "--t=-2.5,-1,-0.3",
                        "--x=-0.4,0.1,0.5,0.9"],
-    "cubic.csv": [*CUBIC, "--route", "both", "--t=0.5,1,2",
+    "cubic.csv": ["iterate", *CUBIC, "--route", "both", "--t=0.5,1,2",
                   "--x=0.1+0.05j,-0.15+0.1j,0.02-0.18j,0.19j"],
-    "route_both.csv": [*L2_0, "--route", "both", "--t=-0.5,0.5,1.5",
+    "route_both.csv": ["iterate", *L2_0, "--route", "both", "--t=-0.5,0.5,1.5",
                        "--x=-0.3,0.05,0.3,0.4"],
-    "mode_refusals.json": [*L4_0, "--route", "both", "--format", "json",
+    "mode_refusals.json": ["iterate", *L4_0, "--route", "both", "--format", "json",
                            "--t=0.5,4,6", "--x=-0.5,0.25,0.6"],
-    "second_chart.json": [*L4_34, "--route", "both", "--format", "json",
+    "second_chart.json": ["iterate", *L4_34, "--route", "both", "--format", "json",
                           "--t=0.25,1.5", "--x=0.7,0.85"],
+    "chart_34_d40.csv": ["chart", *L4_GUESS_34, "--dim", "40"],
+    "chart_34_d80.csv": ["chart", *L4_GUESS_34, "--dim", "80"],
+    "field_34_d40.csv": ["field", *L4_GUESS_34, "--dim", "40"],
+    "field_34_d80.csv": ["field", *L4_GUESS_34, "--dim", "80"],
+    "field_cubic.csv": ["field", "--coeffs=0,1.8+0.9j,0.5-0.4j,0.2+0.1j", "--guess", "0",
+                        "--dim", "40"],
+    "integrate_34.csv": ["integrate", *L4_GUESS_34, "--dim", "40", "--r-eval", "0.6",
+                         "--x0", "0.8", "--t-end", "0.5", "--dt", "0.01"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_iterate_output_is_byte_identical(name, tmp_path):
+
+
+def _names(iterate: bool) -> list:
+    return sorted(n for n, argv in COMMANDS.items() if (argv[0] == "iterate") == iterate)
+
+
+def _assert_byte_identical(name, tmp_path):
     out = tmp_path / name
-    assert main(["iterate", *COMMANDS[name], "--output", str(out)]) == 0
+    assert main([*COMMANDS[name], "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", _names(iterate=True))
+def test_iterate_output_is_byte_identical(name, tmp_path):
+    _assert_byte_identical(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", _names(iterate=False))
+def test_chart_field_integrate_output_is_byte_identical(name, tmp_path):
+    _assert_byte_identical(name, tmp_path)

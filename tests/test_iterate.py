@@ -486,3 +486,19 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
             assert err.value.last_term == payload.last_term == grid.tail[0, 0] > 0
         else:
             assert err.value.step is payload.step is None
+
+
+def test_overflowing_times_are_refused_with_the_route_status(pipe4_origin):
+    frame, fact, chart = pipe4_origin
+    expansion = mf.build_expansion(fact, frame)
+    contracting = mf.chart_pipeline(mf.logistic_series(0.5, 40), 0.0, 40, r_eval=0.3)[2]
+    for grid, status in (
+        (mf.evaluate_chart_grid(chart, [1000.0, 1e6], [0.3, 0.0, 0.1j]),
+         mf.PointStatus.OUT_OF_CHART),
+        (mf.evaluate_chart_grid(contracting, [-2000.0], [0.1]), mf.PointStatus.OUT_OF_CHART),
+        (mf.evaluate_matrix_grid(expansion, [20.0, 100.0], [0.3, 0.0]),
+         mf.PointStatus.NON_CONVERGENT),
+    ):
+        assert (grid.status == status).all()
+        assert np.isinf(grid.tail).all()
+        assert np.isnan(grid.values).all()

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from mapflow.spectral import (
     fractional_power,
     left_eigenrow,
     matrix_log,
-    write_factorization_csv,
 )
 
 
@@ -143,10 +141,8 @@ def test_non_triangular_input_rejected():
 
 def test_power_at_zero_is_identity():
     dim = 16
-    f = logistic_series(4.0, dim)
-    frame, mg, S = factor(4.0, 0.1, dim)
-    M = build_matrix(f, dim)
-    P = fractional_power(S, M, 0.0)
+    _, _, S = factor(4.0, 0.1, dim)
+    P = fractional_power(S, 0.0)
     assert np.abs(P.entries - np.eye(dim)).max() < 1e-12
 
 
@@ -155,7 +151,7 @@ def test_power_at_one_reproduces_matrix():
     f = logistic_series(4.0, dim)
     _, _, S = factor(4.0, 0.1, dim)
     M = build_matrix(f, dim)
-    P = fractional_power(S, M, 1.0)
+    P = fractional_power(S, 1.0)
     w = leading_window(dim, 2, 1)
     assert scaled_deviation(P.entries[:w, :w], M.entries[:w, :w]) < 1e-9
 
@@ -165,7 +161,7 @@ def test_power_at_two_row_one_is_composed_map():
     f = logistic_series(4.0, dim)
     _, _, S = factor(4.0, 0.1, dim)
     M = build_matrix(f, dim)
-    P = fractional_power(S, M, 2.0)
+    P = fractional_power(S, 2.0)
     ff = compose_pad(f, f, dim)
     w = leading_window(dim, 2, 2)
     assert np.abs(P.entries[1, :w] - ff.coeffs_array[:w]).max() < 1e-9
@@ -175,22 +171,18 @@ def test_power_at_two_row_one_is_composed_map():
 
 def test_power_semigroup_in_t():
     dim = 16
-    f = logistic_series(4.0, dim)
     _, _, S = factor(4.0, 0.1, dim)
-    M = build_matrix(f, dim)
     w = 6
     for s, t in ((0.3, 0.7), (0.5, 0.5), (1.2, -0.2)):
-        lhs = fractional_power(S, M, s + t).entries
-        rhs = fractional_power(S, M, s).entries @ fractional_power(S, M, t).entries
+        lhs = fractional_power(S, s + t).entries
+        rhs = fractional_power(S, s).entries @ fractional_power(S, t).entries
         assert np.abs(lhs[:w, :w] - rhs[:w, :w]).max() < 1e-8
 
 
 def test_power_output_keeps_embedding_structure():
     dim = 16
-    f = logistic_series(4.0, dim)
     _, _, S = factor(4.0, 0.1, dim)
-    M = build_matrix(f, dim)
-    P = fractional_power(S, M, 0.6)
+    P = fractional_power(S, 0.6)
     assert np.abs(P.entries[0] - np.eye(dim)[0]).max() < 1e-12
     w = leading_window(dim, 2, 1)
     row = np.zeros(dim, dtype=complex)
@@ -210,29 +202,25 @@ def test_log_of_diagonal_matrix():
     )
     mg = build_matrix(frame.shifted_map, 4)
     S = diagonalize(mg, frame)
-    L = matrix_log(S, mg)
+    L = matrix_log(S)
     expected = np.diag([0.0, math.log(2), 2 * math.log(2), 3 * math.log(2)])
     assert np.abs(L.entries - expected).max() < 1e-13
 
 
 def test_log_row_one_logistic_coefficients():
-    dim = 16
-    f = logistic_series(4.0, dim)
-    _, mg, S = factor(4.0, 0.1, dim)
-    L = matrix_log(S, build_matrix(f, dim))
+    _, _, S = factor(4.0, 0.1, 16)
+    L = matrix_log(S)
     assert abs(L.entries[1, 1] - math.log(4)) < 1e-12
     assert abs(L.entries[1, 2] + (2 / 3) * math.log(2)) < 1e-12
 
 
 def test_log_is_time_derivative_of_powers():
     dim = 16
-    f = logistic_series(4.0, dim)
     _, _, S = factor(4.0, 0.1, dim)
-    M = build_matrix(f, dim)
-    L = matrix_log(S, M)
+    L = matrix_log(S)
     h = 1e-4
     diff = (
-        fractional_power(S, M, h).entries - fractional_power(S, M, -h).entries
+        fractional_power(S, h).entries - fractional_power(S, -h).entries
     ) / (2 * h)
     w = leading_window(dim, 2, 1)
     assert np.abs(diff[1, :w] - L.entries[1, :w]).max() < 1e-6
@@ -241,37 +229,32 @@ def test_log_is_time_derivative_of_powers():
 
 
 def test_log_without_matrix_argument():
-    _, mg, S = factor(4.0, 0.1, 8)
+    _, _, S = factor(4.0, 0.1, 8)
     L = matrix_log(S)
     assert abs(L.entries[1, 1] - math.log(4)) < 1e-12
-    assert L.chart_series is not None
-    assert L.chart_series.base_point == 0
+    assert L.source_map.base_point == 0
+
+
+def test_log_at_second_fixed_point_is_the_shifted_maps_generator():
+    # Row 1 is the field about x* = 3/4, with G'(x*) = Log(-2).
+    frame, _, S = factor(4.0, 0.7, 12)
+    L = matrix_log(S)
+    assert L.source_map.base_point == frame.x_star
+    assert L.source_map.coeffs[0] == 0
+    assert abs(L.source_map.coeffs[1] - complex(math.log(2), math.pi)) < 1e-12
 
 
 def test_log_at_origin_is_the_chart_core():
-    # At x* = 0 the shift matrices are identities, so the full logarithm is
-    # the chart-frame core V^-1 diag(j Log lambda) V itself.
     _, _, S = factor(4.0, 0.1, 12)
-    diag = np.arange(12) * S.branch.log_multiplier
+    diag = np.arange(12) * S.log_multiplier
     core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
     L = matrix_log(S)
     assert np.array_equal(L.entries, core)
-    assert L.chart_series.coeffs == tuple(core[1])
+    assert L.source_map.coeffs == tuple(core[1])
 
 
 def test_principal_branch_for_negative_multiplier():
     _, _, S = factor(4.0, 0.7, 12)
     assert abs(S.multiplier + 2.0) < 1e-10
-    assert abs(S.branch.log_multiplier - complex(math.log(2), math.pi)) < 1e-12
-    assert S.branch.convention == "principal"
+    assert abs(S.log_multiplier - complex(math.log(2), math.pi)) < 1e-12
 
-
-def test_factorization_csv_blocks():
-    _, _, S = factor(4.0, 0.1, 6)
-    buf = io.StringIO()
-    write_factorization_csv(S, buf)
-    text = buf.getvalue()
-    lines = text.splitlines()
-    assert lines[0].startswith("factorization dim=6 lambda=4")
-    assert sum(1 for ln in lines if ln.startswith("block=")) == 3
-    assert len(lines) == 1 + 3 + 6 + 6 + 1
