@@ -1,12 +1,15 @@
 """Continuous iterates and continuous-time flows of analytic 1-D maps.
 
-The pipeline: expand a map as a truncated power series, embed it as a dense
-Carleman matrix whose rows are the coefficient lists of the map's powers,
-shift to a fixed point so the matrix is upper triangular, diagonalize it by
-a short unitriangular recursion, and read off, in the fixed-point frame,
+The pipeline: expand a map as a truncated power series and shift it to a
+fixed point, where its Carleman matrix (whose rows are the coefficient lists
+of the map's powers) is upper triangular.  That matrix is diagonalized by a
+unitriangular factor whose row 1 is the linearizing chart u and whose
+inverse has row 1 the inverse chart h; the pipeline computes just these two
+series, by the Poincare recursion and Lagrange inversion, and reads off, in
+the fixed-point frame,
 
-* non-integer iterates f^t (matrix powers / linearizing chart),
-* the vector field G with df^t/dt = G(f^t) (matrix logarithm),
+* non-integer iterates f^t (linearizing chart / spectral modes h_k u^k),
+* the vector field G with df^t/dt = G(f^t) (row 1 of the matrix logarithm),
 
 with everything cross-checked against exactly solvable logistic references.
 """
@@ -83,8 +86,10 @@ from .series import (
 from .spectral import (
     SpectralFactorization,
     diagonalize,
+    factor_from_series,
     fractional_power,
     left_eigenrow,
+    log_row,
     matrix_log,
 )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShiftInconsistent
-from .series import FixedPointFrame, PowerSeries
+from .series import FixedPointFrame, PowerSeries, convolution_powers
 
 # Relative size of sub-diagonal residue tolerated after shift conjugation.
 TOL_TRI = 1e-10
@@ -73,13 +73,7 @@ def build_matrix(f: PowerSeries, dim: int) -> CarlemanMatrix:
     row1 = np.zeros(dim, dtype=complex)
     take = min(dim, f.order)
     row1[:take] = f.coeffs_array[:take]
-    entries = np.zeros((dim, dim), dtype=complex)
-    entries[0, 0] = 1.0
-    prev = entries[0]
-    for j in range(1, dim):
-        prev = np.convolve(prev, row1)[:dim]
-        entries[j] = prev
-    return CarlemanMatrix(entries=entries, source_map=f)
+    return CarlemanMatrix(entries=convolution_powers(row1), source_map=f)
 
 
 def build_matrix_quadrature(

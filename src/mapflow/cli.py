@@ -237,6 +237,15 @@ def _reference_fn(ns, x_star: complex):
     return None
 
 
+def _reference_value(reference, t, x) -> complex | None:
+    """The closed form at (t, x), or None where it has no finite value
+    (an x off the real segment of the map escapes to infinity)."""
+    try:
+        return reference(t, x)
+    except OverflowError:
+        return None
+
+
 def cmd_iterate(ns) -> int:
     f = _map_series(ns)
     if not ns.t or not ns.x:
@@ -247,7 +256,7 @@ def cmd_iterate(ns) -> int:
     if ns.route in ("chart", "both"):
         grids.append(("chart", evaluate_chart_grid(chart, ns.t, ns.x)))
     if ns.route in ("matrix", "both"):
-        expansion = build_expansion(fact, frame)
+        expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
         grids.append(("matrix", evaluate_matrix_grid(expansion, ns.t, ns.x)))
     routes = [
         (name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist())
@@ -258,7 +267,7 @@ def cmd_iterate(ns) -> int:
     rows = []
     for i, t in enumerate(ns.t):
         for j, x in enumerate(ns.x):
-            ref = reference(t, x) if reference is not None else None
+            ref = _reference_value(reference, t, x) if reference is not None else None
             for name, values, converged in routes:
                 value = values[i][j] if converged[i][j] else None
                 rows.append((t, complex(x), value, name, converged[i][j], ref))

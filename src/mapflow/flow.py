@@ -2,9 +2,10 @@
 
 Row 1 of the matrix logarithm holds the Taylor coefficients of a vector
 field G with the defining property that the continuous iterates solve
-dx/dt = G(x), x(0) = x0.  The same field has a closed chart form
-G = Log(lambda) * u(x) / u'(x), which this module uses as an independent
-cross-check when building a field (a mismatch almost always means a wrong
+dx/dt = G(x), x(0) = x0.  The pipeline sums that row from the two chart
+series as Log(lambda) * sum_k k h_k u^k, with no matrix.  The same field has
+a closed chart form G = Log(lambda) * u(x) / u'(x), which this module uses as
+a cross-check when building a field (a mismatch almost always means a wrong
 logarithm branch).
 
 Also here: a classical fixed-step RK4 integrator for the extracted ODE
@@ -50,15 +51,16 @@ class FlowField:
         return self.series.base_point
 
 
-def build_field(L: CarlemanMatrix, chart: SchroederChart) -> FlowField:
-    """Assemble the flow field from a matrix logarithm and its chart.
+def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowField:
+    """Assemble the flow field from the logarithm's row 1 and its chart.
 
-    Consumes the logarithm's row 1, a series about the fixed point (see
-    :func:`mapflow.spectral.matrix_log`).  The coefficients are cross-checked
-    against Log(lambda) * u / u' computed by truncated series division;
-    disagreement raises :class:`BranchMismatch`.
+    ``L`` is that row as a series about the fixed point
+    (:func:`mapflow.spectral.log_row`), or a matrix from
+    :func:`mapflow.spectral.matrix_log`, whose ``source_map`` is the row.
+    The coefficients are cross-checked against Log(lambda) * u / u' computed
+    by truncated series division; disagreement raises :class:`BranchMismatch`.
     """
-    g = L.source_map
+    g = L.source_map if isinstance(L, CarlemanMatrix) else L
     if g.base_point != chart.x_star:
         raise ValueError(
             f"log expanded about {g.base_point!r} but chart sits at "
@@ -181,9 +183,9 @@ def field_pipeline(
     r_eval: float | None = None,
     tol_fix: float | None = None,
 ) -> FlowField:
-    """Fixed point -> factorization -> chart -> log -> field, in one call."""
+    """Fixed point -> factorization -> chart -> field row -> field, in one call."""
     from .iterate import chart_pipeline
-    from .spectral import matrix_log
+    from .spectral import log_row
 
     _, fact, chart = chart_pipeline(f, guess, dim, r_eval=r_eval, tol_fix=tol_fix)
-    return build_field(matrix_log(fact), chart)
+    return build_field(log_row(fact), chart)

@@ -1,15 +1,15 @@
 """Continuous iterates f^t by two routes built on one factorization.
 
-Chart route: the row-1 coefficients of the unitriangular factor are the
-Taylor coefficients of a chart u with u(f(x)) = lambda * u(x), normalized to
-unit derivative at the fixed point.  Then
+Chart route: the factorization's row-1 series are the Taylor coefficients
+of a chart u with u(f(x)) = lambda * u(x), normalized to unit derivative at
+the fixed point, and of its inverse.  Then
 
     f^t(x) = u_inv(lambda^t * u(x)),
 
 with lambda^t on the recorded principal branch.  Mode route: expanding the
 same matrix power row gives f^t(x) = sum_k lambda^{k t} phi_k(x) where each
-mode phi_k is a fixed power series about the fixed point.  The two routes are
-algebraically identical and are cross-checked in the test suite.
+mode phi_k = h_k u^k is a fixed power series about the fixed point.  The two
+routes are algebraically identical and are cross-checked in the test suite.
 
 Evaluation hygiene.  Truncated series only deserve trust inside an empirical
 radius (a tail test on the top coefficients).  Three mechanisms keep
@@ -51,13 +51,15 @@ import numpy as np
 
 from .errors import MapflowError, NonConvergent, OutOfChart
 from .series import (
+    TOL_FIX,
     FixedPointFrame,
     PowerSeries,
     _tail_start,
     evaluate_with_tail,
+    find_fixed_point,
     tail_radius,
 )
-from .spectral import SpectralFactorization
+from .spectral import SpectralFactorization, factor_from_series
 
 # Relative size of the trailing stored terms tolerated at an evaluation
 # site: beyond this the truncated value has fewer than ~6 reliable digits
@@ -110,12 +112,14 @@ class SchroederChart:
 class IterateExpansion:
     """Mode expansion of f^t: modes[k] scaled by lambda^{k t} and summed.
 
-    ``modes[0]`` is the constant series x*.
+    ``modes[0]`` is the constant series x*.  Points farther than ``r_eval``
+    from x* are refused, as on the chart route.
     """
 
     modes: tuple
     multiplier: complex
     x_star: complex
+    r_eval: float = math.inf
 
     @property
     def k_max(self) -> int:
@@ -133,7 +137,7 @@ class PointStatus(IntEnum):
     """Outcome of one (t, x) point of a grid evaluation."""
 
     OK = 0
-    # |x - x*| exceeds the chart's r_eval; refused before any evaluation.
+    # |x - x*| exceeds r_eval; refused before any evaluation.
     OUTSIDE_RADIUS = 1
     # A series tail test failed, or the continuation of u(x) broke down.
     OUT_OF_CHART = 2
@@ -215,24 +219,17 @@ def build_chart(
     frame: FixedPointFrame,
     r_eval: float | None = None,
 ) -> SchroederChart:
-    """Extract the linearizing chart from a factorization.
+    """The linearizing chart of a factorization.
 
-    The forward series is row 1 of the unitriangular factor re-based at the
-    fixed point (unit derivative comes for free from unitriangularity).  The
-    inverse series is row 1 of the *inverse* factor: the matrix inverse of an
-    embedding matrix embeds the inverse map, so this row is the reversion of
-    the forward series, and the recursion delivers its fast-decaying
-    coefficients at full relative precision where a floating-point reversion
-    of the (rapidly growing) forward coefficients would drown them in
-    rounding noise.
+    The forward series is the chart row u re-based at the fixed point, with
+    unit derivative there.  The inverse series is the inverse row h with
+    constant term x*: the Poincare recursion gives its fast-decaying
+    coefficients at full relative precision, where a floating-point
+    reversion of the (rapidly growing) forward coefficients would drown them
+    in rounding noise.
     """
-    forward = PowerSeries.from_coefficients(S.chart_matrix[1], frame.x_star)
-    if forward.order < 2 or forward.coeffs[1] == 0:
-        raise ValueError(
-            "reversion impossible: zero linear coefficient "
-            "(superattracting or degenerate chart)"
-        )
-    inv_coeffs = S.chart_matrix_inv[1].copy()
+    forward = PowerSeries.from_coefficients(S.chart_row, frame.x_star)
+    inv_coeffs = S.inverse_row.copy()
     inv_coeffs[0] = frame.x_star
     inverse = PowerSeries.from_coefficients(inv_coeffs, 0j)
     radius = default_chart_radius(frame) if r_eval is None else float(r_eval)
@@ -388,6 +385,16 @@ def _checked_split(series: PowerSeries, xr: np.ndarray, xi: np.ndarray) -> tuple
     return vr, vi, tail, refused
 
 
+def _outside_radius(xs: list, x_star: complex, r_eval: float) -> dict:
+    """The refusal reason for the index of every x farther than r_eval from x*."""
+    reasons = {}
+    for j, x in enumerate(xs):
+        dist = abs(x - x_star)
+        if dist > r_eval * (1.0 + 1e-12):
+            reasons[j] = f"|x - x*| = {dist:.4g} exceeds the chart radius {r_eval:.4g}"
+    return reasons
+
+
 def _time_shift_steps(chart: SchroederChart, ts: list, w: np.ndarray, ok) -> np.ndarray:
     """Integer time shifts k per point that bring |lambda^(t-k) u(x)| within
     INV_SAFETY of the inverse series radius (0 where none is needed)."""
@@ -420,15 +427,11 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
     xs = [complex(x) for x in xs]
     nt, nx = len(ts), len(xs)
     status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
-    column_errors = {}
+    column_errors = _outside_radius(xs, chart.x_star, chart.r_eval)
+    status[:, list(column_errors)] = PointStatus.OUTSIDE_RADIUS
     w = np.zeros(nx, dtype=complex)
     for j, x in enumerate(xs):
-        dist = abs(x - chart.x_star)
-        if dist > chart.r_eval * (1.0 + 1e-12):
-            status[:, j] = PointStatus.OUTSIDE_RADIUS
-            column_errors[j] = (
-                f"|x - x*| = {dist:.4g} exceeds the chart radius {chart.r_eval:.4g}"
-            )
+        if j in column_errors:
             continue
         try:
             w[j] = chart_value(chart, x)
@@ -490,12 +493,15 @@ def build_expansion(
     S: SpectralFactorization,
     frame: FixedPointFrame,
     k_max: int | None = None,
+    r_eval: float = math.inf,
 ) -> IterateExpansion:
-    """Mode series phi_k built from the factorization rows.
+    """Mode series phi_k = h_k u^k built from the factorization's two rows.
 
-    phi_k has coefficients (inverse factor)[1, k] * (forward factor)[k, :],
-    expanded about the fixed point; phi_0 is the constant x*.  ``k_max``
-    defaults to dim - 1, using all computed spectral data.
+    phi_k has the coefficients of u^k, row k of the forward factor, scaled by
+    h_k and expanded about the fixed point; phi_0 is the constant x*.
+    ``k_max`` defaults to dim - 1, using all computed spectral data.  The
+    CLI passes its chart's ``r_eval``; with the default only the mode-sum
+    test refuses points.
     """
     n = S.dim
     if k_max is None:
@@ -505,10 +511,13 @@ def build_expansion(
     x_star = frame.x_star
     modes = [PowerSeries.constant(x_star, n, base_point=x_star)]
     for k in range(1, k_max + 1):
-        coeffs = S.chart_matrix_inv[1, k] * S.chart_matrix[k]
+        coeffs = S.inverse_row[k] * S.chart_matrix[k]
         modes.append(PowerSeries.from_coefficients(coeffs, x_star))
     return IterateExpansion(
-        modes=tuple(modes), multiplier=S.multiplier, x_star=x_star
+        modes=tuple(modes),
+        multiplier=S.multiplier,
+        x_star=x_star,
+        r_eval=float(r_eval),
     )
 
 
@@ -518,9 +527,11 @@ def evaluate_matrix_grid(
     """f^t(x) = sum_k lambda^{k t} phi_k(x) for every t in ``ts``, x in ``xs``.
 
     The mode values phi_k(x) are computed once per x; the weighted sums run
-    per t over all points.  A point is ``NON_CONVERGENT`` when its last
-    mode's term is not negligible against the sum.  Each value and status
-    equals what :func:`evaluate_iterate_matrix` gives at the same point.
+    per t over all points.  An x farther than the expansion's ``r_eval``
+    from x* is ``OUTSIDE_RADIUS`` at every t; a point is ``NON_CONVERGENT``
+    when its last mode's term is not negligible against the sum.  Each value
+    and status equals what :func:`evaluate_iterate_matrix` gives at the same
+    point.
     """
     ts = [float(t) for t in ts]
     xs = [complex(x) for x in xs]
@@ -561,7 +572,12 @@ def evaluate_matrix_grid(
             status[i, refused] = PointStatus.NON_CONVERGENT
             values.real[i, ~refused] = total_re[~refused]
             values.imag[i, ~refused] = total_im[~refused]
-    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, {})
+    column_errors = _outside_radius(xs, expansion.x_star, expansion.r_eval)
+    outside = list(column_errors)
+    status[:, outside] = PointStatus.OUTSIDE_RADIUS
+    values[:, outside] = complex(math.nan, math.nan)
+    tails[:, outside] = math.nan
+    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
 
 
 def evaluate_iterate_matrix(
@@ -608,17 +624,13 @@ def chart_pipeline(
     r_eval: float | None = None,
     tol_fix: float | None = None,
 ):
-    """Convenience: locate the fixed point, factor, and build the chart.
+    """Locate the fixed point, factor, and build the chart.
 
-    Returns (frame, factorization, chart).  The triangular matrix is built
-    directly from the shifted map, which is the numerically stable route.
+    Returns (frame, factorization, chart).  The factorization comes from the
+    shifted map's two chart series (:func:`mapflow.spectral.factor_from_series`);
+    no matrix is built.
     """
-    from .carleman import build_matrix
-    from .series import TOL_FIX, find_fixed_point
-    from .spectral import diagonalize
-
     frame = find_fixed_point(f, guess, tol_fix=TOL_FIX if tol_fix is None else tol_fix)
-    mg = build_matrix(frame.shifted_map, dim)
-    fact = diagonalize(mg, frame)
+    fact = factor_from_series(frame, dim)
     chart = build_chart(fact, frame, r_eval=r_eval)
     return frame, fact, chart

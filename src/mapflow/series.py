@@ -59,6 +59,17 @@ def _trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: len(a)]
 
 
+def convolution_powers(row: np.ndarray) -> np.ndarray:
+    """Square array whose row j holds s^j truncated to len(row) terms, where
+    ``row`` holds the coefficients of the series s."""
+    n = len(row)
+    powers = np.zeros((n, n), dtype=complex)
+    powers[0, 0] = 1.0
+    for j in range(1, n):
+        powers[j] = np.convolve(powers[j - 1], row)[:n]
+    return powers
+
+
 def _trunc_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Coefficientwise solution q of den*q = num; den must have den[0] != 0."""
     n = len(num)

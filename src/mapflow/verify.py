@@ -48,7 +48,7 @@ from .logistic import (
     logistic4_matrix_entry,
     logistic_series,
 )
-from .spectral import left_eigenrow, matrix_log
+from .spectral import left_eigenrow, log_row
 
 LN2 = math.log(2.0)
 
@@ -124,19 +124,28 @@ _C4_TIMES = (0.25, 0.5, 1.5, 2.0)
 _C4_POINTS = (0.01, 0.05, 0.1)
 
 
+def _oracle_errors(grid) -> dict:
+    """Absolute error of each grid value against the closed mu=4 iterate."""
+    return {
+        (t, x): abs(grid.value(i, j) - logistic4_iterate(t, x))
+        for i, t in enumerate(grid.ts)
+        for j, x in enumerate(grid.xs)
+    }
+
+
+def _chart_errors(dim: int) -> dict:
+    """Per-sample absolute errors of the chart route against the closed iterate."""
+    _, _, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    return _oracle_errors(evaluate_chart_grid(chart, _C4_TIMES, _C4_POINTS))
+
+
 def _iterate_errors(dim: int):
     """Per-sample absolute errors of both routes against the closed iterate."""
     frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    by_chart = evaluate_chart_grid(chart, _C4_TIMES, _C4_POINTS)
-    by_modes = evaluate_matrix_grid(build_expansion(fact, frame), _C4_TIMES, _C4_POINTS)
-    errs = {}
-    for i, t in enumerate(_C4_TIMES):
-        for j, x in enumerate(_C4_POINTS):
-            ref = logistic4_iterate(t, x)
-            ec = abs(by_chart.value(i, j) - ref)
-            em = abs(by_modes.value(i, j) - ref)
-            errs[(t, x)] = (ec, em)
-    return errs
+    expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
+    by_modes = _oracle_errors(evaluate_matrix_grid(expansion, _C4_TIMES, _C4_POINTS))
+    by_chart = _chart_errors(dim)
+    return {key: (by_chart[key], by_modes[key]) for key in by_chart}
 
 
 def check_iterate_oracle(dim: int = 40) -> CheckResult:
@@ -161,7 +170,7 @@ def check_mu2_oracle(dim: int = 40) -> CheckResult:
 
 def check_semigroup(dim: int = 40) -> CheckResult:
     frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    expansion = build_expansion(fact, frame)
+    expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
     routes = (
         lambda ts, xs: evaluate_chart_grid(chart, ts, xs),
         lambda ts, xs: evaluate_matrix_grid(expansion, ts, xs),
@@ -223,7 +232,7 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
 
 def check_field(dim: int = 40) -> CheckResult:
     _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    field = build_field(matrix_log(fact), chart)
+    field = build_field(log_row(fact), chart)
     dev = 0.0
     for x in (0.01, 0.05, 0.1):
         dev = max(dev, abs(evaluate_field(field, x) - logistic4_field(x)))
@@ -244,7 +253,7 @@ def check_field(dim: int = 40) -> CheckResult:
 
 def check_flow_consistency(dim: int = 40) -> CheckResult:
     _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    field = build_field(matrix_log(fact), chart)
+    field = build_field(log_row(fact), chart)
     end_1 = integrate_flow(field, 0.01, 1.0, dt=1e-3)[-1][1]
     dev_map = abs(end_1 - 0.0396)
     end_half = integrate_flow(field, 0.01, 0.5, dt=1e-3)[-1][1]
@@ -318,6 +327,41 @@ def check_truncation_convergence() -> CheckResult:
     )
 
 
+_SWEEP_DIMS = (20, 40, 80, 160)
+
+
+def check_order_sweep() -> CheckResult:
+    """Chart-route errors do not grow as the order rises through 20, 40, 80
+    and 160, and the order-160 chart matches the exact expansion.
+
+    The error comparison has the 1e-12 rounding allowance of
+    truncation-convergence; every order-160 chart coefficient must match
+    4^k / (2 k^2 binom(2k, k)) to 1e-12 relative.
+    """
+    errors = [_chart_errors(dim) for dim in _SWEEP_DIMS]
+    growth = max(
+        fine[key] - coarse[key]
+        for coarse, fine in zip(errors, errors[1:])
+        for key in coarse
+    )
+    growth = max(growth, 0.0)
+    top = _SWEEP_DIMS[-1]
+    _, fact, _ = _pipeline(4.0, 0.1, top, 0.6)
+    coeff_dev = max(
+        abs(fact.chart_row[k] - float(c)) / float(c)
+        for k, c in enumerate(logistic4_chart_coefficients(top - 1), start=1)
+    )
+    return CheckResult(
+        name="order-sweep",
+        passed=bool(growth <= 1e-12 and coeff_dev <= 1e-12),
+        deviation=float(growth),
+        tolerance=1e-12,
+        detail=f"chart-route error growth over dims {_SWEEP_DIMS} (0 means "
+        f"non-increasing); dim-{top} chart coefficients relative dev "
+        f"{coeff_dev:.3e} (<=1e-12)",
+    )
+
+
 CRITERIA = {
     "matrix-exact": check_matrix_exact,
     "builder-equivalence": check_builder_equivalence,
@@ -331,6 +375,7 @@ CRITERIA = {
     "validity-window": check_validity_window,
     "lyapunov": check_lyapunov,
     "truncation-convergence": check_truncation_convergence,
+    "order-sweep": check_order_sweep,
 }
 
 SUITES = {

@@ -22,6 +22,7 @@ ORDERED = [
     "validity-window",
     "lyapunov",
     "truncation-convergence",
+    "order-sweep",
 ]
 
 

@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from mapflow.cli import main
+from mapflow.logistic import logistic2_chart_coefficients, logistic4_chart_coefficients
 
 
 def run(args, capsys):
@@ -155,6 +158,28 @@ def test_iterate_refuses_a_time_whose_multiplier_power_overflows(argv, capsys):
     assert fields[3:7] == ["", "", argv[argv.index("--route") + 1], "false"]
 
 
+def test_iterate_leaves_the_reference_empty_where_the_closed_form_overflows(capsys):
+    code, out, _ = run(
+        ["iterate", *L4_ORIGIN, "--route", "chart", "--t", "12", "--x", "0.1j"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3:] == ["", "", "chart", "false", "", ""]
+
+
+def test_mode_route_refuses_points_outside_r_eval(capsys):
+    # 0.48 is past r_eval; the mode sum there once passed its last-term test
+    # with a value 6e-4 off the closed form.
+    code, out, _ = run(
+        ["iterate", "--preset", "logistic:2", "--fixed-point", "0", "--r-eval", "0.45",
+         "--route", "matrix", "--t=-0.5", "--x", "0.48"],
+        capsys,
+    )
+    assert code == 0
+    fields = out.splitlines()[1].split(",")
+    assert fields[3:7] == ["", "", "matrix", "false"]
+    assert fields[7] != ""  # the closed form is still reported
+
+
 # --- chart / field / integrate -------------------------------------------------
 
 def test_chart_dump(capsys):
@@ -173,8 +198,6 @@ def test_chart_dump(capsys):
 
 
 def test_field_dump(capsys):
-    import math
-
     code, out, _ = run(
         ["field", "--preset", "logistic:4", "--guess", "0", "--dim", "8"], capsys
     )
@@ -198,6 +221,68 @@ def test_integrate_endpoint(capsys):
     last = lines[-1].split(",")
     assert abs(float(last[0]) - 1.0) < 1e-12
     assert abs(float(last[1]) - 0.0396) < 1e-6
+
+
+def test_field_at_order_160_is_built(capsys):
+    # The matrix recursion's cancellation once failed this with BranchMismatch.
+    code, out, _ = run(["field", "--preset", "logistic:4", "--dim", "160"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 162
+    assert abs(float(lines[3].split(",")[1]) - math.log(4.0)) < 1e-12
+
+
+def _exact_chart(mu: int, n: int) -> tuple:
+    """Coefficients 1 .. n-1 of the chart u and its inverse h at 0."""
+    if mu == 4:  # u = arcsin(sqrt x)^2, h = sin(sqrt w)^2
+        u = logistic4_chart_coefficients(n - 1)
+        h = [Fraction((-1) ** (k + 1) * 2 ** (2 * k - 1), math.factorial(2 * k))
+             for k in range(1, n)]
+    else:  # u = -log(1 - 2x)/2, h = (1 - exp(-2w))/2
+        u = logistic2_chart_coefficients(n - 1)
+        h = [Fraction((-1) ** (k + 1) * 2 ** (k - 1), math.factorial(k))
+             for k in range(1, n)]
+    return u, h
+
+
+@pytest.mark.parametrize("dim", [80, 160])
+@pytest.mark.parametrize("mu", [4, 2])
+def test_high_order_chart_matches_the_exact_series(mu, dim, capsys):
+    code, out, _ = run(
+        ["chart", "--preset", f"logistic:{mu}", "--guess", "0", "--dim", str(dim)], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert len(rows) == dim - 1
+    for row, *exact in zip(rows, *_exact_chart(mu, dim)):
+        for value, ref in zip((row[1:3], row[3:5]), exact):
+            got = complex(float(value[0]), float(value[1]))
+            ref = float(ref)
+            if abs(ref) < 1e-290:  # below double's normal range
+                assert abs(got) < 1e-290, row[0]
+            else:
+                assert abs(got - ref) <= 1e-12 * abs(ref), row[0]
+
+
+def test_cli_paths_build_no_matrix(monkeypatch, tmp_path):
+    import mapflow.carleman
+    import mapflow.cli
+    import mapflow.spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Carleman matrix was built or diagonalized")
+
+    monkeypatch.setattr(mapflow.carleman, "build_matrix", refuse)
+    monkeypatch.setattr(mapflow.cli, "build_matrix", refuse)
+    monkeypatch.setattr(mapflow.spectral, "diagonalize", refuse)
+    l4 = ["--preset", "logistic:4", "--guess", "0", "--dim", "40", "--r-eval", "0.6"]
+    for argv in (
+        ["chart", *l4],
+        ["field", *l4],
+        ["integrate", *l4, "--x0", "0.01", "--t-end", "0.1", "--dt", "0.01"],
+        ["iterate", *l4, "--route", "both", "--t", "0.5", "--x", "0.05"],
+    ):
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 0
 
 
 # --- lyapunov / verify ----------------------------------------------------------

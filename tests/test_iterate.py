@@ -456,6 +456,7 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
     frame, fact, chart0 = pipe4_origin
     _, _, chart1 = pipe4_second
     expansion = mf.build_expansion(fact, frame)
+    bounded = mf.build_expansion(fact, frame, r_eval=chart0.r_eval)
     cases = [
         # x = 1.4 is past r_eval; continuation cannot reach 1.2.
         (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 1.4,
@@ -467,6 +468,9 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
          mf.PointStatus.OUT_OF_CHART, mf.OutOfChart),
         (mf.evaluate_iterate_matrix, mf.evaluate_matrix_grid, expansion, 6.0, 0.25,
          mf.PointStatus.NON_CONVERGENT, mf.NonConvergent),
+        # The mode route refuses x = 0.7 past r_eval = 0.6 like the chart route.
+        (mf.evaluate_iterate_matrix, mf.evaluate_matrix_grid, bounded, 0.5, 0.7,
+         mf.PointStatus.OUTSIDE_RADIUS, mf.OutOfChart),
         (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 0.8,
          mf.PointStatus.OK, None),
     ]

@@ -9,8 +9,10 @@ from mapflow.logistic import logistic_series
 from mapflow.series import FixedPointFrame, PowerSeries, find_fixed_point
 from mapflow.spectral import (
     diagonalize,
+    factor_from_series,
     fractional_power,
     left_eigenrow,
+    log_row,
     matrix_log,
 )
 
@@ -135,6 +137,55 @@ def test_non_triangular_input_rejected():
     M = build_matrix(f, 8)  # not shifted, not triangular
     with pytest.raises(mf.ShiftInconsistent):
         diagonalize(M, frame)
+
+
+# --- the series core ---------------------------------------------------------------
+
+CORE_MAPS = [
+    ([0, 4, -4], 0.1),
+    ([0, 4, -4], 0.7),
+    ([0, 2, -2], 0.1),
+    ([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], 0.0),
+]
+
+
+@pytest.mark.parametrize("dim", [8, 20, 40])
+@pytest.mark.parametrize("coeffs, guess", CORE_MAPS)
+def test_series_core_agrees_with_diagonalize(coeffs, guess, dim):
+    frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
+    S = factor_from_series(frame, dim)
+    ref = diagonalize(build_matrix(frame.shifted_map, dim), frame)
+    assert scaled_deviation(S.chart_matrix, ref.chart_matrix) < 1e-9
+    assert scaled_deviation(S.chart_matrix_inv, ref.chart_matrix_inv) < 1e-9
+    assert S.multiplier == ref.multiplier
+    assert S.log_multiplier == ref.log_multiplier
+
+
+@pytest.mark.parametrize("coeffs, guess", CORE_MAPS)
+def test_log_row_is_row_one_of_the_matrix_log(coeffs, guess):
+    frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=20), guess)
+    S = factor_from_series(frame, 20)
+    row = log_row(S)
+    assert row.base_point == frame.x_star
+    assert scaled_deviation(row.coeffs_array, matrix_log(S).entries[1]) < 1e-12
+
+
+def test_series_core_rejects_what_diagonalize_rejects():
+    resonant = FixedPointFrame(
+        x_star=0.0,
+        multiplier=1j,
+        shifted_map=PowerSeries.from_coefficients([0, 1j, 0.5], order=8),
+    )
+    with pytest.raises(mf.ResonantEigenvalues) as err:
+        factor_from_series(resonant, 8)
+    assert err.value.pair == (0, 4)
+    flat = FixedPointFrame(
+        x_star=0.0,
+        multiplier=0.0,
+        shifted_map=PowerSeries.from_coefficients([0, 0, 1], order=6),
+    )
+    with pytest.raises(mf.Superattracting):
+        factor_from_series(flat, 6)
 
 
 # --- fractional powers ----------------------------------------------------------
