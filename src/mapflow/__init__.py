@@ -21,8 +21,6 @@ from .carleman import (
     leading_window,
     read_matrix_csv,
     scaled_deviation,
-    shift_conjugate,
-    verify_semigroup,
     write_matrix_csv,
 )
 from .errors import (
@@ -60,7 +58,6 @@ from .iterate import (
     evaluate_iterate_chart,
     evaluate_iterate_matrix,
     evaluate_matrix_grid,
-    verify_linearization,
 )
 from .logistic import (
     logistic2_chart,
@@ -80,7 +77,6 @@ from .series import (
     compose,
     evaluate_with_tail,
     find_fixed_point,
-    revert,
     tail_radius,
 )
 from .spectral import (
@@ -88,7 +84,6 @@ from .spectral import (
     diagonalize,
     factor_from_series,
     fractional_power,
-    left_eigenrow,
     log_row,
     matrix_log,
 )

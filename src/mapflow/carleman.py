@@ -14,10 +14,9 @@ verification anchors.
 
 Matrices are built from the coefficient list as stored, i.e. they represent
 the map in the chart of its own expansion.  Triangular structure needs the
-map shifted to a fixed point first; the pipeline builds that matrix directly
-from the shifted map, and :func:`shift_conjugate` is the paper's conjugation
-by the binomial matrices of x - x* and x + x*, kept as its check.  The
-matrix CSV format is the ``matrix`` command's output.
+map shifted to a fixed point first, so the matrix of a fixed-point frame is
+built from its shifted map.  The matrix CSV format is the ``matrix``
+command's output.
 
 A note on comparisons: entries grow like multiplier^j times binomials, so
 meaningful agreement checks are scaled per row (see
@@ -32,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShiftInconsistent
-from .series import FixedPointFrame, PowerSeries, convolution_powers
-
-# Relative size of sub-diagonal residue tolerated after shift conjugation.
-TOL_TRI = 1e-10
+from .series import PowerSeries, convolution_powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,72 +113,6 @@ def build_matrix_quadrature(
         quadrature_nodes=nodes,
         quadrature_exact=exact,
     )
-
-
-def shift_conjugate(
-    M: CarlemanMatrix, frame: FixedPointFrame, tol_tri: float = TOL_TRI
-) -> CarlemanMatrix:
-    """Conjugate to the fixed-point chart: the N x N window of T M T^{-1}.
-
-    Row j of T M has support out to column 2j (for a quadratic map), so the
-    window-sized product would truncate every row past N/2; the conjugation
-    is therefore carried out at a doubled working size and the leading window
-    returned, which makes the result exact up to rounding.
-
-    The result is the embedding matrix of the shifted map and must be upper
-    triangular; a sub-diagonal residue above ``tol_tri`` (relative to the
-    matrix scale) means the frame and the matrix disagree and raises
-    :class:`ShiftInconsistent`.  The verified rounding residue is zeroed so
-    downstream triangular algorithms see exact structure.
-
-    Conjugating in floating point still loses relative accuracy in the deep
-    rows as the order grows (intermediate products dwarf the entries); for
-    large orders build the shifted matrix directly from ``frame.shifted_map``.
-    """
-    n = M.dim
-    big = 2 * n
-    wide = build_matrix(M.source_map, big)
-    x_star = complex(frame.x_star)
-    to_fixed = build_matrix(PowerSeries.from_coefficients([-x_star, 1.0], order=2), big)
-    back = build_matrix(PowerSeries.from_coefficients([x_star, 1.0], order=2), big)
-    conj = (to_fixed.entries @ wide.entries @ back.entries)[:n, :n]
-    scale = max(1.0, float(np.abs(conj).max()))
-    sub = float(np.abs(np.tril(conj, -1)).max())
-    if sub > tol_tri * scale:
-        raise ShiftInconsistent(
-            f"sub-diagonal residue {sub:.3e} exceeds {tol_tri:.1e} * scale; "
-            "frame does not match the matrix"
-        )
-    entries = np.triu(conj)
-    g = PowerSeries.from_coefficients(frame.shifted_map.coeffs, 0j, order=n)
-    return CarlemanMatrix(entries=entries, source_map=g)
-
-
-def verify_semigroup(
-    f: PowerSeries, g: PowerSeries, dim: int, window: int | None = None
-) -> float:
-    """Max-abs deviation between M(f o g) and M(f) M(g) on a leading window.
-
-    With a zero constant term in ``g`` both sides are exact in exact
-    arithmetic (the right factor is upper triangular, so every truncated
-    column sum is complete) and the deviation measures rounding only.  The
-    optional ``window`` restricts the comparison to the leading block where
-    entry magnitudes keep an absolute comparison meaningful.
-    """
-    composed = compose_pad(f, g, dim)
-    lhs = build_matrix(composed, dim).entries
-    rhs = build_matrix(f, dim).entries @ build_matrix(g, dim).entries
-    w = dim if window is None else min(window, dim)
-    return float(np.abs(lhs[:w, :w] - rhs[:w, :w]).max())
-
-
-def compose_pad(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
-    """Composition with both operands padded to ``order`` first."""
-    from .series import compose
-
-    fp = PowerSeries.from_coefficients(f.coeffs, f.base_point, order=order)
-    gp = PowerSeries.from_coefficients(g.coeffs, g.base_point, order=order)
-    return compose(fp, gp)
 
 
 def leading_window(dim: int, degree: int, power: int) -> int:

@@ -38,10 +38,10 @@ class ResonantEigenvalues(RestrictiveConditionViolated):
 
 
 class ShiftInconsistent(MapflowError):
-    """Shift conjugation did not produce an upper-triangular matrix.
+    """A matrix to factor is not the triangular matrix of the frame's map.
 
     The fixed-point frame and the matrix disagree (e.g. the frame was built
-    from a different map, or the shift point is not actually a fixed point).
+    from a different map, or the matrix was not shifted to the fixed point).
     """
 
 
@@ -49,12 +49,8 @@ class OutOfChart(MapflowError):
     """An evaluation left the region where the chart series are trustworthy.
 
     Raised instead of silently returning a value a divergent truncated series
-    would produce.  ``step`` is set when an orbit walk left the chart.
+    would produce.
     """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class NonConvergent(MapflowError):

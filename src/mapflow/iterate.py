@@ -110,27 +110,24 @@ class SchroederChart:
 
 @dataclass(frozen=True, eq=False)
 class IterateExpansion:
-    """Mode expansion of f^t: modes[k] scaled by lambda^{k t} and summed.
+    """Mode expansion of f^t: mode k scaled by lambda^{k t} and summed.
 
-    ``modes[0]`` is the constant series x*.  Points farther than ``r_eval``
-    from x* are refused, as on the chart route.
+    Column k of the (order, k_max + 1) array ``mode_coeffs`` holds the
+    coefficients of mode k, a series about x*; mode 0 is the constant x*.
+    Points farther than ``r_eval`` from x* are refused, as on the chart route.
     """
 
-    modes: tuple
+    mode_coeffs: np.ndarray
     multiplier: complex
     x_star: complex
     r_eval: float = math.inf
 
+    def __post_init__(self):
+        self.mode_coeffs.setflags(write=False)
+
     @property
     def k_max(self) -> int:
-        return len(self.modes) - 1
-
-    @cached_property
-    def mode_coeffs(self) -> np.ndarray:
-        """The mode coefficients as one (order, k_max + 1) array."""
-        coeffs = np.array([mode.coeffs for mode in self.modes], dtype=complex).T
-        coeffs.setflags(write=False)
-        return coeffs
+        return self.mode_coeffs.shape[1] - 1
 
 
 class PointStatus(IntEnum):
@@ -302,11 +299,6 @@ def chart_value(chart: SchroederChart, x) -> complex:
         waypoint = start + (x - start) * (s / steps)
         w = _newton_chart_value(chart, waypoint, w)
     return w
-
-
-def _apply_shifted_map(chart: SchroederChart, x: complex) -> complex:
-    g = chart.frame.shifted_map
-    return chart.x_star + g(x - chart.x_star)
 
 
 def _exp_or_nan(exp, x):
@@ -497,8 +489,9 @@ def build_expansion(
 ) -> IterateExpansion:
     """Mode series phi_k = h_k u^k built from the factorization's two rows.
 
-    phi_k has the coefficients of u^k, row k of the forward factor, scaled by
-    h_k and expanded about the fixed point; phi_0 is the constant x*.
+    Column k of the expansion's array holds phi_k: the coefficients of u^k,
+    row k of the forward factor, scaled by h_k and expanded about the fixed
+    point; phi_0 is the constant x*.
     ``k_max`` defaults to dim - 1, using all computed spectral data.  The
     CLI passes its chart's ``r_eval``; with the default only the mode-sum
     test refuses points.
@@ -509,12 +502,12 @@ def build_expansion(
     if not 0 <= k_max < n:
         raise ValueError(f"k_max must lie in [0, {n - 1}]")
     x_star = frame.x_star
-    modes = [PowerSeries.constant(x_star, n, base_point=x_star)]
-    for k in range(1, k_max + 1):
-        coeffs = S.inverse_row[k] * S.chart_matrix[k]
-        modes.append(PowerSeries.from_coefficients(coeffs, x_star))
+    coeffs = np.zeros((n, k_max + 1), dtype=complex)
+    coeffs[0, 0] = x_star
+    k = slice(1, k_max + 1)
+    coeffs[:, k] = (S.inverse_row[k, np.newaxis] * S.chart_matrix[k]).T
     return IterateExpansion(
-        modes=tuple(modes),
+        mode_coeffs=coeffs,
         multiplier=S.multiplier,
         x_star=x_star,
         r_eval=float(r_eval),
@@ -536,23 +529,20 @@ def evaluate_matrix_grid(
     ts = [float(t) for t in ts]
     xs = [complex(x) for x in xs]
     nt, nx = len(ts), len(xs)
-    x_arr = np.array(xs, dtype=complex)[np.newaxis, :]
-    bases = np.array([mode.base_point for mode in expansion.modes])[:, np.newaxis]
+    z = np.array(xs, dtype=complex)[np.newaxis, :] - expansion.x_star
     log_lam = cmath.log(expansion.multiplier)
     values = np.full((nt, nx), complex(math.nan, math.nan))
     status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
     tails = np.empty((nt, nx))
     with np.errstate(over="ignore", invalid="ignore"):
         phi_re, phi_im = _horner_split(
-            expansion.mode_coeffs[:, :, np.newaxis],
-            x_arr.real - bases.real,
-            x_arr.imag - bases.imag,
+            expansion.mode_coeffs[:, :, np.newaxis], z.real, z.imag
         )
         for i, t in enumerate(ts):
             weight = np.array(
                 [
                     _exp_or_nan(cmath.exp, k * t * log_lam)
-                    for k in range(len(expansion.modes))
+                    for k in range(expansion.k_max + 1)
                 ],
                 dtype=complex,
             )[:, np.newaxis]
@@ -589,32 +579,6 @@ def evaluate_iterate_matrix(
     final mode's contribution is not negligible against the running sum.
     """
     return evaluate_matrix_grid(expansion, (t,), (x,), tail_tol).value(0, 0)
-
-
-def verify_linearization(chart: SchroederChart, x0, n: int) -> float:
-    """Max residual |u(x_{m+1}) - lambda u(x_m)| along a length-n orbit.
-
-    Walks the exact map orbit from x0 and checks the chart linearizes it.
-    Raises :class:`OutOfChart` with the offending step index when the orbit
-    leaves the region where the chart series is trustworthy.
-    """
-    limit = min(chart.r_eval, chart.forward_radius)
-    x = complex(x0)
-    worst = 0.0
-    w_prev = None
-    for m in range(n + 1):
-        if abs(x - chart.x_star) > limit * (1.0 + 1e-12):
-            raise OutOfChart(
-                f"orbit left the chart at step {m} "
-                f"(|x - x*| = {abs(x - chart.x_star):.4g})",
-                step=m,
-            )
-        w = _checked_eval(chart.forward, x)
-        if w_prev is not None:
-            worst = max(worst, abs(w - chart.multiplier * w_prev))
-        w_prev = w
-        x = _apply_shifted_map(chart, x)
-    return worst
 
 
 def chart_pipeline(

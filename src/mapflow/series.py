@@ -10,11 +10,11 @@ multiplier at a fixed point forces complex non-integer powers, so the whole
 pipeline works over C.  Values are immutable after construction and all
 operations are pure functions of their inputs.
 
-Binary operations truncate to the shortest operand.  Composition with an
-inner series whose constant term sits exactly on the outer base point is
-exact to the truncation order; otherwise the result is the recentered
-truncated polynomial, which is exact only when the outer series is a genuine
-polynomial that fits the window (a warning is emitted when it is not).
+Composition with an inner series whose constant term sits exactly on the
+outer base point is exact to the truncation order; otherwise the result is
+the recentered truncated polynomial, which is exact only when the outer
+series is a genuine polynomial that fits the window (a warning is emitted
+when it is not).
 
 The module also locates fixed points of a map by Newton iteration and builds
 the shifted map ``g(x) = f(x + x*) - x*`` whose embedding matrix is upper
@@ -110,10 +110,6 @@ class PowerSeries:
         """The identity map id(x) = x expanded about ``base_point``."""
         return cls.from_coefficients([base_point, 1.0], base_point, order=max(order, 2))
 
-    @classmethod
-    def constant(cls, value, order: int, base_point=0j) -> "PowerSeries":
-        return cls.from_coefficients([value], base_point, order=max(order, 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -144,45 +140,6 @@ class PowerSeries:
             return PowerSeries((0j,), self.base_point)
         cs = [k * self.coeffs[k] for k in range(1, n)]
         return PowerSeries(tuple(cs), self.base_point)
-
-    def _binary(self, other, op):
-        if isinstance(other, PowerSeries):
-            if other.base_point != self.base_point:
-                raise ValueError("series arithmetic needs a common base point")
-            n = min(self.order, other.order)
-            return PowerSeries(
-                tuple(op(self.coeffs_array[:n], other.coeffs_array[:n])),
-                self.base_point,
-            )
-        cs = list(self.coeffs)
-        cs[0] = op(cs[0], complex(other))
-        return PowerSeries(tuple(cs), self.base_point)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return PowerSeries(tuple(-c for c in self.coeffs), self.base_point)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            if other.base_point != self.base_point:
-                raise ValueError("series arithmetic needs a common base point")
-            n = min(self.order, other.order)
-            prod = _trunc_mul(self.coeffs_array[:n], other.coeffs_array[:n])
-            return PowerSeries(tuple(prod), self.base_point)
-        z = complex(other)
-        return PowerSeries(tuple(z * c for c in self.coeffs), self.base_point)
-
-    __rmul__ = __mul__
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -216,49 +173,6 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         acc = _trunc_mul(acc, w)
         acc[0] += c
     return PowerSeries(tuple(acc), inner.base_point)
-
-
-def revert(s: PowerSeries) -> PowerSeries:
-    """Compositional inverse: r with compose(s, r) = id to the truncation order.
-
-    ``s`` must have a zero constant term and a nonzero linear coefficient.
-    The result is expanded about 0 (the value space of ``s``) and its constant
-    term is ``s.base_point``, so compose(s, revert(s)) and
-    compose(revert(s), s) are both identities in the appropriate charts.
-
-    Uses Newton iteration on the coefficient arrays; each sweep doubles the
-    number of correct coefficients, so the loop count is fixed by the order.
-    """
-    if s.coeffs[0] != 0:
-        raise ValueError("reversion needs a zero constant term; shift the map first")
-    if s.order < 2 or s.coeffs[1] == 0:
-        raise ValueError(
-            "reversion impossible: zero linear coefficient "
-            "(superattracting or degenerate chart)"
-        )
-    n = s.order
-    sc = s.coeffs_array
-    ds = np.zeros(n, dtype=complex)
-    ds[: n - 1] = [k * sc[k] for k in range(1, n)]
-    ident = np.zeros(n, dtype=complex)
-    ident[1] = 1.0
-
-    def comp(coeffs, inner):
-        acc = np.zeros(n, dtype=complex)
-        for c in coeffs[::-1]:
-            acc = _trunc_mul(acc, inner)
-            acc[0] += c
-        return acc
-
-    r = np.zeros(n, dtype=complex)
-    r[1] = 1.0 / sc[1]
-    sweeps = max(2, math.ceil(math.log2(n)) + 1)
-    for _ in range(sweeps):
-        num = comp(sc, r) - ident
-        den = comp(ds, r)
-        r = r - _trunc_div(num, den)
-    r[0] = s.base_point
-    return PowerSeries(tuple(r), 0j)
 
 
 def tail_radius(coeffs: Sequence[complex], tol: float = 1e-12) -> float:
@@ -383,8 +297,10 @@ def find_fixed_point(
             f"last iterate {x!r} has residual {abs(residual):.3e}",
             last_iterate=x,
         )
+    # Only the polynomial part of f is composed: the zero-padded tail adds
+    # nothing, and composing it would cost one convolution per stored term.
     shift = PowerSeries.from_coefficients([x, 1.0], 0j, order=f.order)
-    g = compose(f, shift)
+    g = compose(f.truncated(f.degree() + 1), shift).truncated(f.order)
     cs = list(g.coeffs)
     cs[0] = cs[0] - x
     if abs(cs[0]) > tol_fix:

@@ -23,10 +23,12 @@ The mode rows h_k u^k and the field row Log(lambda) sum_k k h_k u^k
 (:func:`log_row`) follow from the same two series.
 
 :func:`diagonalize` is the paper's construction: it factors a given
-triangular matrix by an entrywise O(n^3) recursion.  Cancellation in its
-forward recursion spoils the chart from order ~80 on, so it serves as an
-independent check at orders up to 40.  :func:`fractional_power` and
-:func:`matrix_log` form the n x n matrices V^-1 diag V of a factorization.
+triangular matrix by an entrywise O(n^3) recursion.  :func:`fractional_power`
+and :func:`matrix_log` form the n x n matrices V^-1 diag V of a
+factorization.  No CLI path runs them; the ``paper-matrix`` verify check
+does, at order 40, and compares them with the series core.  That check is
+why they stay.  Cancellation in the forward recursion of ``diagonalize``
+spoils the chart from order ~80 on.
 
 Everything here lives in the fixed-point frame: the powers and the logarithm
 are matrices of g's iterates and of g's generator, and their row-1 series
@@ -94,11 +96,6 @@ class SpectralFactorization:
     @property
     def dim(self) -> int:
         return len(self.chart_row)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """The diagonal: multiplier^j for j = 0 .. dim-1."""
-        return self.multiplier ** np.arange(self.dim)
 
     @cached_property
     def chart_matrix(self) -> np.ndarray:
@@ -295,12 +292,3 @@ def log_row(S: SpectralFactorization) -> PowerSeries:
         S.inverse_row * (np.arange(S.dim) * S.log_multiplier)
     )
     return compose(outer, PowerSeries.from_coefficients(S.chart_row, S.x_star))
-
-
-def left_eigenrow(S: SpectralFactorization) -> np.ndarray:
-    """Row 1 of the unitriangular factor: the multiplier's left eigenvector.
-
-    Its entries are the Taylor coefficients of the linearizing chart, and its
-    convolution powers rebuild the deeper rows of the factor.
-    """
-    return S.chart_row.copy()

@@ -48,7 +48,7 @@ from .logistic import (
     logistic4_matrix_entry,
     logistic_series,
 )
-from .spectral import left_eigenrow, log_row
+from .spectral import diagonalize, fractional_power, log_row, matrix_log
 
 LN2 = math.log(2.0)
 
@@ -111,7 +111,7 @@ def check_builder_equivalence(dim: int = 16, nodes: int = 256) -> CheckResult:
 def check_chart_coefficients() -> CheckResult:
     """First 8 chart coefficients at the origin match the exact expansion."""
     _, fact, _ = _pipeline(4.0, 0.1, 16, 0.6)
-    row = left_eigenrow(fact)
+    row = fact.chart_row
     exact = logistic4_chart_coefficients(8)
     dev = 0.0
     for k in range(1, 9):
@@ -362,6 +362,45 @@ def check_order_sweep() -> CheckResult:
     )
 
 
+def check_paper_matrix() -> CheckResult:
+    """The paper's n x n construction agrees with what the CLI computes.
+
+    For logistic mu=4 at both fixed points, 0 and 3/4, the embedding matrix
+    of the shifted map is factored by :func:`diagonalize`.  Row 1 of its
+    power M^t, a series about x*, must give the chart route's f^t at the
+    iterate-oracle offsets from x* for t = 0.5 and 1.5 (absolute, 1e-10);
+    row 1 of its logarithm must match :func:`log_row` of the series core
+    (row-scaled, 1e-9).  The dimension is pinned at 40, where the entrywise
+    recursion of ``diagonalize`` is still exact, so ``run_suite``'s ``dim``
+    does not reach this check.
+    """
+    dim, times = 40, (0.5, 1.5)
+    value_dev = log_dev = 0.0
+    for guess in (0.1, 0.7):
+        frame, fact, chart = _pipeline(4.0, guess, dim, 0.6)
+        paper = diagonalize(build_matrix(frame.shifted_map, dim), frame)
+        points = [frame.x_star + d for d in _C4_POINTS]
+        grid = evaluate_chart_grid(chart, times, points)
+        for i, t in enumerate(times):
+            row = fractional_power(paper, t).source_map
+            for j, x in enumerate(points):
+                value = frame.x_star + row(x)
+                value_dev = max(value_dev, abs(value - grid.value(i, j)))
+        log_dev = max(
+            log_dev,
+            scaled_deviation(matrix_log(paper).entries[1], log_row(fact).coeffs_array),
+        )
+    return CheckResult(
+        name="paper-matrix",
+        passed=bool(value_dev <= 1e-10 and log_dev <= 1e-9),
+        deviation=float(value_dev),
+        tolerance=1e-10,
+        detail=f"mu=4 at 0 and 3/4, dim={dim}: row 1 of M^t vs chart "
+        f"route at t={times}; row 1 of log M vs log_row dev {log_dev:.3e} "
+        "(<=1e-9, row-scaled)",
+    )
+
+
 CRITERIA = {
     "matrix-exact": check_matrix_exact,
     "builder-equivalence": check_builder_equivalence,
@@ -376,6 +415,7 @@ CRITERIA = {
     "lyapunov": check_lyapunov,
     "truncation-convergence": check_truncation_convergence,
     "order-sweep": check_order_sweep,
+    "paper-matrix": check_paper_matrix,
 }
 
 SUITES = {

@@ -5,9 +5,15 @@ pinned tolerance (run with ``pytest -s`` to see them for passing tests too).
 The same checks back the ``mapflow verify`` subcommand.
 """
 
+import cmath
+import math
+import types
+
 import pytest
 
-from mapflow.verify import CRITERIA, SUITES, run_suite
+from mapflow import iterate, verify
+from mapflow.series import PowerSeries
+from mapflow.verify import CRITERIA, SUITES, check_paper_matrix, run_suite
 
 ORDERED = [
     "matrix-exact",
@@ -23,6 +29,7 @@ ORDERED = [
     "lyapunov",
     "truncation-convergence",
     "order-sweep",
+    "paper-matrix",
 ]
 
 
@@ -46,3 +53,25 @@ def test_full_suite_runner():
     results = run_suite("all")
     assert len(results) == len(CRITERIA)
     assert all(r.passed for r in results)
+
+
+def test_paper_matrix_fails_on_a_scaled_log_row(monkeypatch):
+    log_row = verify.log_row
+
+    def scaled(S):
+        row = log_row(S)
+        return PowerSeries(tuple(c * (1 + 1e-6) for c in row.coeffs), row.base_point)
+
+    monkeypatch.setattr(verify, "log_row", scaled)
+    assert not check_paper_matrix().passed
+
+
+def test_paper_matrix_fails_on_the_wrong_branch_of_log_lambda(monkeypatch):
+    # The chart route raises lambda^t with Log(lambda) + 2 pi i.
+    wrong = types.SimpleNamespace(
+        log=lambda z: cmath.log(z) + 2j * math.pi, exp=cmath.exp
+    )
+    monkeypatch.setattr(iterate, "cmath", wrong)
+    result = check_paper_matrix()
+    assert not result.passed
+    assert result.deviation > result.tolerance

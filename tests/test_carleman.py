@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mapflow as mf
 from mapflow.carleman import (
     build_matrix,
     build_matrix_quadrature,
-    compose_pad,
     leading_window,
     read_matrix_csv,
     scaled_deviation,
-    shift_conjugate,
-    verify_semigroup,
     write_matrix_csv,
 )
 from mapflow.logistic import logistic4_matrix_entry, logistic_series
-from mapflow.series import FixedPointFrame, PowerSeries, find_fixed_point
+from mapflow.series import PowerSeries, compose, find_fixed_point
 
 
 # --- coefficient builder --------------------------------------------------------
@@ -124,8 +120,8 @@ def test_builders_agree_at_dim_32_for_tame_map():
 # --- affine maps ---------------------------------------------------------------
 
 def test_affine_map_matrix_binomial_entries():
-    # The matrix of x - x* has entries C(j,k) (-x*)^(j-k): the conjugation
-    # matrix of shift_conjugate.
+    # The matrix of x - x* has entries C(j,k) (-x*)^(j-k): the binomial
+    # matrix that conjugates to the fixed-point frame.
     h = PowerSeries.from_coefficients([-0.75, 1.0], order=2)
     T = build_matrix(h, 6).entries
     for j in range(6):
@@ -147,59 +143,48 @@ def test_affine_map_matrix_inverse_is_inverse_map_matrix():
 
 # --- shift conjugation ----------------------------------------------------------
 
-def test_conjugation_is_noop_at_origin_fixed_point():
-    f = logistic_series(4.0, 8)
-    frame = find_fixed_point(f, 0.1)
-    M = build_matrix(f, 8)
-    G = shift_conjugate(M, frame)
-    assert np.abs(G.entries - M.entries).max() < 1e-12
-
-
 def test_conjugation_triangularizes_second_fixed_point():
-    f = logistic_series(4.0, 8)
+    # T M(f) T^-1 with T the matrix of x - x*: row j of T M reaches column 2j,
+    # so the product is formed at double size and its leading window kept.
+    n = 8
+    f = logistic_series(4.0, n)
     frame = find_fixed_point(f, 0.7)
-    G = shift_conjugate(build_matrix(f, 8), frame)
-    assert np.all(np.tril(G.entries, -1) == 0)
-    assert np.allclose(np.diag(G.entries), (-2.0) ** np.arange(8), atol=1e-9)
-    # matches the direct build from the shifted map
-    direct = build_matrix(frame.shifted_map, 8)
-    assert scaled_deviation(G.entries, direct.entries) < 1e-12
-
-
-def test_conjugation_mu2_diagonal():
-    f = logistic_series(2.0, 8)
-    frame = find_fixed_point(f, 0.1)
-    G = shift_conjugate(build_matrix(f, 8), frame)
-    assert np.allclose(np.diag(G.entries), 2.0 ** np.arange(8), atol=1e-10)
-
-
-def test_conjugation_rejects_wrong_frame():
-    f = logistic_series(4.0, 8)
-    frame = FixedPointFrame(
-        x_star=0.3,
-        multiplier=1.6,  # 0.3 is not a fixed point of f
-        shifted_map=PowerSeries.from_coefficients([0, 1.6, -4.0], order=8),
-    )
-    with pytest.raises(mf.ShiftInconsistent):
-        shift_conjugate(build_matrix(f, 8), frame)
+    to_fixed = build_matrix(PowerSeries.from_coefficients([-frame.x_star, 1.0]), 2 * n)
+    back = build_matrix(PowerSeries.from_coefficients([frame.x_star, 1.0]), 2 * n)
+    conj = (to_fixed.entries @ build_matrix(f, 2 * n).entries @ back.entries)[:n, :n]
+    scale = np.abs(conj).max()
+    assert np.abs(np.tril(conj, -1)).max() <= 1e-10 * scale
+    assert np.allclose(np.diag(conj), (-2.0) ** np.arange(n), atol=1e-9)
+    direct = build_matrix(frame.shifted_map, n)
+    assert scaled_deviation(conj, direct.entries) < 1e-12
 
 
 # --- semigroup ------------------------------------------------------------------
 
+def _homomorphism_gap(f, g, dim, window=None):
+    """Max-abs gap between M(f o g) and M(f) M(g) on a leading window."""
+    composed = compose(f.truncated(dim), g.truncated(dim))
+    lhs = build_matrix(composed, dim).entries
+    rhs = build_matrix(f, dim).entries @ build_matrix(g, dim).entries
+    w = dim if window is None else window
+    return float(np.abs(lhs[:w, :w] - rhs[:w, :w]).max())
+
+
 def test_semigroup_logistic_window():
     f = logistic_series(4.0, 8)
-    assert verify_semigroup(f, f, 8, window=4) <= 1e-9
+    assert _homomorphism_gap(f, f, 8, window=4) <= 1e-9
 
 
 def test_semigroup_identity_right_factor():
+    # With a zero constant term in the right factor both sides are exact.
     f = PowerSeries.from_coefficients([0.2, 1.5, -0.3], order=8)
-    assert verify_semigroup(f, PowerSeries.identity(8), 8) == 0.0
+    assert _homomorphism_gap(f, PowerSeries.identity(8), 8) == 0.0
 
 
 def test_semigroup_scaling_map():
     f = PowerSeries.from_coefficients([0.1, 0.9, -0.5, 0.2], order=10)
     lam = PowerSeries.from_coefficients([0, 0.8], order=10)
-    assert verify_semigroup(f, lam, 10) <= 1e-12
+    assert _homomorphism_gap(f, lam, 10) <= 1e-12
 
 
 def test_integer_matrix_powers_match_composed_maps():
@@ -209,8 +194,8 @@ def test_integer_matrix_powers_match_composed_maps():
     composed = f
     power = M
     for n in (2, 3):
-        composed = compose_pad(f, composed, dim) if n > 2 else compose_pad(f, f, dim)
-        power = power @ M if n > 2 else M @ M
+        composed = compose(f, composed)
+        power = power @ M
         w = leading_window(dim, 2, n)
         direct = build_matrix(composed, dim).entries
         assert np.abs(direct[:w, :w] - power[:w, :w]).max() < 1e-8

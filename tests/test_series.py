@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapflow as mf
-from mapflow.series import PowerSeries, compose, find_fixed_point, revert
+from mapflow.series import PowerSeries, compose, find_fixed_point
 
 
 def series(coeffs, base=0.0, order=None):
@@ -42,13 +40,6 @@ def test_horner_matches_numpy_polyval():
 def test_derivative():
     s = series([5, 1, 2, 3])
     assert list(s.derivative().coeffs) == [1, 4, 9]
-
-
-def test_arithmetic_truncates_to_shortest():
-    a = series([1, 2, 3, 4])
-    b = series([1, 1])
-    assert (a + b).order == 2
-    assert (a * b).order == 2
 
 
 # --- compose ------------------------------------------------------------------
@@ -111,61 +102,6 @@ def test_compose_associative_on_zero_constant_cubics(a, b, c):
     assert np.abs(left.coeffs_array - right.coeffs_array).max() < 1e-12
 
 
-# --- revert -------------------------------------------------------------------
-
-def test_revert_identity():
-    assert revert(PowerSeries.identity(6)).coeffs[:3] == (0j, 1 + 0j, 0j)
-
-
-def test_revert_cubic_by_hand():
-    # Lagrange inversion of x + x^2/3 + 8x^3/45 gives x - x^2/3 + 2x^3/45.
-    s = series([0, 1, 1 / 3, 8 / 45], order=8)
-    r = revert(s)
-    assert abs(r.coeffs[1] - 1) < 1e-14
-    assert abs(r.coeffs[2] + 1 / 3) < 1e-14
-    assert abs(r.coeffs[3] - 2 / 45) < 1e-13
-
-
-def test_revert_log_chart_pair():
-    # -ln(1-2x)/2 and (1-exp(-2x))/2 are inverse to each other.
-    n = 10
-    s = series([0] + [2 ** (k - 1) / k for k in range(1, n)], order=n)
-    r = revert(s)
-    expected = [0] + [-((-2.0) ** k) / (2 * math.factorial(k)) for k in range(1, n)]
-    assert np.abs(r.coeffs_array - expected).max() < 1e-12
-
-
-def test_revert_requires_zero_constant_and_linear_term():
-    with pytest.raises(ValueError):
-        revert(series([1, 2, 3]))
-    with pytest.raises(ValueError):
-        revert(series([0, 0, 3]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4))
-def test_revert_is_two_sided_inverse(tail):
-    order = 10
-    s = series([0, 1] + tail, order=order)
-    r = revert(s)
-    forward = compose(s, r)
-    backward = compose(r, s)
-    ident = np.zeros(order, dtype=complex)
-    ident[1] = 1
-    assert np.abs(forward.coeffs_array - ident).max() < 1e-9
-    assert np.abs(backward.coeffs_array - ident).max() < 1e-9
-
-
-def test_revert_carries_base_point_into_constant_term():
-    s = series([0, 1, 0.5], base=0.75, order=14)
-    r = revert(s)
-    assert r.base_point == 0
-    assert r.coeffs[0] == 0.75
-    # round trip through both charts (tolerance set by the truncated tail)
-    x = 0.72
-    assert abs(r(s(x)) - x) < 1e-12
-
-
 # --- find_fixed_point ---------------------------------------------------------
 
 def test_fixed_point_origin_multiplier_four():
@@ -199,6 +135,28 @@ def test_fixed_point_frame_invariants():
     # shifted map agrees with f(x + x*) - x* pointwise
     for d in (0.01, -0.03, 0.05j):
         assert abs(g(d) - (f(d + frame.x_star) - frame.x_star)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [8, 40, 160])
+@pytest.mark.parametrize(
+    "coeffs, guess",
+    [
+        ([0, 4, -4], 0.1),
+        ([0, 4, -4], 0.7),
+        ([-0.3, 0.5, 1], -0.3),
+        ([0.01, 0.8, 0.3, -0.2], 0.0),
+        ([0.1 - 0.05j, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], 0.0),
+    ],
+)
+def test_shifted_map_is_bit_identical_to_full_length_compose(coeffs, guess, dim):
+    # Fixed points 0, 3/4, -0.352, 0.054 and -0.022+0.086i of maps stored
+    # zero-padded to dim terms: composing the padding changes no bit.
+    f = series(coeffs, order=dim)
+    frame = find_fixed_point(f, guess)
+    full = compose(f, series([frame.x_star, 1.0], order=dim))
+    assert frame.shifted_map.order == dim
+    got = np.array(frame.shifted_map.coeffs[1:])
+    assert got.tobytes() == np.array(full.coeffs[1:]).tobytes()
 
 
 def test_fixed_point_nonconvergence_carries_last_iterate():
