@@ -4,7 +4,13 @@ Subcommands: matrix, iterate, chart, field, integrate, lyapunov, verify.
 Outputs are deterministic CSV (or JSON where noted) intended for plotting;
 complex values in CSV grids are always split into re/im columns.  Every flag
 can also be given in a key=value config file (``--config``); explicit flags
-win over file entries.
+win over file entries, and file values are checked like flags (type and
+allowed choices).
+
+The parser is built once, when this module is imported, so ``main(argv)`` may
+be called many times in one process and each call pays only for parsing and
+its own command.  A config file applies to its own call only: it never
+changes the shared parser.
 
 Exit codes: 0 success (verify: all checks passed), 1 generic error or failed
 verification, 2 usage error, 3 restrictive-condition violations (zero /
@@ -156,29 +162,42 @@ def build_parser() -> tuple:
     return parser, sub.choices
 
 
-def _apply_config_file(parser, commands: dict, ns, argv) -> argparse.Namespace:
-    """Parse ``argv`` again with the config file's entries as defaults.
+_PARSER, _SUBPARSERS = build_parser()
+_CONFIG_KEYS = frozenset(
+    a.dest for p in _SUBPARSERS.values() for a in p._actions
+) - {"help", "config"}
+
+
+def _apply_config_file(ns, argv) -> argparse.Namespace:
+    """Parse the arguments after the command name again, over the config
+    file's entries.
 
     Each entry is converted by the ``type`` of the command's own flag (a
-    switch reads 1/true/yes as on), so explicit flags still win.  Keys that
-    only other subcommands accept are ignored; keys no subcommand accepts
-    raise ``ValueError``.
+    switch reads 1/true/yes as on) and must be one of its ``choices``.  Keys
+    that only other subcommands accept are ignored; keys no subcommand
+    accepts raise ``ValueError``.  The entries pre-fill the namespace, and
+    argparse fills in defaults only for attributes not yet set, so explicit
+    flags still win and the shared parser is left unchanged.
     """
-    own = {a.dest: a for a in commands[ns.command]._actions}
-    known = {a.dest for p in commands.values() for a in p._actions} - {"help", "config"}
+    command = _SUBPARSERS[ns.command]
+    own = {a.dest: a for a in command._actions}
     values = {}
     for key, text in load_config_file(ns.config).items():
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         action = own.get(key)
         if action is None:
             continue
         if action.nargs == 0:
-            values[key] = text.lower() in {"1", "true", "yes"}
+            value = text.lower() in {"1", "true", "yes"}
         else:
-            values[key] = text if action.type is None else action.type(text)
-    commands[ns.command].set_defaults(**values)
-    return parser.parse_args(argv)
+            value = text if action.type is None else action.type(text)
+        if action.choices is not None and value not in action.choices:
+            allowed = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {allowed}")
+        values[key] = value
+    rest = argv[argv.index(ns.command) + 1:]
+    return command.parse_args(rest, argparse.Namespace(command=ns.command, **values))
 
 
 def _preset_mu(ns) -> complex | None:
@@ -352,6 +371,8 @@ def cmd_integrate(ns) -> int:
 
 
 def cmd_lyapunov(ns) -> int:
+    if ns.x0.imag != 0:
+        raise ValueError(f"lyapunov needs a real --x0, got {ns.x0!r}")
     x0 = ns.x0.real
     sigma = lyapunov_logistic(ns.n, x0)
     payload = {
@@ -409,11 +430,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    ns = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _PARSER.parse_args(argv)
     try:
         if getattr(ns, "config", None):
-            ns = _apply_config_file(parser, commands, ns, argv)
+            ns = _apply_config_file(ns, argv)
         return _COMMANDS[ns.command](ns)
     except RestrictiveConditionViolated as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

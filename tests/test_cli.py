@@ -296,6 +296,21 @@ def test_lyapunov_json_schema(capsys):
     assert payload["n"] == 2000
 
 
+def test_lyapunov_rejects_a_complex_x0(capsys):
+    code, out, err = run(["lyapunov", "--n", "2000", "--x0", "0.3+0.2j"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: lyapunov needs a real --x0")
+
+
+def test_lyapunov_accepts_a_zero_imaginary_part(capsys):
+    _, real, _ = run(["lyapunov", "--n", "2000", "--x0", "0.3"], capsys)
+    code, zero_imag, _ = run(["lyapunov", "--n", "2000", "--x0", "0.3+0j"], capsys)
+    assert code == 0
+    assert zero_imag == real
+    assert json.loads(real)["x0"] == 0.3
+
+
 def test_verify_lyapunov_suite(capsys):
     code, out, _ = run(
         ["verify", "--suite", "lyapunov", "--n", "5000"], capsys
@@ -371,6 +386,56 @@ def test_config_file_switches_on_a_flag(tmp_path, capsys):
     code, out, _ = run(["matrix", "--config", str(cfg)], capsys)
     assert code == 0
     assert out.splitlines()[-1].startswith("quadrature_deviation=")
+
+
+@pytest.mark.parametrize("command, body, message, allowed", [
+    ("iterate", "preset=logistic:4\nt=1\nx=0.05\nroute=diagonal\n",
+     "config key 'route': 'diagonal'", "'chart', 'matrix', 'both'"),
+    ("verify", "suite=lyapunov\nn=1000\nformat=xml\n",
+     "config key 'format': 'xml'", "'csv', 'json'"),
+])
+def test_config_value_outside_choices_is_an_error(command, body, message, allowed,
+                                                  tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: " + message)
+    assert allowed in err
+
+
+# --- one parser shared by every call ------------------------------------------------
+
+def test_config_file_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=8\n")
+    code, out, _ = run(["chart", "--preset", "logistic:4", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert " dim=8 " in out.splitlines()[0]
+    code, out, _ = run(["chart", "--preset", "logistic:4"], capsys)
+    assert code == 0
+    assert " dim=32 " in out.splitlines()[0]
+
+
+def test_config_map_spec_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=logistic:4\nroute=chart\n")
+    code, _, _ = run(["iterate", "--config", str(cfg), "--t", "1", "--x", "0.05"], capsys)
+    assert code == 0
+    code, _, err = run(["iterate", "--t", "1", "--x", "0.05"], capsys)
+    assert code == 1
+    assert "exactly one of --coeffs / --preset" in err
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path, capsys):
+    import mapflow.cli
+
+    def refuse():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(mapflow.cli, "build_parser", refuse)
+    test_config_file_does_not_leak_into_the_next_call(tmp_path, capsys)
 
 
 def test_identical_config_byte_identical_output(tmp_path, capsys):
