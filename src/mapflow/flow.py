@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,8 @@ from .series import PowerSeries, _trunc_div
 TOL_FIELD_XCHECK = 1e-7
 # Default endpoint tolerance for the RK4 integration tests at dt = 1e-3.
 TOL_ODE = 1e-6
+# Orbit iterates per chunk of the Lyapunov estimate (a 64 KB float buffer).
+LYAPUNOV_CHUNK = 8192
 
 LN2 = math.log(2.0)
 
@@ -148,10 +149,19 @@ def validity_window(x: float) -> float:
 def lyapunov_logistic(n: int, x0: float) -> float:
     """Chain-rule Lyapunov estimate for the mu=4 logistic map.
 
-    Averages ln|f'(x_m)| over n steps of the discrete orbit from x0.  The
-    expected limit for a generic seed is ln 2.  A derivative hitting exactly
-    zero (orbit through 1/2) is perturbed by 1e-12 and flagged with a
-    warning.
+    Averages ln|f'(x_m)| = ln|4 - 8 x_m| over the orbit x_0 = x0, ...,
+    x_{n-1}.  The expected limit for a generic seed is ln 2.
+
+    The orbit is iterated in plain floats, LYAPUNOV_CHUNK iterates at a time
+    into a reused buffer, so memory stays bounded for any n.  numpy takes the
+    logs of each chunk (within 1 ulp of ``math.log``) and adds them in orbit
+    order with the running total carried into the chunk's first term, so the
+    sum is the sequential one.
+
+    An orbit that reaches the critical point 1/2 or the fixed point 0 within
+    its n iterates is refused with ``ValueError`` naming the step: in floats
+    every seed within about 4e-9 of 1/2 maps to exactly 1.0 and then to 0,
+    where the average would converge to ln 4, not ln 2.
     """
     if n < 1000:
         raise ValueError("use at least 1000 iterates for a meaningful average")
@@ -162,17 +172,24 @@ def lyapunov_logistic(n: int, x0: float) -> float:
         )
     x = float(x0)
     total = 0.0
-    for _ in range(n):
-        d = abs(4.0 - 8.0 * x)
-        if d == 0.0:
-            warnings.warn(
-                "orbit hit the critical point exactly; perturbing by 1e-12",
-                stacklevel=2,
+    buf = [0.0] * LYAPUNOV_CHUNK
+    for start in range(0, n, LYAPUNOV_CHUNK):
+        m = min(LYAPUNOV_CHUNK, n - start)
+        for i in range(m):
+            buf[i] = x
+            x = 4.0 * x * (1.0 - x)
+        orbit = np.array(buf[:m])
+        hit = np.flatnonzero((orbit == 0.5) | (orbit == 0.0))
+        if hit.size:
+            step = start + int(hit[0])
+            what = "critical point 1/2" if orbit[hit[0]] == 0.5 else "fixed point 0"
+            raise ValueError(
+                f"orbit from {x0!r} reaches the {what} at step {step}: it collapses "
+                "onto x = 0 and has no Lyapunov estimate"
             )
-            x += 1e-12
-            d = abs(4.0 - 8.0 * x)
-        total += math.log(d)
-        x = 4.0 * x * (1.0 - x)
+        terms = np.log(np.abs(4.0 - 8.0 * orbit))
+        terms[0] += total
+        total = float(np.add.accumulate(terms, out=terms)[-1])
     return total / n
 
 

@@ -311,6 +311,15 @@ def test_lyapunov_accepts_a_zero_imaginary_part(capsys):
     assert json.loads(real)["x0"] == 0.3
 
 
+@pytest.mark.parametrize("x0", ["0.500000001", "0.5"])
+def test_lyapunov_refuses_a_seed_that_collapses_onto_zero(capsys, x0):
+    code, out, err = run(["lyapunov", "--n", "100000", "--x0", x0], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: orbit from ")
+    assert "collapses onto x = 0" in err
+
+
 def test_verify_lyapunov_suite(capsys):
     code, out, _ = run(
         ["verify", "--suite", "lyapunov", "--n", "5000"], capsys

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mapflow as mf
 from mapflow.carleman import leading_window
+from mapflow.flow import LYAPUNOV_CHUNK
 from mapflow.logistic import logistic4_field, logistic4_iterate
 from mapflow.spectral import fractional_power, matrix_log
 
@@ -189,10 +191,56 @@ def test_lyapunov_rejects_short_runs():
         mf.lyapunov_logistic(10, 0.3)
 
 
-def test_lyapunov_critical_point_perturbed_with_warning():
-    with pytest.warns(UserWarning):
-        sigma = mf.lyapunov_logistic(1000, 0.5)
-    assert math.isfinite(sigma)
+def test_lyapunov_refuses_an_orbit_through_the_critical_point():
+    # x0 = 1/2 maps to 1.0 and then to the fixed point 0; a nearby seed rounds
+    # onto 1.0 on its first step.  Both would average towards ln 4, not ln 2.
+    with pytest.raises(ValueError, match="critical point 1/2 at step 0"):
+        mf.lyapunov_logistic(1000, 0.5)
+    with pytest.raises(ValueError, match="fixed point 0 at step 2"):
+        mf.lyapunov_logistic(1000, 0.500000001)
+
+
+def test_lyapunov_names_the_collapse_step_past_the_first_chunk():
+    # In floats this orbit rounds onto 1.0 at step 8931 and reaches 0 next.
+    x0 = 0.6460515139439528
+    assert LYAPUNOV_CHUNK < 8932
+    with pytest.raises(ValueError, match="fixed point 0 at step 8932:"):
+        mf.lyapunov_logistic(8933, x0)
+    assert math.isfinite(mf.lyapunov_logistic(8932, x0))
+
+
+def _lyapunov_scalar(n, x0):
+    """Scalar reference: one math.log per iterate, summed in orbit order."""
+    x = float(x0)
+    total = 0.0
+    for _ in range(n):
+        total += math.log(abs(4.0 - 8.0 * x))
+        x = 4.0 * x * (1.0 - x)
+    return total / n
+
+
+def test_lyapunov_matches_the_scalar_loop_across_chunk_boundaries():
+    seeds = np.random.default_rng(8).uniform(0.05, 0.95, 10)
+    lengths = (1000, LYAPUNOV_CHUNK - 1, LYAPUNOV_CHUNK, LYAPUNOV_CHUNK + 1, 100_000)
+    identical = 0
+    for seed in seeds:
+        for n in lengths:
+            sigma = mf.lyapunov_logistic(n, float(seed))
+            ref = _lyapunov_scalar(n, float(seed))
+            assert abs(sigma - ref) <= 1e-12, (seed, n)
+            identical += sigma == ref
+    print(f"{identical} of {len(seeds) * len(lengths)} estimates bit-identical")
+
+
+def test_lyapunov_memory_is_bounded():
+    # A whole orbit of 200 000 floats would alone take 1.6 MB.
+    tracemalloc.start()
+    try:
+        mf.lyapunov_logistic(200_000, 0.123456)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- generator consistency ----------------------------------------------------------
