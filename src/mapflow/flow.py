@@ -8,6 +8,12 @@ a closed chart form G = Log(lambda) * u(x) / u'(x), which this module uses as
 a cross-check when building a field (a mismatch almost always means a wrong
 logarithm branch).
 
+The field is summed by Horner's rule up to the last term that can change the
+result at the current |x - x*|: the terms it drops add up to at most one
+rounding unit of the linear term, 2**-53 |G_1| |x - x*|, which is below the
+rounding error Horner's rule makes on the full sum anyway.  Each field builds
+the radius table that picks the number of terms on first use.
+
 Also here: a classical fixed-step RK4 integrator for the extracted ODE
 (complex state; the field of a negative multiplier is genuinely complex), the
 exact validity window of the single-branch field for the fully chaotic
@@ -20,19 +26,23 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .carleman import CarlemanMatrix, scaled_deviation
 from .errors import BranchMismatch, ChartEscape, OutOfChart
 from .iterate import SchroederChart
-from .series import PowerSeries, _trunc_div
+from .series import PowerSeries, _horner, _trunc_div
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
 TOL_FIELD_XCHECK = 1e-7
 # Default endpoint tolerance for the RK4 integration tests at dt = 1e-3.
 TOL_ODE = 1e-6
+# Bound on the terms a field evaluation drops, relative to |G_1| |x - x*|.
+FIELD_DROP_TOL = 2.0**-53
 # Orbit iterates per chunk of the Lyapunov estimate (a 64 KB float buffer).
 LYAPUNOV_CHUNK = 8192
 
@@ -50,6 +60,39 @@ class FlowField:
     @property
     def x_star(self) -> complex:
         return self.series.base_point
+
+    @cached_property
+    def radius_table(self) -> tuple[list[float], list[tuple[complex, ...]]]:
+        """Radii and coefficient prefixes: (radii, prefixes).
+
+        Wherever |z| = |x - x*| <= radii[i], the terms that prefixes[i] drops
+        sum to at most FIELD_DROP_TOL * |G_1| |z|.  With M_K the largest |G_m|,
+        m >= K, the K-term prefix gets the radius
+        min(1/2, (FIELD_DROP_TOL |G_1| / (2 M_K))**(1/(K-1))), since within
+        |z| <= 1/2 the dropped terms sum to at most 2 M_K |z|^K; the radius is
+        infinite where M_K = 0.  A longer prefix drops fewer terms, so the
+        radii are raised to their running maximum, which makes them
+        nondecreasing for ``bisect``.  The last prefix is the whole series.
+        """
+        coeffs = self.series.coeffs
+        mags = np.abs(self.series.coeffs_array)
+        keep = np.arange(2, len(coeffs))
+        suffix = np.maximum.accumulate(mags[:1:-1])[::-1]  # M_K for each K in keep
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = FIELD_DROP_TOL * mags[1] / (2.0 * suffix)
+            radii = np.minimum(0.5, ratio ** (1.0 / (keep - 1)))
+        radii[suffix == 0] = math.inf
+        # the whole series drops nothing
+        radii = np.maximum.accumulate(np.append(radii, math.inf))
+        return radii.tolist(), [coeffs[:k] for k in range(2, len(coeffs) + 1)]
+
+    def value(self, x: complex) -> complex:
+        """G(x) by Horner's rule over the shortest prefix of the radius table
+        whose dropped terms stay below one rounding unit of the linear term
+        at |x - x*|.  No domain check: see :func:`evaluate_field`."""
+        z = x - self.series.base_point
+        radii, prefixes = self.radius_table
+        return _horner(prefixes[bisect_left(radii, abs(z))], z)
 
 
 def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowField:
@@ -84,34 +127,45 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
 
 
 def evaluate_field(field: FlowField, x) -> complex:
-    """Series evaluation of the field; domain-guarded by the chart radius."""
+    """G(x) by :meth:`FlowField.value`; domain-guarded by the chart radius.
+
+    A point farther than ``r_eval`` from x*, or not finite, raises
+    :class:`OutOfChart`.
+    """
     x = complex(x)
-    if abs(x - field.x_star) > field.chart.r_eval * (1.0 + 1e-12):
+    if not abs(x - field.x_star) <= field.chart.r_eval * (1.0 + 1e-12):
         raise OutOfChart(
             f"|x - x*| = {abs(x - field.x_star):.4g} exceeds the chart "
             f"radius {field.chart.r_eval:.4g}"
         )
-    return field.series(x)
+    return field.value(x)
 
 
 def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     """Classical fixed-step RK4 for dx/dt = G(x) from x0.
 
-    Returns the trajectory as a list of (t, x) pairs, complex state included.
-    Leaves the chart -> :class:`ChartEscape` carrying the time reached and
-    the partial trajectory.
+    G is summed by :meth:`FlowField.value`, which drops the terms that cannot
+    change it at the current |x - x*|.  Returns the trajectory as a list of
+    (t, x) pairs, complex state included.  A non-finite ``x0``, ``t_end`` or
+    ``dt``, or a ``dt`` that is not positive, raises ``ValueError``.  Leaving
+    the chart (or a state that is no longer finite) raises
+    :class:`ChartEscape` carrying the time reached and the partial trajectory.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    x = complex(x0)
+    if not cmath.isfinite(x):
+        raise ValueError(f"x0 must be finite, got {x!r}")
     x_star = field.x_star
     r = field.chart.r_eval * (1.0 + 1e-12)
     steps = max(1, round(abs(t_end) / dt))
     h = t_end / steps
-    g = field.series
-    x = complex(x0)
+    g = field.value
     trajectory = [(0.0, x)]
     for i in range(steps):
-        if abs(x - x_star) > r:
+        if not abs(x - x_star) <= r:
             raise ChartEscape(
                 f"trajectory left the chart at t = {i * h:.6g}",
                 t_reached=i * h,
@@ -123,7 +177,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
         k4 = g(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trajectory.append(((i + 1) * h, x))
-    if abs(x - x_star) > r:
+    if not abs(x - x_star) <= r:
         raise ChartEscape(
             f"trajectory left the chart at t = {t_end:.6g}",
             t_reached=t_end,

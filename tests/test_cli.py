@@ -482,6 +482,19 @@ def test_chart_escape_exit_code(capsys):
     assert err.startswith("error: ChartEscape")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "inf"], "t_end must be finite, got inf"),
+    (["--t-end", "nan"], "t_end must be finite, got nan"),
+    (["--dt", "nan"], "dt must be positive and finite, got nan"),
+    (["--x0", "nan"], "x0 must be finite, got (nan+0j)"),
+])
+def test_integrate_refuses_a_non_finite_time_step_or_state(flags, message, capsys):
+    code, out, err = run(["integrate", "--preset", "logistic:4", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: ValueError: {message}\n"
+
+
 def test_map_spec_required(capsys):
     code, _, err = run(["matrix", "--dim", "8"], capsys)
     assert code == 1

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mapflow as mf
 from mapflow.carleman import leading_window
-from mapflow.flow import LYAPUNOV_CHUNK
+from mapflow.flow import FIELD_DROP_TOL, LYAPUNOV_CHUNK
 from mapflow.logistic import logistic4_field, logistic4_iterate
 from mapflow.spectral import fractional_power, matrix_log
 
@@ -79,8 +80,53 @@ def test_field_positive_inside_unit_interval(logistic4):
 
 
 def test_field_out_of_radius_raises(field4):
-    with pytest.raises(mf.OutOfChart):
-        mf.evaluate_field(field4, 0.9)
+    for x in (0.9, math.nan, complex(0.0, math.inf)):
+        with pytest.raises(mf.OutOfChart):
+            mf.evaluate_field(field4, x)
+
+
+# (mu, fixed point, r_eval) of the charts whose fields the evaluator is tested on
+CHARTS = [(4.0, 0.0, 0.6), (4.0, 0.75, 0.3), (2.0, 0.0, 0.45)]
+
+
+@pytest.fixture(scope="module")
+def fields():
+    return [
+        mf.field_pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r)
+        for mu, x_star, r in CHARTS
+        for dim in (40, 160)
+    ]
+
+
+def test_truncated_sum_is_within_horner_rounding_of_the_full_sum(fields):
+    # Horner's own error on the full sum is about 2n * 2**-53 * sum |c_m||z|^m.
+    rng = np.random.default_rng(9)
+    for field in fields:
+        mags = [abs(c) for c in field.series.coeffs]
+        r = field.chart.r_eval
+        zs = r * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(2j * np.pi * rng.uniform(0, 1, 400))
+        for z in zs:
+            x = field.x_star + complex(z)
+            scale = math.fsum(c * abs(z) ** m for m, c in enumerate(mags))
+            assert abs(field.value(x) - field.series(x)) <= 8 * 2.0**-53 * scale, (field, z)
+
+
+def test_radius_table_bounds_the_dropped_terms(fields):
+    for field in fields:
+        mags = [Fraction(abs(c)) for c in field.series.coeffs]
+        radii, prefixes = field.radius_table
+        assert radii == sorted(radii) and radii[-1] == math.inf
+        assert prefixes[-1] == field.series.coeffs
+        for rho, prefix in zip(radii, prefixes):
+            if rho == math.inf:
+                assert not any(mags[len(prefix):])
+                continue
+            rho = Fraction(rho)
+            tail = Fraction(0)
+            for c in reversed(mags[len(prefix):]):
+                tail = tail * rho + c
+            tail *= rho ** len(prefix)
+            assert tail <= Fraction(FIELD_DROP_TOL) * mags[1] * rho, (field, len(prefix))
 
 
 def test_field_matches_finite_difference_of_iterates(field4, pipe4_origin):
@@ -130,6 +176,57 @@ def test_backward_integration_inverts_forward(field4):
     forward = mf.integrate_flow(field4, 0.01, 1.0, dt=1e-3)[-1][1]
     back = mf.integrate_flow(field4, forward, -1.0, dt=1e-3)[-1][1]
     assert abs(back - 0.01) < 1e-6
+
+
+def _rk4_full_horner(field, x0, t_end, dt):
+    """Reference RK4: the integrate_flow loop with the full series sum."""
+    steps = max(1, round(abs(t_end) / dt))
+    h = t_end / steps
+    g = field.series
+    x = complex(x0)
+    trajectory = [(0.0, x)]
+    for i in range(steps):
+        k1 = g(x)
+        k2 = g(x + 0.5 * h * k1)
+        k3 = g(x + 0.5 * h * k2)
+        k4 = g(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trajectory.append(((i + 1) * h, x))
+    return trajectory
+
+
+def _rows(trajectory):
+    return [f"{t:.17g},{x.real:.17g},{x.imag:.17g}" for t, x in trajectory]
+
+
+@pytest.mark.parametrize("mu, x_star, r_eval, ranges, t_end", [
+    (4.0, 0.0, 0.6, [(0.005, 0.04)], 1.5),
+    (4.0, 0.75, 0.2, [(-0.05, -0.02), (0.02, 0.05)], 1.0),
+    (2.0, 0.0, 0.45, [(0.005, 0.04)], 1.5),
+], ids=["l4_0", "l4_34", "l2_0"])
+def test_trajectory_is_byte_identical_to_the_full_sum(mu, x_star, r_eval, ranges, t_end):
+    # The benchmark's flow charts and x0 ranges.  Bit-identity is not
+    # guaranteed: on l4_0 about one start in four gets a row that is an ulp
+    # off, and the flow then carries that difference (up to 3 ulps by t = 1.5).
+    # The next test bounds the difference where many terms are dropped.
+    field = mf.field_pipeline(mf.logistic_series(mu, DIM), x_star, DIM, r_eval=r_eval)
+    rng = np.random.default_rng(3)
+    for lo, hi in ranges:
+        for offset in rng.uniform(lo, hi, 2):
+            x0 = x_star + float(offset)
+            assert _rows(mf.integrate_flow(field, x0, t_end, 1e-3)) == _rows(
+                _rk4_full_horner(field, x0, t_end, 1e-3)
+            ), x0
+
+
+def test_trajectory_far_from_the_fixed_point_is_within_an_ulp_of_the_full_sum(logistic4):
+    field = mf.field_pipeline(logistic4, 0.0, DIM, r_eval=0.95)
+    traj = mf.integrate_flow(field, 0.3, 0.4, 1e-3)
+    ref = _rk4_full_horner(field, 0.3, 0.4, 1e-3)
+    assert len(traj) == len(ref) == 401
+    for (t, x), (t_ref, x_ref) in zip(traj, ref):
+        assert t == t_ref
+        assert abs(x - x_ref) <= 1e-14 * max(1.0, abs(x_ref))
 
 
 def test_chart_escape_carries_partial_trajectory(logistic4):
