@@ -283,15 +283,17 @@ def cmd_iterate(ns) -> int:
     ]
     reference = _reference_fn(ns, frame.x_star)
 
-    rows = []
-    for i, t in enumerate(ns.t):
-        for j, x in enumerate(ns.x):
-            ref = _reference_value(reference, t, x) if reference is not None else None
-            for name, values, converged in routes:
-                value = values[i][j] if converged[i][j] else None
-                rows.append((t, complex(x), value, name, converged[i][j], ref))
+    def ref_at(t, x):
+        return _reference_value(reference, t, x) if reference is not None else None
 
     if ns.format == "json":
+        rows = []
+        for i, t in enumerate(ns.t):
+            for j, x in enumerate(ns.x):
+                ref = ref_at(t, x)
+                for name, values, converged in routes:
+                    value = values[i][j] if converged[i][j] else None
+                    rows.append((t, complex(x), value, name, converged[i][j], ref))
         payload = [
             {
                 "t": t,
@@ -309,16 +311,21 @@ def cmd_iterate(ns) -> int:
         _emit(ns, json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
 
+    # Each t and x is formatted once; a row joins the cached cells.
+    x_cells = [f"{x.real:.17g},{x.imag:.17g}" for x in map(complex, ns.x)]
     lines = ["t,x_re,x_im,ft_re,ft_im,route,converged,ref_re,ref_im"]
-    for t, x, v, name, converged, r in rows:
-        vre = "" if v is None else f"{v.real:.17g}"
-        vim = "" if v is None else f"{v.imag:.17g}"
-        rre = "" if r is None else f"{r.real:.17g}"
-        rim = "" if r is None else f"{r.imag:.17g}"
-        lines.append(
-            f"{t:.17g},{x.real:.17g},{x.imag:.17g},{vre},{vim},{name},"
-            f"{str(converged).lower()},{rre},{rim}"
-        )
+    for i, t in enumerate(ns.t):
+        t_cell = f"{t:.17g}"
+        for j, x in enumerate(ns.x):
+            r = ref_at(t, x)
+            ref_cells = "," if r is None else f"{r.real:.17g},{r.imag:.17g}"
+            for name, values, converged in routes:
+                if converged[i][j]:
+                    v = values[i][j]
+                    cells = f"{v.real:.17g},{v.imag:.17g},{name},true"
+                else:
+                    cells = f",,{name},false"
+                lines.append(f"{t_cell},{x_cells[j]},{cells},{ref_cells}")
     _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
 

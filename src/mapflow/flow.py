@@ -141,13 +141,19 @@ def evaluate_field(field: FlowField, x) -> complex:
     return field.value(x)
 
 
+# The trajectory is kept in memory, about 300 bytes per step with its CSV
+# row: this bound keeps a run within about 300 MB.
+MAX_RK4_STEPS = 10**6
+
+
 def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     """Classical fixed-step RK4 for dx/dt = G(x) from x0.
 
     G is summed by :meth:`FlowField.value`, which drops the terms that cannot
     change it at the current |x - x*|.  Returns the trajectory as a list of
     (t, x) pairs, complex state included.  A non-finite ``x0``, ``t_end`` or
-    ``dt``, or a ``dt`` that is not positive, raises ``ValueError``.  Leaving
+    ``dt``, a ``dt`` that is not positive, or more than MAX_RK4_STEPS steps
+    raises ``ValueError`` before anything is allocated.  Leaving
     the chart (or a state that is no longer finite) raises
     :class:`ChartEscape` carrying the time reached and the partial trajectory.
     """
@@ -160,7 +166,13 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
         raise ValueError(f"x0 must be finite, got {x!r}")
     x_star = field.x_star
     r = field.chart.r_eval * (1.0 + 1e-12)
-    steps = max(1, round(abs(t_end) / dt))
+    ratio = abs(t_end) / dt
+    if ratio > MAX_RK4_STEPS + 0.5:  # round(ratio) steps would exceed the bound
+        raise ValueError(
+            f"|t_end|/dt asks for {ratio:.10g} RK4 steps, more than the "
+            f"{MAX_RK4_STEPS} a trajectory may hold; raise dt or shorten t_end"
+        )
+    steps = max(1, round(ratio))
     h = t_end / steps
     g = field.value
     trajectory = [(0.0, x)]

@@ -203,20 +203,33 @@ def evaluate_with_tail(series: PowerSeries, x) -> tuple:
     """Evaluate and estimate the size of the dropped tail at this argument.
 
     Returns ``(value, tail)`` where ``tail`` is the magnitude of the largest
-    of the trailing stored terms (the truncation zone); a large value flags
-    that the truncated series cannot be trusted at ``x``.  Trailing zeros
-    mean the stored function is a polynomial there and the tail is exactly
-    zero.
+    of the trailing stored terms (the truncation zone, see
+    :func:`trailing_term`); a large value flags that the truncated series
+    cannot be trusted at ``x``.  Trailing zeros mean the stored function is
+    a polynomial there and the tail is exactly zero.
     """
     z = complex(x) - series.base_point
-    value = _horner(series.coeffs, z)
+    return _horner(series.coeffs, z), trailing_term(series.coeffs, z)
+
+
+def trailing_term(coeffs: Sequence[complex], z: complex) -> float:
+    """Magnitude of the largest trailing stored term ``coeffs[k] * z**k``.
+
+    The trailing terms are those of the :func:`tail_radius` window.  A term
+    too large for a float gives ``inf``, so the argument is refused rather
+    than ending in an ``OverflowError``.
+    """
+    n = len(coeffs)
     tail = 0.0
-    az = abs(z)
-    for k in range(_tail_start(series.order), series.order):
-        a = abs(series.coeffs[k])
-        if a > 0:
-            tail = max(tail, a * az**k)
-    return value, tail
+    try:
+        az = abs(z)
+        for k in range(_tail_start(n), n):
+            a = abs(coeffs[k])
+            if a > 0:
+                tail = max(tail, a * az**k)
+    except OverflowError:
+        return math.inf
+    return tail
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,33 @@ def test_iterate_refuses_a_time_whose_multiplier_power_overflows(argv, capsys):
     assert fields[3:7] == ["", "", argv[argv.index("--route") + 1], "false"]
 
 
+def test_iterate_refuses_a_continuation_whose_tail_overflows(capsys):
+    # A Newton iterate wanders far enough for a trailing term of the inverse
+    # series to overflow: this ended in an OverflowError traceback before.
+    code, out, err = run(
+        ["iterate", "--preset", "logistic:4", "--fixed-point", "0.75", "--dim", "160",
+         "--r-eval", "0.6", "--route", "chart", "--t", "0.5", "--x=1.011"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[3:7] == ["", "", "chart", "false"]
+
+
+def test_iterate_refuses_points_the_continuation_reaches_only_slowly(capsys):
+    # These values (f^0.5(0.0861) = 1083.6+32.1i, f^1.5 = -4.3e6) were once
+    # printed as converged after 21-58 Newton passes at a waypoint.
+    code, out, _ = run(
+        ["iterate", "--preset", "logistic:3.7", "--guess", "0.7", "--dim", "160",
+         "--r-eval", "0.66", "--route", "chart", "--t", "0.5,1,1.5",
+         "--x=0.08610810810810798,1.0646756756756757,0.9595945945945946"],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(row[3:7] == ["", "", "chart", "false"] for row in rows)
+
+
 def test_iterate_leaves_the_reference_empty_where_the_closed_form_overflows(capsys):
     code, out, _ = run(
         ["iterate", *L4_ORIGIN, "--route", "chart", "--t", "12", "--x", "0.1j"], capsys
@@ -493,6 +520,20 @@ def test_integrate_refuses_a_non_finite_time_step_or_state(flags, message, capsy
     assert code == 1
     assert out == ""
     assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("flags, steps", [
+    (["--dt", "1e-9"], "1000000000"),
+    (["--dt", "5e-324", "--t-end", "1e300"], "inf"),
+])
+def test_integrate_refuses_more_steps_than_a_trajectory_may_hold(flags, steps, capsys):
+    code, out, err = run(["integrate", "--preset", "logistic:4", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: ValueError: |t_end|/dt asks for {steps} RK4 steps, more than the "
+        "1000000 a trajectory may hold; raise dt or shorten t_end\n"
+    )
 
 
 def test_map_spec_required(capsys):

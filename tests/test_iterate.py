@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapflow as mf
+from mapflow import iterate
 from mapflow.iterate import (
+    EVAL_TAIL_TOL,
     INV_SAFETY,
+    MAX_PATH_STEPS,
     MAX_TIME_SHIFT,
+    NEWTON_STEPS,
+    PATH_START_FRACTION,
+    PATH_STEP_FRACTION,
     TAIL_TOL,
     SchroederChart,
     _checked_eval,
@@ -24,7 +30,7 @@ from mapflow.logistic import (
     logistic4_iterate,
     logistic4_iterate_second,
 )
-from mapflow.series import _horner
+from mapflow.series import _horner, evaluate_with_tail, trailing_term
 
 DIM = 40
 
@@ -484,3 +490,154 @@ def test_overflowing_times_are_refused_with_the_route_status(pipe4_origin):
         assert (grid.status == status).all()
         assert np.isinf(grid.tail).all()
         assert np.isnan(grid.values).all()
+
+
+# --- continuation ---------------------------------------------------------------
+
+def _uncapped_chart_value(chart, x):
+    """chart_value as it was with 60 Newton iterations per waypoint and the
+    full tail test at every iterate.  Returns (u(x) or None where it refuses,
+    the most Newton passes one waypoint took)."""
+    x = complex(x)
+    value, tail = evaluate_with_tail(chart.forward, x)
+    if tail <= EVAL_TAIL_TOL * max(1.0, abs(value)):
+        return value, 0
+    delta = x - chart.x_star
+    r = chart.forward_radius
+    if not math.isfinite(r) or r <= 0 or abs(delta) <= r:
+        return None, 0
+    start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
+    try:
+        w = _checked_eval(chart.forward, start)
+    except mf.OutOfChart:
+        return None, 0
+    steps = min(MAX_PATH_STEPS, max(1, math.ceil(abs(x - start) / (PATH_STEP_FRACTION * r))))
+    most = 0
+    for s in range(1, steps + 1):
+        target = start + (x - start) * (s / steps)
+        tol = 1e-13 * max(1.0, abs(target))
+        for passes in range(1, 61):
+            most = max(most, passes)
+            h, tail = evaluate_with_tail(chart.inverse, w)
+            try:
+                if tail > EVAL_TAIL_TOL * max(1.0, abs(h)):
+                    return None, most
+            except OverflowError:  # ended in a traceback before
+                return None, most
+            if abs(h - target) <= tol:
+                break
+            slope = chart.inverse_slope(w)
+            if slope == 0:
+                return None, most
+            w = w - (h - target) / slope
+        else:
+            return None, most
+    return w, most
+
+
+def _seeded_cubic_charts():
+    rng = np.random.default_rng(2026)
+    charts = []
+    for lam in (2.2, 1.7 * cmath.exp(0.9j)):
+        a2, a3 = complex(*rng.normal(0, 0.7, 2)), complex(*rng.normal(0, 0.5, 2))
+        f = mf.PowerSeries.from_coefficients([0, lam, a2, a3], order=40)
+        frame = mf.find_fixed_point(f, 0.0)
+        reach = 9 * iterate.default_chart_radius(frame)  # 0.9 of the fixed-point gap
+        charts.append((mf.chart_pipeline(f, 0.0, 40, r_eval=reach)[2], reach))
+    return charts
+
+
+def test_capped_continuation_matches_the_uncapped_newton():
+    # Seeded real and complex points out to r_eval, at 3/4 and on two
+    # cubics: the 16-pass cap changes no value and no verdict, except
+    # that a point whose uncapped Newton needed more than 16 passes at some
+    # waypoint is refused.
+    rng = np.random.default_rng(10)
+    cases = []
+    for dim in (40, 80, 160):
+        chart = mf.chart_pipeline(mf.logistic_series(4.0, dim), 0.7, dim, r_eval=0.6)[2]
+        cases.append((chart, 0.6))
+    cases += _seeded_cubic_charts()
+    counts = {"same value": 0, "same continued value": 0, "both refuse": 0, "capped": 0}
+    for chart, reach in cases:
+        radius = reach * np.sqrt(rng.uniform(0, 1, 24))
+        angle = np.concatenate([rng.choice([0, np.pi], 12), rng.uniform(0, 2 * np.pi, 12)])
+        extra = [1.011, 1.1] if chart.x_star.real > 0.5 else []
+        for x in [*(chart.x_star + radius * np.exp(1j * angle)), *extra]:
+            expected, most = _uncapped_chart_value(chart, x)
+            try:
+                got = chart_value(chart, x)
+            except mf.OutOfChart:
+                got = None
+            if most > NEWTON_STEPS:
+                assert got is None, x
+                counts["capped"] += 1
+            elif expected is None:
+                assert got is None, x
+                counts["both refuse"] += 1
+            else:
+                assert repr(got) == repr(expected), x
+                counts["same continued value" if most else "same value"] += 1
+    assert min(counts.values()) > 0, counts
+
+
+def test_points_reached_only_after_many_newton_passes_are_refused():
+    # mu = 3.7 at its second fixed point: the uncapped Newton printed
+    # f^0.5(0.0861) = 1083.6+32.1i as converged; a waypoint of every one of
+    # these points took more than 16 passes, and a 40x finer path refuses
+    # them all.
+    f = mf.logistic_series(3.7, 160)
+    _, _, chart = mf.chart_pipeline(f, 0.7, 160, r_eval=0.66)
+    xs = [0.08610810810810798, 1.0646756756756757, 0.9595945945945946]
+    for x in xs:
+        expected, most = _uncapped_chart_value(chart, x)
+        assert expected is not None and most > NEWTON_STEPS
+    grid = mf.evaluate_chart_grid(chart, [0.5, 1.0, 1.5], xs)
+    assert (grid.status == mf.PointStatus.OUT_OF_CHART).all()
+
+
+def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, monkeypatch):
+    _, _, chart = pipe4_second
+    passes = []
+
+    def counting_horner(coeffs, z):
+        if coeffs is chart.inverse.coeffs:
+            passes[-1] += 1
+        return _horner(coeffs, z)
+
+    newton = iterate._newton_chart_value
+
+    def counting_newton(*args):
+        passes.append(0)
+        return newton(*args)
+
+    monkeypatch.setattr(iterate, "_horner", counting_horner)
+    monkeypatch.setattr(iterate, "_newton_chart_value", counting_newton)
+    with pytest.raises(mf.OutOfChart, match="failed to converge"):
+        chart_value(chart, 1.2)
+    assert len(passes) > 1 and max(passes) == NEWTON_STEPS == 16
+    assert _uncapped_chart_value(chart, 1.2) == (None, 60)
+
+
+@pytest.mark.parametrize("mu, guess, dim", [
+    (4.0, 0.7, 40), (4.0, 0.7, 80), (4.0, 0.7, 160), (4.0, 0.0, 40), (2.0, 0.0, 40),
+    (3.7, 0.7, 160), (2.5 + 0.5j, 0.0, 80),
+])
+def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim):
+    chart = mf.chart_pipeline(mf.logistic_series(mu, dim), guess, dim)[2]
+    rho = chart.inverse_trust_radius
+    assert 0 < rho < math.inf
+    rng = np.random.default_rng(dim)
+    ws = rho * np.exp(1j * np.linspace(0, 2 * np.pi, 256, endpoint=False))
+    ws = [*ws, *(rho * rng.uniform(0.9, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64)))]
+    for w in [complex(w) for w in ws] + [complex(rho), complex(-rho)]:
+        if abs(w) <= rho:  # the test the continuation skips
+            assert evaluate_with_tail(chart.inverse, w)[1] <= EVAL_TAIL_TOL, w
+    # The radius is tight: a little farther out a trailing term passes the bound.
+    assert trailing_term(chart.inverse.coeffs, 1.001 * rho) > EVAL_TAIL_TOL
+
+
+def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
+    _, _, chart = pipe4_second
+    with pytest.raises(mf.OutOfChart, match="trust region"):
+        iterate._newton_chart_value(chart, 1.0, complex(1.5e308, 1.5e308))

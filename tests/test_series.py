@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapflow as mf
-from mapflow.series import PowerSeries, compose, find_fixed_point
+from mapflow.series import (
+    PowerSeries,
+    compose,
+    evaluate_with_tail,
+    find_fixed_point,
+    trailing_term,
+)
 
 
 def series(coeffs, base=0.0, order=None):
@@ -35,6 +41,16 @@ def test_horner_matches_numpy_polyval():
     x = 0.37 - 0.11j
     expected = np.polyval(s.coeffs_array[::-1], x)
     assert abs(s(x) - expected) < 1e-14
+
+
+def test_tail_of_an_overflowing_term_is_inf():
+    s = series([0.1] * 40)
+    assert evaluate_with_tail(s, 0.5)[1] == pytest.approx(0.1 * 0.5**35)
+    # 1e10**35 is past the float range: an OverflowError before.
+    assert evaluate_with_tail(s, 1e10)[1] == float("inf")
+    assert evaluate_with_tail(s, -1e10j)[1] == float("inf")
+    # |z| itself overflows here.
+    assert trailing_term(s.coeffs, complex(1.5e308, 1.5e308)) == float("inf")
 
 
 def test_derivative():
