@@ -15,9 +15,11 @@ Evaluation hygiene.  Truncated series only deserve trust inside an empirical
 radius (a tail test on the top coefficients).  Three mechanisms keep
 evaluations honest rather than silently wrong:
 
-* every series evaluation is tail-checked, raising ``OutOfChart`` instead of
-  returning junk;
-* an argument of u beyond the chart's series radius is reached by numerical
+* the forward series of u is summed directly only within its
+  ``forward_radius``, where every trailing term is at most 1e-12; every
+  evaluation of the inverse series is tail-checked, and a point that fails
+  is refused (``OutOfChart``) instead of returning junk;
+* an argument of u beyond ``forward_radius`` is reached by numerical
   analytic continuation: Newton's method on the inverse chart series, warm
   started along a straight path from inside the radius.  This tracks the
   principal branch of u.  A waypoint whose Newton iteration has not
@@ -33,14 +35,18 @@ evaluations honest rather than silently wrong:
   reduction is branch-safe.
 
 Grid evaluation.  :func:`evaluate_chart_grid` and :func:`evaluate_matrix_grid`
-take a list of times and a list of points.  The parts that do not depend on
-t (the chart value u(x) with its continuation, the mode values phi_k(x)) are
-computed once per point; everything else runs on the whole grid in numpy and
-yields a value or a :class:`PointStatus` per (t, x).  The float operations are
-those of the scalar formulas, done on separate real and imaginary arrays, so
-each grid value is bit-identical to the scalar one.  The scalar
-:func:`evaluate_iterate_chart` and :func:`evaluate_iterate_matrix` are
-one-point grids.
+take a list of times and a list of points and work on all of them at once in
+numpy complex arithmetic.  The continued points of a grid take their Newton
+passes together, each at its own waypoint: a pass fills one power matrix
+[w, w^2, ..., w^(n-1)] for the points still on their paths and multiplies it
+by the coefficients of h and h', and a point leaves once it has passed its
+last waypoint or been refused.  Reported values (u, h at lambda^(t-k) u, the
+shifted map, the mode values phi_k) come from Horner's rule over all points,
+and lambda^(t-k), the shift counts and the mode weights from ``np.exp`` and
+``np.log``.  They agree with the scalar formulas in Python complex
+arithmetic to rounding (u within about 1e-14 relative), not bit for bit.
+:func:`chart_value`, :func:`evaluate_iterate_chart` and
+:func:`evaluate_iterate_matrix` are one-point grids.
 """
 
 from __future__ import annotations
@@ -58,12 +64,9 @@ from .series import (
     TOL_FIX,
     FixedPointFrame,
     PowerSeries,
-    _horner,
     _tail_start,
-    evaluate_with_tail,
     find_fixed_point,
     tail_radius,
-    trailing_term,
 )
 from .spectral import SpectralFactorization, factor_from_series
 
@@ -109,9 +112,11 @@ class SchroederChart:
         object.__setattr__(self, "inverse_radius", tail_radius(self.inverse.coeffs))
 
     @cached_property
-    def inverse_slope(self) -> PowerSeries:
-        """Derivative of the inverse series: the continuation's Newton slope."""
-        return self.inverse.derivative()
+    def inverse_pair(self) -> np.ndarray:
+        """The (order, 2) array of the coefficients of the inverse series and
+        of its derivative, the continuation's Newton slope."""
+        h = self.inverse.coeffs_array
+        return np.stack([h, np.append(np.arange(1, len(h)) * h[1:], 0)], axis=1)
 
     @cached_property
     def inverse_trust_radius(self) -> float:
@@ -256,256 +261,232 @@ def build_chart(
     )
 
 
-def _checked_eval(series: PowerSeries, x) -> complex:
-    value, tail = evaluate_with_tail(series, x)
-    if tail > EVAL_TAIL_TOL * max(1.0, abs(value)):
-        raise OutOfChart(
-            f"series tail {tail:.3e} at argument {x!r} exceeds the trust "
-            "threshold; value would be unreliable"
-        )
-    return value
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner's rule on a complex array.  Axis 0 of ``coeffs`` runs over the
+    powers; ``coeffs[m]`` broadcasts against ``z``."""
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], z.shape), dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
 
 
-def _inverse_tail_refuses(chart: SchroederChart, w: complex, value: complex) -> bool:
-    """The tail test of ``_checked_eval`` on the inverse series at w.
+def _tail_refuses(series: PowerSeries, z: np.ndarray, value: np.ndarray) -> tuple:
+    """The evaluation tail test at every z: (tail, refused).
 
-    Skipped within the chart's ``inverse_trust_radius``, where no trailing
-    term can fail it.  A w or value too large for a float refuses.
+    ``tail`` is the largest trailing stored term, as
+    :func:`mapflow.series.trailing_term` gives it (inf where it overflows).
+    A tail above EVAL_TAIL_TOL * max(1, |value|), or a value that is not
+    finite, refuses.
     """
-    try:
-        if abs(w) <= chart.inverse_trust_radius:
-            return False
-        tail = trailing_term(chart.inverse.coeffs, w)
-        return tail > EVAL_TAIL_TOL * max(1.0, abs(value))
-    except OverflowError:
-        return True
+    start = _tail_start(series.order)
+    a = np.abs(series.coeffs_array[start:])
+    k = np.flatnonzero(a)
+    tail = np.zeros(z.shape)
+    if k.size:
+        tail = (a[k] * np.abs(z)[..., np.newaxis] ** (k + start)).max(axis=-1)
+    fine = np.isfinite(value) & (tail <= EVAL_TAIL_TOL * np.maximum(1.0, np.abs(value)))
+    return tail, ~fine
 
 
-def _newton_chart_value(chart: SchroederChart, target: complex, w0: complex) -> complex:
-    """Solve chart.inverse(w) = target for w, warm started at w0.
+def _inverse_with_slope(h1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The power matrix [w, w^2, ..., w^(n-1)] times ``h1``: rows 1 to n-1
+    of the chart's ``inverse_pair``, so h(w) - h_0 and h'(w) - h_1."""
+    return np.multiply.accumulate(w[:, np.newaxis].repeat(len(h1), axis=1), axis=1) @ h1
 
-    Each iterate is tail-checked (:func:`_inverse_tail_refuses`).  A waypoint
-    not reached within NEWTON_STEPS iterations is refused with
-    :class:`OutOfChart`.
+
+def _continue(chart: SchroederChart, x, start, steps, w) -> tuple:
+    """Track u from the path seeds ``start``, where it is ``w``, to every x.
+
+    A point's waypoints are start + (x - start) * s / steps for s = 1, ...,
+    steps.  At each, Newton's method on the inverse series, warm started at
+    the last waypoint's solution, runs until h(w) is within 1e-13 of the
+    waypoint; then the point moves on to its next one.  Every point takes
+    each Newton pass together with the others, whatever waypoint it is at,
+    so one power matrix serves all of them.  A point is refused when an
+    iterate beyond ``inverse_trust_radius`` fails the tail test or is not
+    finite, at a zero slope, or when a waypoint is not reached within
+    NEWTON_STEPS passes.  Returns u at every x and the refusal reason by
+    index of each x refused.
     """
-    coeffs = chart.inverse.coeffs  # expanded about 0, so the argument is w
-    slope_coeffs = chart.inverse_slope.coeffs
-    w = w0
-    tol = 1e-13 * max(1.0, abs(target))
-    for _ in range(NEWTON_STEPS):
-        value = _horner(coeffs, w)
-        if _inverse_tail_refuses(chart, w, value):
-            raise OutOfChart(
-                "continuation left the inverse series' trust region"
-            )
-        resid = value - target
-        if abs(resid) <= tol:
-            return w
-        slope = _horner(slope_coeffs, w)
-        if slope == 0:
-            raise OutOfChart("continuation hit a critical point of the chart")
+    (h_0, h_1), h1 = chart.inverse_pair[0], chart.inverse_pair[1:]
+    rho = chart.inverse_trust_radius
+    u = w.copy()
+    reasons = {}
+    at = np.arange(len(x))  # index of each point still on its path
+    way = np.ones(len(x))  # the waypoint it is solving for
+    began = np.zeros(len(x), dtype=np.int64)  # the pass before that waypoint's first
+    target = start + (x - start) * (way / steps)
+    goal, tol = target - h_0, 1e-13 * np.maximum(1.0, np.abs(target))
+    passes = oldest = 0  # oldest: the earliest pass a waypoint still open began after
+    while at.size:
+        passes += 1
+        m = len(at)
+        both = _inverse_with_slope(h1, w)
+        resid = both[:, 0] - goal
+        done = np.abs(resid) <= tol
+        slope = both[:, 1] + h_1
+        refusals = []  # (index, reason); the first reason for an index wins
+        trusted = np.abs(w) <= rho
+        if np.count_nonzero(trusted) < m:
+            far = (~trusted).nonzero()[0]
+            left = far[_tail_refuses(chart.inverse, w[far], both[far, 0] + h_0)[1]]
+            done[left] = False
+            refusals += [(i, "continuation left the inverse series' trust region")
+                         for i in left.tolist()]
+        if np.count_nonzero(slope) < m:
+            refusals += [(i, "continuation hit a critical point of the chart")
+                         for i in (~done & (slope == 0)).nonzero()[0].tolist()]
+        if passes - oldest >= NEWTON_STEPS:
+            stalled = ~done & (passes - began >= NEWTON_STEPS)
+            refusals += [(i, f"continuation Newton failed to converge at {complex(target[i])!r}")
+                         for i in stalled.nonzero()[0].tolist()]
+        drop = None  # points refused, or at the end of their path
+        if refusals:
+            drop = np.zeros(m, dtype=bool)
+            for i, why in refusals:
+                reasons.setdefault(int(at[i]), why)
+                drop[i] = True
+        advanced = np.count_nonzero(done)
+        if advanced:
+            way += done
+            began[done] = passes
+            end = way > steps
+            if np.count_nonzero(end):
+                u[at[end]] = w[end]
+                drop = end if drop is None else drop | end
+            target = start + (x - start) * (way / steps)
+            goal, tol = target - h_0, 1e-13 * np.maximum(1.0, np.abs(target))
+            resid[done], slope[done] = 0.0, 1.0  # a point stays where it converged
+        if drop is not None and np.count_nonzero(drop):
+            keep = ~drop
+            at, x, start, steps, w = at[keep], x[keep], start[keep], steps[keep], w[keep]
+            way, began, target, goal, tol = way[keep], began[keep], target[keep], goal[keep], tol[keep]
+            resid, slope = resid[keep], slope[keep]
+            oldest = began.min(initial=passes)
+        elif advanced:
+            oldest = began.min()
         w = w - resid / slope
-    raise OutOfChart(f"continuation Newton failed to converge at {target!r}")
+    return u, reasons
+
+
+def _chart_values(chart: SchroederChart, xs: np.ndarray) -> tuple:
+    """u at every x, and the refusal reason by index of each x where it has
+    none.
+
+    The forward series is summed directly where |x - x*| <= forward_radius.
+    Beyond it, u is tracked along the segment from 0.8 of that radius to x
+    by solving the inverse relation at each waypoint (:func:`_continue`).
+    """
+    d = xs - chart.x_star
+    dist = np.abs(d)
+    r = chart.forward_radius
+    far = np.flatnonzero(~(dist <= r))
+    reasons = {}
+    if not 0 < r < math.inf:
+        for j in far.tolist():
+            reasons[j] = (
+                f"forward chart series is unreliable at {complex(xs[j])!r} and "
+                "offers no continuation seed"
+            )
+        far = far[:0]
+    # The direct points and the path seeds, in one Horner call.
+    z = d.copy()
+    z[far] *= PATH_START_FRACTION * r / dist[far]
+    u = _horner(chart.forward.coeffs_array, z)
+    if far.size:
+        start = chart.x_star + z[far]
+        span = np.abs(xs[far] - start) / (PATH_STEP_FRACTION * r)
+        steps = np.clip(np.ceil(span), 1, MAX_PATH_STEPS)
+        u[far], refused = _continue(chart, xs[far], start, steps, u[far])
+        reasons.update((int(far[i]), why) for i, why in refused.items())
+    return u, reasons
 
 
 def chart_value(chart: SchroederChart, x) -> complex:
     """The chart coordinate u(x), continued past the series radius if needed.
 
-    Wherever the forward series converges at x (judged by its trailing
-    terms) this is a direct evaluation.  Beyond that the value is tracked
-    along the segment from the radius edge to x by solving the inverse
-    relation at each waypoint, which follows the principal analytic
-    continuation of the chart.  The point is refused with
-    :class:`OutOfChart` when a waypoint leaves the inverse series' trust
-    region or its Newton iteration does not converge within NEWTON_STEPS.
+    Within ``forward_radius`` of the fixed point this is the direct sum of
+    the forward series.  Beyond it the value is tracked along the segment
+    from inside the radius to x by solving the inverse relation at each
+    waypoint, which follows the principal analytic continuation of the
+    chart.  The point is refused with :class:`OutOfChart` when a waypoint
+    leaves the inverse series' trust region or its Newton iteration does
+    not converge within NEWTON_STEPS.
     """
-    x = complex(x)
-    value, tail = evaluate_with_tail(chart.forward, x)
-    if tail <= EVAL_TAIL_TOL * max(1.0, abs(value)):
-        return value
-    delta = x - chart.x_star
-    r = chart.forward_radius
-    if not math.isfinite(r) or r <= 0 or abs(delta) <= r:
-        raise OutOfChart(
-            f"forward chart series is unreliable at {x!r} and offers no "
-            "continuation seed"
-        )
-    start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
-    w = _checked_eval(chart.forward, start)
-    span = abs(x - start)
-    steps = min(MAX_PATH_STEPS, max(1, math.ceil(span / (PATH_STEP_FRACTION * r))))
-    for s in range(1, steps + 1):
-        waypoint = start + (x - start) * (s / steps)
-        w = _newton_chart_value(chart, waypoint, w)
-    return w
+    with np.errstate(all="ignore"):
+        u, reasons = _chart_values(chart, np.array([complex(x)]))
+    if reasons:
+        raise OutOfChart(reasons[0])
+    return complex(u[0])
 
 
-def _exp_or_nan(exp, x):
-    """``exp(x)`` (``math.exp`` or ``cmath.exp``), or nan where it overflows.
-
-    A nan propagates to the point's value, which is then refused."""
-    try:
-        return exp(x)
-    except OverflowError:
-        return math.nan
-
-
-def _py_max(a, b):
-    """Elementwise Python ``max(a, b)``: b only where b > a, so nan never wins."""
-    return np.where(b > a, b, a)
+def _outside_radius(x: np.ndarray, x_star: complex, r_eval: float) -> tuple:
+    """The mask of the x farther than r_eval from x* (or not finite), and the
+    refusal reason by index of each."""
+    dist = np.abs(x - x_star)
+    outside = ~(dist <= r_eval * (1.0 + 1e-12))
+    reasons = {
+        j: f"|x - x*| = {dist[j]:.4g} exceeds the chart radius {r_eval:.4g}"
+        for j in np.flatnonzero(outside).tolist()
+    }
+    return outside, reasons
 
 
-_math_log = np.frompyfunc(math.log, 1, 1)  # math.log elementwise; np.log can differ by an ulp
-
-
-def _horner_split(coeffs: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> tuple:
-    """Horner's rule on separate real and imaginary float64 arrays.
-
-    Runs the float operations of ``series._horner`` (Python's complex product
-    and sum) elementwise, so every value equals the scalar one bit for bit;
-    numpy's complex multiply does not.  Axis 0 of ``coeffs`` runs over the
-    powers; ``coeffs[m]`` has as many axes as ``zr`` and broadcasts against
-    it.  Returns the real and imaginary parts.
-    """
-    shape = np.broadcast_shapes(coeffs.shape[1:], zr.shape)
-    c = np.stack([coeffs.real, coeffs.imag], axis=1)[::-1]
-    zs = np.stack([-zi, zi])
-    acc = np.zeros((2,) + shape)
-    prod = np.empty_like(acc)
-    cross = np.empty_like(acc)
-    for cm in c:
-        # [ar, ai] * zr + [ai, ar] * [-zi, zi] = [ar zr - ai zi, ai zr + ar zi]
-        np.multiply(acc, zr, out=prod)
-        np.multiply(acc[::-1], zs, out=cross)
-        np.add(prod, cross, out=acc)
-        acc += cm
-    return acc[0], acc[1]
-
-
-def _polynomial_part(series: PowerSeries) -> np.ndarray:
-    """The coefficients without trailing +0 terms (at least one kept).
-
-    From an accumulator of +0, Horner's rule stays at +0 through such terms
-    at any finite argument, so dropping them changes no bit of a value."""
-    c = np.array(series.coeffs, dtype=complex)
-    kept = np.flatnonzero((c != 0) | np.signbit(c.real) | np.signbit(c.imag))
-    return c[: kept[-1] + 1 if kept.size else 1]
-
-
-def _checked_split(series: PowerSeries, xr: np.ndarray, xi: np.ndarray) -> tuple:
-    """``_checked_eval`` elementwise: (re, im, tail, refused).
-
-    np.power can be an ulp off Python's ``**``, so tails within a hair of
-    the threshold are settled by the scalar ``evaluate_with_tail``.
-    """
-    zr = xr - series.base_point.real
-    zi = xi - series.base_point.imag
-    coeffs = np.array(series.coeffs, dtype=complex)[:, np.newaxis]
-    vr, vi = _horner_split(coeffs, zr, zi)
-    az = np.hypot(zr, zi)
-    tail = np.zeros_like(az)
-    for k in range(_tail_start(series.order), series.order):
-        a = abs(series.coeffs[k])
-        if a > 0:
-            tail = _py_max(tail, a * np.power(az, k))
-    limit = EVAL_TAIL_TOL * _py_max(1.0, np.hypot(vr, vi))
-    refused = tail > limit
-    for idx in np.flatnonzero(np.abs(tail - limit) <= 1e-12 * limit):
-        exact = evaluate_with_tail(series, complex(xr[idx], xi[idx]))[1]
-        refused[idx] = exact > limit[idx]
-    return vr, vi, tail, refused
-
-
-def _outside_radius(xs: list, x_star: complex, r_eval: float) -> dict:
-    """The refusal reason for the index of every x farther than r_eval from x*."""
-    reasons = {}
-    for j, x in enumerate(xs):
-        dist = abs(x - x_star)
-        if dist > r_eval * (1.0 + 1e-12):
-            reasons[j] = f"|x - x*| = {dist:.4g} exceeds the chart radius {r_eval:.4g}"
-    return reasons
-
-
-def _time_shift_steps(chart: SchroederChart, ts: list, w: np.ndarray, ok) -> np.ndarray:
-    """Integer time shifts k per point that bring |lambda^(t-k) u(x)| within
+def _time_shift_steps(chart: SchroederChart, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Integer time shifts k per point that bring |lambda^(t-k) w| within
     INV_SAFETY of the inverse series radius (0 where none is needed)."""
-    steps = np.zeros(ok.shape, dtype=np.int64)
     lam_abs = abs(chart.multiplier)
     safe = INV_SAFETY * chart.inverse_radius
-    abs_w = np.hypot(w.real, w.imag)
-    live = ok & (abs_w > 0)
-    if lam_abs <= 1.0 or not 0 < safe < math.inf or not live.any():
-        return steps
-    log_abs = cmath.log(chart.multiplier).real
-    growth = np.array([_exp_or_nan(math.exp, t * log_abs) for t in ts])
-    magnitude = abs_w * growth[:, np.newaxis]
-    need = live & (magnitude > safe)
-    logs = _math_log(magnitude[need]).astype(float)
-    shift = np.ceil((logs - math.log(safe)) / math.log(lam_abs))
-    steps[need] = np.clip(shift, 0, MAX_TIME_SHIFT)
-    return steps
+    if lam_abs <= 1.0 or not 0 < safe < math.inf:
+        return np.zeros(w.shape, dtype=np.int64)
+    log_abs = np.log(lam_abs)
+    # log(|lambda^t w| / safe): -inf at w = 0, nan at a nan t.
+    excess = np.log(np.abs(w)) + t * log_abs - np.log(safe)
+    steps = np.minimum(np.ceil(excess / log_abs), MAX_TIME_SHIFT)
+    return np.where(excess > 0, steps, 0).astype(np.int64)
 
 
 def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
     """f^t(x) = inverse(lambda^t * forward(x)) for every t in ``ts``, x in ``xs``.
 
     u(x), continued past the series radius where needed, is computed once
-    per x.  The time-shift reduction, the inverse chart with its tail test
-    and the shifted map then run on the whole grid.  Each value and status
-    equals what :func:`evaluate_iterate_chart` gives at the same point.
+    per x (:func:`_chart_values`).  The time-shift reduction, the inverse
+    chart with its tail test and the shifted map then run on the whole grid.
     """
     ts = [float(t) for t in ts]
     xs = [complex(x) for x in xs]
     nt, nx = len(ts), len(xs)
+    x = np.array(xs, dtype=complex)
     status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
-    column_errors = _outside_radius(xs, chart.x_star, chart.r_eval)
-    status[:, list(column_errors)] = PointStatus.OUTSIDE_RADIUS
+    outside, column_errors = _outside_radius(x, chart.x_star, chart.r_eval)
+    status[:, outside] = PointStatus.OUTSIDE_RADIUS
+    inside = np.flatnonzero(~outside)
     w = np.zeros(nx, dtype=complex)
-    for j, x in enumerate(xs):
-        if j in column_errors:
-            continue
-        try:
-            w[j] = chart_value(chart, x)
-        except OutOfChart as exc:
+    with np.errstate(all="ignore"):
+        w[inside], reasons = _chart_values(chart, x[inside])
+        for i, why in reasons.items():
+            j = int(inside[i])
             status[:, j] = PointStatus.OUT_OF_CHART
-            column_errors[j] = str(exc)
-    ok = status == PointStatus.OK
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = _time_shift_steps(chart, ts, w, ok)
-        rows, cols = np.nonzero(ok)
-        k = steps[rows, cols]
-        # lambda^(t - k) by the scalar cmath.exp, once per distinct (t, k).
-        log_lam = cmath.log(chart.multiplier)
-        span = MAX_TIME_SHIFT + 1
-        keys, which = np.unique(rows * span + k, return_inverse=True)
-        factor = np.array(
-            [
-                _exp_or_nan(cmath.exp, (ts[key // span] - key % span) * log_lam)
-                for key in keys.tolist()
-            ],
-            dtype=complex,
-        )[which]
-        wr, wi = w.real[cols], w.imag[cols]
-        ar = factor.real * wr - factor.imag * wi
-        ai = factor.real * wi + factor.imag * wr
-        vr, vi, tail, refused = _checked_split(chart.inverse, ar, ai)
-        g = _polynomial_part(chart.frame.shifted_map)[:, np.newaxis]
-        xr, xi = chart.x_star.real, chart.x_star.imag
+            column_errors[j] = why
+        rows, cols = np.nonzero(status == PointStatus.OK)
+        t = np.array(ts)[rows]
+        k = _time_shift_steps(chart, t, w[cols])
+        arg = np.exp((t - k) * cmath.log(chart.multiplier)) * w[cols]
+        value = _horner(chart.inverse.coeffs_array, arg)
+        tail, refused = _tail_refuses(chart.inverse, arg, value)
+        g = chart.frame.shifted_map
+        g_coeffs = g.coeffs_array[: g.degree() + 1]
         for s in range(1, int(k.max(initial=0)) + 1):
             sel = np.flatnonzero((k >= s) & ~refused)
             # x* + g(value - x*); g is expanded about 0.
-            hr, hi = _horner_split(g, vr[sel] - xr, vi[sel] - xi)
-            vr[sel] = xr + hr
-            vi[sel] = xi + hi
+            value[sel] = chart.x_star + _horner(g_coeffs, value[sel] - chart.x_star)
         # An overflow anywhere above leaves a non-finite value: refuse it.
-        overflow = ~(np.isfinite(vr) & np.isfinite(vi))
+        overflow = ~np.isfinite(value)
         tail[overflow] = math.inf
         refused |= overflow
     status[rows[refused], cols[refused]] = PointStatus.OUT_OF_CHART
     values = np.full((nt, nx), complex(math.nan, math.nan))
-    good = ~refused
-    values.real[rows[good], cols[good]] = vr[good]
-    values.imag[rows[good], cols[good]] = vi[good]
+    values[rows[~refused], cols[~refused]] = value[~refused]
     tails = np.full((nt, nx), math.nan)
     tails[rows, cols] = tail
     return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
@@ -558,54 +539,33 @@ def evaluate_matrix_grid(
 ) -> IterateGrid:
     """f^t(x) = sum_k lambda^{k t} phi_k(x) for every t in ``ts``, x in ``xs``.
 
-    The mode values phi_k(x) are computed once per x; the weighted sums run
-    per t over all points.  An x farther than the expansion's ``r_eval``
-    from x* is ``OUTSIDE_RADIUS`` at every t; a point is ``NON_CONVERGENT``
-    when its last mode's term is not negligible against the sum.  Each value
-    and status equals what :func:`evaluate_iterate_matrix` gives at the same
-    point.
+    The mode values phi_k(x) are computed once per x, and the sums for all
+    t are one product of the weights lambda^{k t} with them.  An x farther
+    than the expansion's ``r_eval`` from x* is ``OUTSIDE_RADIUS`` at every
+    t; a point is ``NON_CONVERGENT`` when its last mode's term is not
+    negligible against the sum.
     """
     ts = [float(t) for t in ts]
     xs = [complex(x) for x in xs]
     nt, nx = len(ts), len(xs)
-    z = np.array(xs, dtype=complex)[np.newaxis, :] - expansion.x_star
-    log_lam = cmath.log(expansion.multiplier)
+    x = np.array(xs, dtype=complex)
+    outside, column_errors = _outside_radius(x, expansion.x_star, expansion.r_eval)
+    inside = np.flatnonzero(~outside)
+    with np.errstate(all="ignore"):
+        phi = _horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - expansion.x_star)
+        k = np.arange(expansion.k_max + 1)
+        weight = np.exp(np.outer(ts, k) * cmath.log(expansion.multiplier))
+        total = weight @ phi
+        last = np.abs(weight[:, -1:] * phi[-1])
+        # A sum that overflowed has no meaningful last-term test.
+        finite = np.isfinite(total) & np.isfinite(weight).all(axis=1)[:, np.newaxis]
+        refused = ~finite | (last > tail_tol * np.maximum(np.abs(total), 1e-300))
     values = np.full((nt, nx), complex(math.nan, math.nan))
-    status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
-    tails = np.empty((nt, nx))
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi_re, phi_im = _horner_split(
-            expansion.mode_coeffs[:, :, np.newaxis], z.real, z.imag
-        )
-        for i, t in enumerate(ts):
-            weight = np.array(
-                [
-                    _exp_or_nan(cmath.exp, k * t * log_lam)
-                    for k in range(expansion.k_max + 1)
-                ],
-                dtype=complex,
-            )[:, np.newaxis]
-            term_re = weight.real * phi_re - weight.imag * phi_im
-            term_im = weight.real * phi_im + weight.imag * phi_re
-            # The scalar sum starts from 0j: 0.0 + first term.
-            term_re[0] += 0.0
-            term_im[0] += 0.0
-            total_re = np.add.accumulate(term_re, axis=0)[-1]
-            total_im = np.add.accumulate(term_im, axis=0)[-1]
-            last = np.hypot(term_re[-1], term_im[-1])
-            limit = tail_tol * _py_max(np.hypot(total_re, total_im), 1e-300)
-            # A sum that overflowed has no meaningful last-term test.
-            finite = np.isfinite(total_re) & np.isfinite(total_im)
-            refused = ~finite | (last > limit)
-            tails[i] = np.where(finite, last, math.inf)
-            status[i, refused] = PointStatus.NON_CONVERGENT
-            values.real[i, ~refused] = total_re[~refused]
-            values.imag[i, ~refused] = total_im[~refused]
-    column_errors = _outside_radius(xs, expansion.x_star, expansion.r_eval)
-    outside = list(column_errors)
-    status[:, outside] = PointStatus.OUTSIDE_RADIUS
-    values[:, outside] = complex(math.nan, math.nan)
-    tails[:, outside] = math.nan
+    values[:, inside] = np.where(refused, values[:, inside], total)
+    status = np.full((nt, nx), PointStatus.OUTSIDE_RADIUS, dtype=np.int8)
+    status[:, inside] = np.where(refused, PointStatus.NON_CONVERGENT, PointStatus.OK)
+    tails = np.full((nt, nx), math.nan)
+    tails[:, inside] = np.where(finite, last, math.inf)
     return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
 
 

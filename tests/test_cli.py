@@ -207,6 +207,27 @@ def test_mode_route_refuses_points_outside_r_eval(capsys):
     assert fields[7] != ""  # the closed form is still reported
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fixed-point", "0.75", "--r-eval", "0.6", "--t", "0.25", "--x", "1.2"],
+    ["--fixed-point", "0.75", "--r-eval", "0.6", "--t", "0.5", "--x", "0.3"],
+    ["--fixed-point", "0", "--r-eval", "0.95", "--t", "0.5", "--x", "0.9"],
+], ids=["34-x1.2", "34-x0.3", "0-x0.9"])
+def test_chart_route_continues_past_the_series_radius(argv, capsys):
+    # Inside r_eval but past the series radius of u (0.14 about 3/4 and 0.53
+    # about 0 at dim 40): the chart route continues u to 0.3 and 0.9 and
+    # refuses 1.2, where no path from 3/4 reaches the principal branch.
+    code, out, _ = run(
+        ["iterate", "--preset", "logistic:4", "--dim", "40", "--route", "chart", *argv],
+        capsys,
+    )
+    assert code == 0
+    chart = out.splitlines()[1].split(",")
+    assert chart[6] == ("false" if "1.2" in argv else "true")
+    if chart[6] == "true":
+        value = complex(float(chart[3]), float(chart[4]))
+        assert abs(value - complex(float(chart[7]), float(chart[8]))) < 1e-10
+
+
 # --- chart / field / integrate -------------------------------------------------
 
 def test_chart_dump(capsys):

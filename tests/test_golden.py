@@ -1,14 +1,17 @@
 """Byte-for-byte regression tests of ``mapflow`` output.
 
 Each file under ``tests/golden`` is the output of the command line next to
-its name.  The ``iterate`` files were written before the grid evaluators
-replaced the per-point loop; the ``chart``, ``field`` and ``integrate``
-files before the spectral routines stopped carrying the shift matrices.
-The files whose last digits changed when the chart series came to be
-computed by the Poincare recursion and Lagrange inversion were written
-again, after their coefficients were checked against the closed forms (or
-a 50-digit run for the cubic) and their iterates against the reference
-column.
+its name.  The ``chart``, ``field`` and ``integrate`` files were written
+before the spectral routines stopped carrying the shift matrices.  The
+files whose last digits changed when the chart series came to be computed
+by the Poincare recursion and Lagrange inversion were written again, after
+their coefficients were checked against the closed forms (or a 50-digit run
+for the cubic) and their iterates against the reference column.  The
+``iterate`` files were written again when the forward series came to be
+summed directly only within its series radius and the grid evaluators
+moved to numpy complex arithmetic; every converged value was checked
+against the reference column (the cubic's integer times against the map
+applied by hand).
 The iterate grids cover chart continuation at 3/4, time-shift steps,
 refusals by the evaluation radius and by the tail test, negative times, a
 complex cubic given by coefficients, both routes side by side and JSON

@@ -19,11 +19,11 @@ from mapflow.iterate import (
     PATH_STEP_FRACTION,
     TAIL_TOL,
     SchroederChart,
-    _checked_eval,
     chart_value,
 )
 from mapflow.logistic import (
     logistic2_chart,
+    logistic2_iterate,
     logistic4_chart,
     logistic4_chart_coefficients,
     logistic4_chart_second,
@@ -349,12 +349,60 @@ def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
 
 # --- grid evaluation ---------------------------------------------------------------
 
-def _loop_chart(chart, t, x):
-    """The per-point chart route, written with Python complex arithmetic."""
+def _ref_chart_value(chart, x, passes=NEWTON_STEPS, trusted=True):
+    """u(x) by the scalar rule, in Python complex arithmetic: the direct
+    forward sum within ``forward_radius``, else a per-point continuation
+    with at most ``passes`` Newton passes per waypoint.  With ``trusted``
+    the inverse tail test is skipped within ``inverse_trust_radius``.
+    Returns (u(x) or None where it refuses, the most passes one waypoint
+    took, the passes of the whole path)."""
+    x = complex(x)
+    delta = x - chart.x_star
+    r = chart.forward_radius
+    if abs(delta) <= r:
+        return chart.forward(x), 0, 0
+    if not 0 < r < math.inf:
+        return None, 0, 0
+    start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
+    w = chart.forward(start)
+    slope_series = chart.inverse.derivative()
+    steps = min(MAX_PATH_STEPS, max(1, math.ceil(abs(x - start) / (PATH_STEP_FRACTION * r))))
+    most = total = 0
+    for s in range(1, steps + 1):
+        target = start + (x - start) * (s / steps)
+        tol = 1e-13 * max(1.0, abs(target))
+        for n in range(1, passes + 1):
+            most, total = max(most, n), total + 1
+            h = chart.inverse(w)
+            if not (trusted and abs(w) <= chart.inverse_trust_radius):
+                try:
+                    if not trailing_term(chart.inverse.coeffs, w) <= EVAL_TAIL_TOL * max(1.0, abs(h)):
+                        return None, most, total
+                except OverflowError:
+                    return None, most, total
+            if abs(h - target) <= tol:
+                break
+            slope = slope_series(w)
+            if slope == 0:
+                return None, most, total
+            w = w - (h - target) / slope
+        else:
+            return None, most, total
+    return w, most, total
+
+
+def _ref_chart(chart, t, x):
+    """The per-point chart route, written with Python complex arithmetic.
+
+    Returns f^t(x) and the scale of its rounding errors: max(1, |f^t(x)|),
+    the sum of the moduli of the inverse series' terms carried through the
+    time-shift steps, and the growth of a relative change of u(x)."""
     x = complex(x)
     if abs(x - chart.x_star) > chart.r_eval * (1.0 + 1e-12):
         raise mf.OutOfChart("outside r_eval")
-    w = chart_value(chart, x)
+    w = _ref_chart_value(chart, x)[0]
+    if w is None:
+        raise mf.OutOfChart("continuation refused")
     log_lam = cmath.log(chart.multiplier)
     steps = 0
     if abs(chart.multiplier) > 1.0 and abs(w) > 0 and not math.isinf(chart.inverse_radius):
@@ -365,75 +413,126 @@ def _loop_chart(chart, t, x):
                 (math.log(magnitude) - math.log(safe)) / math.log(abs(chart.multiplier))
             )
             steps = min(max(0, steps), MAX_TIME_SHIFT)
-    value = _checked_eval(chart.inverse, cmath.exp((t - steps) * log_lam) * w)
-    for _ in range(steps):
-        value = chart.x_star + chart.frame.shifted_map(value - chart.x_star)
-    return value
+
+    def shift(value):
+        for _ in range(steps):
+            value = chart.x_star + chart.frame.shifted_map(value - chart.x_star)
+        return value
+
+    z = cmath.exp((t - steps) * log_lam) * w
+    value, tail = evaluate_with_tail(chart.inverse, z)
+    if tail > EVAL_TAIL_TOL * max(1.0, abs(value)):
+        raise mf.OutOfChart("tail")
+    result = shift(value)
+    # Rounding scale of the sum h(z), carried through the shift steps by
+    # their derivative, and the growth of a relative change of u.
+    h_scale = _horner([abs(c) for c in chart.inverse.coeffs], abs(z)).real
+    eps = 1e-7 * max(1.0, abs(value))
+    shift_slope = abs(shift(value + eps) - result) / eps
+    u_growth = abs(shift(chart.inverse(z * (1 + 1e-7))) - result) / 1e-7
+    return result, max(1.0, abs(result)) + h_scale * shift_slope + u_growth
 
 
-def _loop_matrix(expansion, t, x):
-    """The per-point mode sum, written with Python complex arithmetic."""
+def _ref_matrix(expansion, t, x):
+    """The per-point mode sum, written with Python complex arithmetic.
+
+    Returns the sum and its scale, max(1, the sum of the terms' moduli)."""
+    if abs(complex(x) - expansion.x_star) > expansion.r_eval * (1.0 + 1e-12):
+        raise mf.OutOfChart("outside r_eval")
     log_lam = cmath.log(expansion.multiplier)
     total = last = 0j
+    scale = 1.0
     z = complex(x) - expansion.x_star
     for k, mode in enumerate(expansion.mode_coeffs.T.tolist()):
         last = cmath.exp(k * t * log_lam) * _horner(mode, z)
         total += last
+        scale += abs(last)
     if abs(last) > TAIL_TOL * max(abs(total), 1e-300):
         raise mf.NonConvergent("tail", last_term=abs(last))
-    return total
+    return total, scale
 
 
-def _assert_grid_matches_loop(grid, loop):
+def _assert_grid_matches_reference(grid, reference, rtol=1e-14):
+    """Equal statuses at every point, and values within rtol times the
+    scale the reference gives."""
+    compared = 0
     for i, t in enumerate(grid.ts):
         for j, x in enumerate(grid.xs):
             try:
-                expected = loop(t, x)
+                expected, scale = reference(t, x)
             except (mf.OutOfChart, mf.NonConvergent) as exc:
                 assert grid.status[i, j] != mf.PointStatus.OK, (t, x)
                 assert type(grid.error(i, j)) is type(exc)
                 continue
-            # repr tells the signs of zeros apart
-            assert repr(grid.value(i, j)) == repr(expected), (t, x)
+            assert grid.status[i, j] == mf.PointStatus.OK, (t, x)
+            assert abs(grid.value(i, j) - expected) <= rtol * scale, (t, x)
+            compared += 1
+    return compared
 
 
-def test_chart_grid_is_bit_identical_to_the_point_loop(pipe4_origin, pipe4_second):
+def test_chart_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
     rng = np.random.default_rng(7)
     ts = [-1.3, 0.0, 0.5, 2.2, 3.9, *rng.uniform(-2.0, 4.0, 5)]
     _, _, chart0 = pipe4_origin
     xs0 = [0.0, -0.0, 0.3, 0.59, 0.7, *rng.uniform(-0.6, 0.6, 6)]
-    _assert_grid_matches_loop(
-        mf.evaluate_chart_grid(chart0, ts, xs0), lambda t, x: _loop_chart(chart0, t, x)
+    assert _assert_grid_matches_reference(
+        mf.evaluate_chart_grid(chart0, ts, xs0), lambda t, x: _ref_chart(chart0, t, x),
     )
     _, _, chart1 = pipe4_second
     xs1 = [0.2, 0.3, 0.75, 0.9, 1.2, 1.4, *(0.75 + 0.45 * rng.uniform(-1, 1, 6))]
-    _assert_grid_matches_loop(
-        mf.evaluate_chart_grid(chart1, ts, xs1), lambda t, x: _loop_chart(chart1, t, x)
+    assert _assert_grid_matches_reference(
+        mf.evaluate_chart_grid(chart1, ts, xs1), lambda t, x: _ref_chart(chart1, t, x),
     )
 
 
-def test_complex_chart_grid_is_bit_identical_to_the_point_loop():
+def test_complex_chart_grid_matches_the_scalar_formulas():
     f = mf.PowerSeries.from_coefficients([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], order=24)
     _, _, chart = mf.chart_pipeline(f, 0.0, 24, r_eval=0.65)
     rng = np.random.default_rng(11)
     xs = list(0.2 * rng.uniform(-1, 1, 8) + 0.2j * rng.uniform(-1, 1, 8)) + [0.7]
-    _assert_grid_matches_loop(
+    assert _assert_grid_matches_reference(
         mf.evaluate_chart_grid(chart, [-0.7, 0.5, 1.0, 2.0, 2.6], xs),
-        lambda t, x: _loop_chart(chart, t, x),
+        lambda t, x: _ref_chart(chart, t, x),
     )
 
 
-def test_matrix_grid_is_bit_identical_to_the_point_loop(pipe4_origin, pipe4_second):
+def test_matrix_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
     rng = np.random.default_rng(5)
     ts = [-0.5, 0.0, 0.5, 1.5, 4.0, 6.0, *rng.uniform(0.0, 3.0, 4)]
     for pipe, xs in ((pipe4_origin, rng.uniform(-0.6, 0.3, 8)),
                      (pipe4_second, rng.uniform(0.64, 0.86, 8))):
-        frame, fact, _ = pipe
-        expansion = mf.build_expansion(fact, frame)
-        _assert_grid_matches_loop(
-            mf.evaluate_matrix_grid(expansion, ts, list(xs)),
-            lambda t, x: _loop_matrix(expansion, t, x),
-        )
+        frame, fact, chart = pipe
+        for r_eval in (math.inf, chart.forward_radius):
+            expansion = mf.build_expansion(fact, frame, r_eval=r_eval)
+            assert _assert_grid_matches_reference(
+                mf.evaluate_matrix_grid(expansion, ts, list(xs)),
+                lambda t, x: _ref_matrix(expansion, t, x),
+            )
+
+
+@pytest.mark.parametrize("mu, guess, dim", [
+    (4.0, 0.7, 40), (4.0, 0.7, 160), (4.0, 0.0, 40), (2.0, 0.0, 40), (3.7, 0.7, 40),
+])
+def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
+    # 600 seeded real and complex points out to r_eval: the batched
+    # continuation refuses the same points as the scalar one, and the
+    # values agree to rounding.
+    frame, _, chart = mf.chart_pipeline(mf.logistic_series(mu, dim), guess, dim)
+    reach = 9 * iterate.default_chart_radius(frame)  # 0.9 of the fixed-point gap
+    rng = np.random.default_rng(dim)
+    radius = reach * np.sqrt(rng.uniform(0, 1, 600))
+    angle = np.concatenate([rng.choice([0, np.pi], 300), rng.uniform(0, 2 * np.pi, 300)])
+    xs = chart.x_star + radius * np.exp(1j * angle)
+    with np.errstate(all="ignore"):
+        got, refused = iterate._chart_values(chart, xs)
+    continued = 0
+    for j, x in enumerate(xs):
+        expected, passes, _ = _ref_chart_value(chart, x)
+        assert (j in refused) == (expected is None), x
+        continued += passes > 0
+        if expected is not None:
+            assert abs(got[j] - expected) <= 1e-14 * max(1.0, abs(expected)), x
+    assert continued > 50
 
 
 def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_second):
@@ -494,47 +593,6 @@ def test_overflowing_times_are_refused_with_the_route_status(pipe4_origin):
 
 # --- continuation ---------------------------------------------------------------
 
-def _uncapped_chart_value(chart, x):
-    """chart_value as it was with 60 Newton iterations per waypoint and the
-    full tail test at every iterate.  Returns (u(x) or None where it refuses,
-    the most Newton passes one waypoint took)."""
-    x = complex(x)
-    value, tail = evaluate_with_tail(chart.forward, x)
-    if tail <= EVAL_TAIL_TOL * max(1.0, abs(value)):
-        return value, 0
-    delta = x - chart.x_star
-    r = chart.forward_radius
-    if not math.isfinite(r) or r <= 0 or abs(delta) <= r:
-        return None, 0
-    start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
-    try:
-        w = _checked_eval(chart.forward, start)
-    except mf.OutOfChart:
-        return None, 0
-    steps = min(MAX_PATH_STEPS, max(1, math.ceil(abs(x - start) / (PATH_STEP_FRACTION * r))))
-    most = 0
-    for s in range(1, steps + 1):
-        target = start + (x - start) * (s / steps)
-        tol = 1e-13 * max(1.0, abs(target))
-        for passes in range(1, 61):
-            most = max(most, passes)
-            h, tail = evaluate_with_tail(chart.inverse, w)
-            try:
-                if tail > EVAL_TAIL_TOL * max(1.0, abs(h)):
-                    return None, most
-            except OverflowError:  # ended in a traceback before
-                return None, most
-            if abs(h - target) <= tol:
-                break
-            slope = chart.inverse_slope(w)
-            if slope == 0:
-                return None, most
-            w = w - (h - target) / slope
-        else:
-            return None, most
-    return w, most
-
-
 def _seeded_cubic_charts():
     rng = np.random.default_rng(2026)
     charts = []
@@ -549,9 +607,9 @@ def _seeded_cubic_charts():
 
 def test_capped_continuation_matches_the_uncapped_newton():
     # Seeded real and complex points out to r_eval, at 3/4 and on two
-    # cubics: the 16-pass cap changes no value and no verdict, except
-    # that a point whose uncapped Newton needed more than 16 passes at some
-    # waypoint is refused.
+    # cubics: the 16-pass cap changes no verdict, except that a point whose
+    # uncapped Newton (60 passes, the full tail test at every iterate)
+    # needed more than 16 passes at some waypoint is refused.
     rng = np.random.default_rng(10)
     cases = []
     for dim in (40, 80, 160):
@@ -563,20 +621,20 @@ def test_capped_continuation_matches_the_uncapped_newton():
         radius = reach * np.sqrt(rng.uniform(0, 1, 24))
         angle = np.concatenate([rng.choice([0, np.pi], 12), rng.uniform(0, 2 * np.pi, 12)])
         extra = [1.011, 1.1] if chart.x_star.real > 0.5 else []
-        for x in [*(chart.x_star + radius * np.exp(1j * angle)), *extra]:
-            expected, most = _uncapped_chart_value(chart, x)
-            try:
-                got = chart_value(chart, x)
-            except mf.OutOfChart:
-                got = None
+        xs = np.array([*(chart.x_star + radius * np.exp(1j * angle)), *extra])
+        with np.errstate(all="ignore"):
+            got, refused = iterate._chart_values(chart, xs)
+        for j, x in enumerate(xs):
+            expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
             if most > NEWTON_STEPS:
-                assert got is None, x
+                assert j in refused, x
                 counts["capped"] += 1
             elif expected is None:
-                assert got is None, x
+                assert j in refused, x
                 counts["both refuse"] += 1
             else:
-                assert repr(got) == repr(expected), x
+                assert j not in refused, x
+                assert abs(got[j] - expected) <= 1e-14 * max(1.0, abs(expected)), x
                 counts["same continued value" if most else "same value"] += 1
     assert min(counts.values()) > 0, counts
 
@@ -590,33 +648,44 @@ def test_points_reached_only_after_many_newton_passes_are_refused():
     _, _, chart = mf.chart_pipeline(f, 0.7, 160, r_eval=0.66)
     xs = [0.08610810810810798, 1.0646756756756757, 0.9595945945945946]
     for x in xs:
-        expected, most = _uncapped_chart_value(chart, x)
+        expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
         assert expected is not None and most > NEWTON_STEPS
     grid = mf.evaluate_chart_grid(chart, [0.5, 1.0, 1.5], xs)
     assert (grid.status == mf.PointStatus.OUT_OF_CHART).all()
 
 
 def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, monkeypatch):
+    # Each point takes exactly the Newton passes of the scalar continuation.
+    # x = 1.2 at 3/4 runs out of its 16 at one waypoint, where the uncapped
+    # Newton ran all 60 without converging.  In a batch the points share
+    # their passes: it takes as many as its longest path.
     _, _, chart = pipe4_second
-    passes = []
+    calls = []
+    evaluate = iterate._inverse_with_slope
 
-    def counting_horner(coeffs, z):
-        if coeffs is chart.inverse.coeffs:
-            passes[-1] += 1
-        return _horner(coeffs, z)
+    def counting_evaluate(*args):
+        calls.append(len(args[1]))
+        return evaluate(*args)
 
-    newton = iterate._newton_chart_value
-
-    def counting_newton(*args):
-        passes.append(0)
-        return newton(*args)
-
-    monkeypatch.setattr(iterate, "_horner", counting_horner)
-    monkeypatch.setattr(iterate, "_newton_chart_value", counting_newton)
+    monkeypatch.setattr(iterate, "_inverse_with_slope", counting_evaluate)
+    totals = []
+    for x in (0.3, 1.2):
+        calls.clear()
+        grid = mf.evaluate_chart_grid(chart, [0.5], [x])
+        expected, most, total = _ref_chart_value(chart, x)
+        assert len(calls) == total
+        totals.append(total)
+    assert expected is None and most == NEWTON_STEPS == 16
+    assert grid.status[0, 0] == mf.PointStatus.OUT_OF_CHART
+    assert "failed to converge" in grid.column_errors[0]
+    assert _ref_chart_value(chart, 1.2, passes=60, trusted=False)[:2] == (None, 60)
+    calls.clear()
+    grid = mf.evaluate_chart_grid(chart, [0.5], [0.3, 1.2, 0.7])
+    assert grid.status.tolist() == [[mf.PointStatus.OK, mf.PointStatus.OUT_OF_CHART,
+                                     mf.PointStatus.OK]]
+    assert len(calls) == max(totals) and sum(calls) == sum(totals)
     with pytest.raises(mf.OutOfChart, match="failed to converge"):
         chart_value(chart, 1.2)
-    assert len(passes) > 1 and max(passes) == NEWTON_STEPS == 16
-    assert _uncapped_chart_value(chart, 1.2) == (None, 60)
 
 
 @pytest.mark.parametrize("mu, guess, dim", [
@@ -638,6 +707,72 @@ def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim)
 
 
 def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
+    # The first point starts its path at an iterate whose powers overflow;
+    # the second, at 0.1 from the solution of its only waypoint, converges.
     _, _, chart = pipe4_second
-    with pytest.raises(mf.OutOfChart, match="trust region"):
-        iterate._newton_chart_value(chart, 1.0, complex(1.5e308, 1.5e308))
+    x = np.array([1.0, chart.inverse(0.1)])
+    with np.errstate(all="ignore"):
+        u, reasons = iterate._continue(
+            chart, x, x, np.ones(2), np.array([complex(1.5e308, 1.5e308), 0.1])
+        )
+    assert reasons == {0: "continuation left the inverse series' trust region"}
+    assert abs(u[1] - 0.1) < 1e-15
+
+
+def test_continuation_refuses_a_zero_slope(pipe4_second):
+    # h(w) = x* + w - w^2/2 stops at h'(1) = 0; its trailing terms are 0,
+    # so no tail test runs.  The second point converges from w = 0.
+    _, _, chart = pipe4_second
+    inverse = mf.PowerSeries.from_coefficients([chart.x_star, 1.0, -0.5], order=8)
+    flat = SchroederChart(multiplier=chart.multiplier, forward=chart.forward,
+                          inverse=inverse, frame=chart.frame, r_eval=chart.r_eval)
+    x = chart.x_star + np.array([0.2, 0.3])
+    u, reasons = iterate._continue(flat, x, x, np.ones(2), np.array([1.0, 0.0], dtype=complex))
+    assert reasons == {0: "continuation hit a critical point of the chart"}
+    assert abs(inverse(u[1]) - x[1]) < 1e-13
+
+
+# --- accuracy against the closed forms -------------------------------------------
+
+# (mu, fixed point, r_eval, closed-form iterate) of the swept charts.
+_SWEPT = [
+    (4.0, 0.0, 0.95, logistic4_iterate),
+    (4.0, 0.75, 0.6, logistic4_iterate_second),
+    (2.0, 0.0, 0.45, logistic2_iterate),
+]
+
+
+@pytest.mark.parametrize("mu, x_star, r_eval, closed_form", _SWEPT)
+def test_converged_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_eval, closed_form):
+    # 400 seeded real x out to r_eval: the chart route as the CLI runs it,
+    # and the mode route summed only within the series radius of u.
+    # Summing the forward series past its 1e-12 radius once gave converged
+    # errors up to 1.3e-5 on the chart route, larger at higher orders; the
+    # mode route, summed out to r_eval as the CLI sums it, reaches 7e56.
+    # Errors still rise with the order, by up to 3.1e-12 relative (3/4,
+    # dim 160, t = 1.9): the direct sum near the edge of its radius and the
+    # continuation's Newton tolerance, carried up by lambda^t.
+    rng = np.random.default_rng(400)
+    xs = list(x_star + r_eval * rng.uniform(-1, 1, 400))
+    ts = [0.25, 0.5, 1.0, 1.5, 1.9, -0.5]
+    ref = np.array([[complex(closed_form(t, x)) for x in xs] for t in ts])
+    scale = np.maximum(1.0, np.abs(ref))
+    errors = {}
+    for dim in (40, 80, 160):
+        frame, fact, chart = mf.chart_pipeline(mf.logistic_series(mu, dim), x_star, dim,
+                                               r_eval=r_eval)
+        bound = min(chart.r_eval, chart.forward_radius)
+        expansion = mf.build_expansion(fact, frame, r_eval=bound)
+        for route, grid in (("chart", mf.evaluate_chart_grid(chart, ts, xs)),
+                            ("matrix", mf.evaluate_matrix_grid(expansion, ts, xs))):
+            ok = grid.status == mf.PointStatus.OK
+            err = np.where(ok, np.abs(grid.values - ref), np.nan)
+            assert (err[ok] <= 1e-10 * scale[ok]).all(), (route, dim, np.nanmax(err / scale))
+            errors.setdefault(route, []).append(err)
+        assert ok.sum() > 0
+    for route, (e40, e80, e160) in errors.items():
+        for lo, hi in ((e40, e80), (e80, e160), (e40, e160)):
+            # No point converged at the lower order is refused at the higher.
+            assert not (~np.isnan(lo) & np.isnan(hi)).any(), route
+            both = ~np.isnan(lo)
+            assert (hi[both] <= lo[both] + 1e-11 * scale[both]).all(), route
