@@ -115,8 +115,9 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
     du = np.zeros(n, dtype=complex)
     du[: n - 1] = [k * u[k] for k in range(1, n)]
     log_lam = cmath.log(chart.multiplier)
-    alt = log_lam * _trunc_div(u, du)
+    # Term k of the quotient needs only terms 0 .. k of u and u'.
     window = max(2, n // 2)
+    alt = log_lam * _trunc_div(u[:window], du[:window])
     dev = scaled_deviation(g.coeffs_array[:window], alt[:window])
     if dev > TOL_FIELD_XCHECK:
         raise BranchMismatch(

@@ -59,13 +59,18 @@ def _trunc_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: len(a)]
 
 
-def convolution_powers(row: np.ndarray) -> np.ndarray:
-    """Square array whose row j holds s^j truncated to len(row) terms, where
-    ``row`` holds the coefficients of the series s."""
+def convolution_powers(row: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Array whose row j holds s^j truncated to len(row) terms, for j < ``rows``.
+
+    ``row`` holds the coefficients of the series s.  The default of len(row)
+    rows gives the square array of a Carleman matrix.  Row j costs one
+    convolution with s.
+    """
     n = len(row)
-    powers = np.zeros((n, n), dtype=complex)
+    rows = n if rows is None else rows
+    powers = np.zeros((rows, n), dtype=complex)
     powers[0, 0] = 1.0
-    for j in range(1, n):
+    for j in range(1, rows):
         powers[j] = np.convolve(powers[j - 1], row)[:n]
     return powers
 
@@ -104,11 +109,6 @@ class PowerSeries:
                 raise ValueError("order must be at least 1")
             cs = cs[:order] + [0j] * (order - len(cs))
         return cls(tuple(cs), complex(base_point))
-
-    @classmethod
-    def identity(cls, order: int, base_point=0j) -> "PowerSeries":
-        """The identity map id(x) = x expanded about ``base_point``."""
-        return cls.from_coefficients([base_point, 1.0], base_point, order=max(order, 2))
 
     @property
     def order(self) -> int:

@@ -18,9 +18,15 @@ carry the whole factorization, and they are all that
 * u by Lagrange inversion, k u_k = [w^(k-1)] (w / h(w))^k.
 
 Neither step sums large terms of alternating sign, so both series keep
-their relative precision at high order, and each takes O(n) numpy calls.
-The mode rows h_k u^k and the field row Log(lambda) sum_k k h_k u^k
-(:func:`log_row`) follow from the same two series.
+their relative precision at high order.  The recursion for h is one small
+matrix product per coefficient: n numpy calls and O(n^2 deg g) arithmetic.
+Lagrange inversion needs the coefficients of n powers of w / h(w); forming
+each power would take n convolutions, O(n^3) arithmetic.  Instead the
+powers are split into sqrt(n) baby and sqrt(n) giant steps (Brent and Kung,
+1978), about 2 sqrt(n) convolutions and O(n^2.5) arithmetic.  The mode rows
+h_k u^k and the field row Log(lambda) sum_k k h_k u^k (:func:`log_row`,
+summed the same way by Paterson and Stockmeyer, 1973) follow from the same
+two series.
 
 :func:`diagonalize` is the paper's construction: it factors a given
 triangular matrix by an entrywise O(n^3) recursion.  :func:`fractional_power`
@@ -44,6 +50,7 @@ multiplier produce genuinely complex non-integer iterates).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +63,6 @@ from .series import (
     PowerSeries,
     TOL_RES,
     _trunc_div,
-    compose,
     convolution_powers,
 )
 
@@ -113,23 +119,25 @@ def _diagonal(lam: complex, n: int, tol_res: float) -> np.ndarray:
 
     Raises :class:`Superattracting` when it is numerically zero and
     :class:`ResonantEigenvalues`, with the first colliding index pair in
-    row-major order, when two of the powers are indistinguishable.
+    row-major order, when two of the powers are indistinguishable.  The
+    relative gap |lambda^j - lambda^k| / max(|lambda^j|, |lambda^k|) equals
+    |1 - lambda^d| / max(1, |lambda|^d) with d = k - j, so the pairs (0, d)
+    decide, and the first colliding pair is (0, d) with the least such d.
     """
     if abs(lam) <= tol_res:
         raise Superattracting(f"multiplier {lam!r} is numerically zero")
     powers = lam ** np.arange(n)
-    # All pairs j < k at once; hypot on the parts is the scalar abs().
-    diff = powers[:, np.newaxis] - powers[np.newaxis, :]
+    # hypot on the parts is the scalar abs().
+    diff = 1.0 - powers[1:]
     gap = np.hypot(diff.real, diff.imag)
-    size = np.hypot(powers.real, powers.imag)
-    scale = np.maximum(size[:, np.newaxis], size[np.newaxis, :])
-    close = np.triu(gap < tol_res * scale, k=1)
-    if close.any():
-        j, k = (int(i) for i in np.argwhere(close)[0])
+    size = np.hypot(powers.real[1:], powers.imag[1:])
+    close = np.flatnonzero(gap < tol_res * np.maximum(1.0, size))
+    if close.size:
+        d = int(close[0]) + 1
         raise ResonantEigenvalues(
-            f"eigenvalues lambda^{j} and lambda^{k} are "
-            f"indistinguishable (gap {gap[j, k]:.3e})",
-            pair=(j, k),
+            f"eigenvalues lambda^0 and lambda^{d} are "
+            f"indistinguishable (gap {gap[d - 1]:.3e})",
+            pair=(0, d),
         )
     return powers
 
@@ -154,16 +162,36 @@ def _inverse_chart_row(g: PowerSeries, powers: np.ndarray) -> np.ndarray:
 
 
 def _chart_row(h: np.ndarray) -> np.ndarray:
-    """u = h^-1 by Lagrange inversion: k u_k = [w^(k-1)] (w / h(w))^k."""
+    """u = h^-1 by Lagrange inversion: k u_k = [w^(k-1)] (w / h(w))^k.
+
+    The powers of phi = w / h(w) are split as phi^(qm + r) with
+    m = isqrt(n) and r < m (Brent and Kung, 1978): the baby powers phi^r and
+    the giant powers phi^(qm) take about 2 sqrt(n) convolutions, and
+    [w^(k-1)] phi^(qm + r) is the dot product of giant row q with baby row r
+    reversed, so one matrix-vector product per q gives m coefficients.
+    """
     n = len(h)
-    one = np.zeros(n - 1, dtype=complex)
+    N = n - 1
+    one = np.zeros(N, dtype=complex)
     one[0] = 1.0
     phi = _trunc_div(one, h[1:])  # w / h(w)
-    u = np.zeros(n, dtype=complex)
-    power = phi
-    for k in range(1, n):
-        u[k] = power[k - 1] / k
-        power = np.convolve(power, phi)[: n - 1]
+    m = math.isqrt(n)
+    baby = convolution_powers(phi, m + 1)
+    # Row r holds baby row r reversed and moved right by r, so that the
+    # window starting at N - qm pairs giant entry i with [phi^r]_(qm+r-1-i);
+    # the zeros on both sides stand for the entries outside 0 .. N - 1.
+    reversed_baby = np.zeros((m, 2 * N), dtype=complex)
+    for r in range(m):
+        reversed_baby[r, r : r + N] = baby[r, ::-1]
+    u = np.zeros((N // m + 1) * m, dtype=complex)
+    giant = one
+    for q in range(N // m + 1):
+        if q:
+            giant = np.convolve(giant, baby[m])[:N]
+        start = N - q * m
+        u[q * m : (q + 1) * m] = reversed_baby[:, start : start + N] @ giant
+    u = u[:n]
+    u[1:] /= np.arange(1, n)
     return u
 
 
@@ -285,10 +313,20 @@ def log_row(S: SpectralFactorization) -> PowerSeries:
     """Row 1 of the logarithm, Log(lambda) * sum_k k h_k u^k, about x*.
 
     These are the coefficients of the flow field, the same row as that of
-    :func:`matrix_log`, summed by Horner's rule as the composition
-    (Log(lambda) w h'(w)) o u, with no matrix.
+    :func:`matrix_log`, with no matrix.  The sum is the composition
+    (Log(lambda) w h'(w)) o u by Paterson and Stockmeyer (1973): with
+    m = isqrt(n), one matrix product of the coefficients, in blocks of m,
+    with the baby powers u^0 .. u^(m-1) forms every block polynomial, and
+    Horner's rule in u^m combines them, about 2 sqrt(n) convolutions in all.
     """
-    outer = PowerSeries.from_coefficients(
-        S.inverse_row * (np.arange(S.dim) * S.log_multiplier)
-    )
-    return compose(outer, PowerSeries.from_coefficients(S.chart_row, S.x_star))
+    n = S.dim
+    m = math.isqrt(n)
+    blocks = -(-n // m)
+    coeffs = np.zeros(blocks * m, dtype=complex)
+    coeffs[:n] = S.inverse_row * (np.arange(n) * S.log_multiplier)
+    baby = convolution_powers(S.chart_row, m + 1)
+    parts = coeffs.reshape(blocks, m) @ baby[:m]
+    acc = parts[-1]
+    for part in parts[-2::-1]:
+        acc = np.convolve(acc, baby[m])[:n] + part
+    return PowerSeries.from_coefficients(acc, S.x_star)

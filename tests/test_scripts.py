@@ -1,6 +1,9 @@
 """Smoke test of the experiment scripts: each runs to completion on small
-arguments and writes its CSV."""
+arguments and writes its CSV.  The benchmark-pairs script, which runs
+perfbench for minutes, is tested through its summariser on canned runs."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +34,59 @@ def test_script_runs(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().count("\n") > 1
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ENVIRONMENT = ('environment: {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", '
+               '"blas": {"name": "scipy-openblas", "version": "0.3.31"}}')
+
+
+def _run_output(wall, rate, digits, failed=1):
+    result = {"correct": True, "attempted": 100, "failed": failed, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "field_builds_per_s": {"value": rate, "unit": "1/s"},
+        "median_digits": {"value": digits, "unit": "digits"}}}
+    return f"workload orders\n{ENVIRONMENT}\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summarises_canned_runs():
+    bench = _bench_pairs()
+    parent = [bench.parse_output(_run_output(w, r, 14.9))
+              for w, r in ((0.2, 100), (0.3, 110), (0.25, 90), (0.22, 105))]
+    change = [bench.parse_output(_run_output(w, r, 14.95))
+              for w, r in ((0.1, 200), (0.31, 100), (0.12, 190), (0.11, 210))]
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "field_builds_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "median_digits", "unit": "digits", "better": "higher", "bound": 0.05},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]
+    summary = bench.summarise_workload(bench._seeds("1201-1204"), parent, change, metrics)
+    assert summary["seeds"] == [1201, 1202, 1203, 1204]
+    assert summary["pairs"] == 4
+    assert summary["correct"] == {"parent": [True] * 4, "change": [True] * 4}
+    assert summary["failed_share"]["change"] == [0.01] * 4
+    # A metric that no run reports is left out.
+    assert list(summary["metrics"]) == ["wall_s", "field_builds_per_s", "median_digits"]
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [0.2, 0.3, 0.25, 0.22]
+    assert wall["parent"]["median"] == pytest.approx(0.235)
+    assert wall["parent"]["q1"] == pytest.approx(0.215)
+    assert wall["parent"]["q3"] == pytest.approx(0.2625)
+    assert wall["change_better_pairs"] == 3
+    assert "median_digits" not in wall
+    rate = summary["metrics"]["field_builds_per_s"]
+    assert rate["change"]["median"] == pytest.approx(195)
+    assert rate["change_better_pairs"] == 3
+    assert rate["median_digits"] == {"parent": 14.9, "change": 14.95}
+    assert summary["metrics"]["median_digits"]["change_better_pairs"] == 4
+    assert bench.machine(parent[0]["environment"]) == {
+        "cpus": 2, "python": "3.11.7", "numpy": "2.4.6",
+        "blas": "scipy-openblas 0.3.31", "gpu": None}

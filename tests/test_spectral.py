@@ -5,9 +5,21 @@ import pytest
 
 import mapflow as mf
 from mapflow.carleman import build_matrix, leading_window, scaled_deviation
-from mapflow.logistic import logistic_series
-from mapflow.series import FixedPointFrame, PowerSeries, compose, find_fixed_point
+from mapflow.logistic import (
+    logistic2_chart_coefficients,
+    logistic4_chart_coefficients,
+    logistic_series,
+)
+from mapflow.series import (
+    TOL_RES,
+    FixedPointFrame,
+    PowerSeries,
+    _trunc_div,
+    compose,
+    find_fixed_point,
+)
 from mapflow.spectral import (
+    _diagonal,
     diagonalize,
     factor_from_series,
     fractional_power,
@@ -185,6 +197,158 @@ def test_series_core_rejects_what_diagonalize_rejects():
     )
     with pytest.raises(mf.Superattracting):
         factor_from_series(flat, 6)
+
+
+# --- shared powers: Lagrange inversion and the field row ------------------------
+
+def _lagrange_sequential(phi):
+    """k u_k = [w^(k-1)] phi^k, forming every power of phi in turn."""
+    n = len(phi) + 1
+    u = np.zeros(n, dtype=phi.dtype)
+    power = phi
+    for k in range(1, n):
+        u[k] = power[k - 1] / k
+        power = np.convolve(power, phi)[: n - 1]
+    return u
+
+
+def _horner_sum(a, u):
+    """sum_k a_k u^k by Horner's rule, truncated to len(u) terms."""
+    acc = np.zeros(len(u), dtype=np.result_type(a, u))
+    for c in a[::-1]:
+        acc = np.convolve(acc, u)[: len(u)]
+        acc[0] += c
+    return acc
+
+
+SHARED_POWER_MAPS = {
+    "l4_0": ([0, 4, -4], 0.1),
+    "l4_34": ([0, 4, -4], 0.7),
+    "l2_0": ([0, 2, -2], 0.1),
+    "cubic": ([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], 0.0),
+}
+
+
+@pytest.mark.parametrize("dim", [20, 40, 80, 160])
+@pytest.mark.parametrize("name", sorted(SHARED_POWER_MAPS))
+def test_shared_powers_agree_with_sequential_construction(name, dim):
+    # Within rounding: each coefficient within dim * eps of the same sum
+    # taken over the absolute values of its terms.
+    coeffs, guess = SHARED_POWER_MAPS[name]
+    frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
+    S = factor_from_series(frame, dim)
+    eps = dim * np.finfo(float).eps
+    one = np.zeros(dim - 1, dtype=complex)
+    one[0] = 1.0
+    phi = _trunc_div(one, S.inverse_row[1:])
+    du = np.abs(S.chart_row - _lagrange_sequential(phi))
+    assert np.all(du <= eps * _lagrange_sequential(np.abs(phi)))
+    a = S.inverse_row * (np.arange(dim) * S.log_multiplier)
+    dg = np.abs(log_row(S).coeffs_array - _horner_sum(a, S.chart_row))
+    assert np.all(dg <= eps * _horner_sum(np.abs(a), np.abs(S.chart_row)))
+
+
+@pytest.mark.parametrize("dim", [20, 40, 80, 160])
+@pytest.mark.parametrize(
+    "mu, closed_form",
+    [(4.0, logistic4_chart_coefficients), (2.0, logistic2_chart_coefficients)],
+)
+def test_chart_and_field_rows_match_closed_forms(mu, closed_form, dim):
+    mp = pytest.importorskip("mpmath")
+    S = factor_from_series(find_fixed_point(logistic_series(mu, dim), 0.1), dim)
+    exact = closed_form(dim - 1)
+    u = np.array([0.0] + [float(c) for c in exact])
+    assert np.all(np.abs(S.chart_row[1:] - u[1:]) <= 1e-10 * u[1:])
+    # The field is Log(mu) u/u', divided term by term at 40 digits.
+    with mp.workdps(40):
+        ue = [mp.mpf(0)] + [mp.mpf(c.numerator) / c.denominator for c in exact]
+        due = [k * ue[k] for k in range(1, dim)] + [mp.mpf(0)]
+        q = []
+        for k in range(dim):
+            q.append((ue[k] - mp.fsum(q[i] * due[k - i] for i in range(k))) / due[0])
+        ref = np.array([float(mp.log(mu) * c) for c in q])
+    g = log_row(S).coeffs_array
+    assert np.all(np.abs(g[1:] - ref[1:]) <= 1e-10 * np.abs(ref[1:]))
+
+
+def test_construction_shares_powers(monkeypatch):
+    # Forming every power in turn took 2 dim - 2 = 318 convolutions.
+    dim = 160
+    frame = find_fixed_point(logistic_series(4.0, dim), 0.7)
+    calls = []
+    convolve = np.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    log_row(factor_from_series(frame, dim))
+    assert len(calls) <= 4 * (math.isqrt(dim) + 1)
+
+
+# --- resonance check ----------------------------------------------------------------
+
+def _pairwise_diagonal(lam, n, tol_res):
+    """The resonance check over the full table of pairs (j, k), j < k."""
+    if abs(lam) <= tol_res:
+        raise mf.Superattracting(f"multiplier {lam!r} is numerically zero")
+    powers = lam ** np.arange(n)
+    diff = powers[:, np.newaxis] - powers[np.newaxis, :]
+    gap = np.hypot(diff.real, diff.imag)
+    size = np.hypot(powers.real, powers.imag)
+    scale = np.maximum(size[:, np.newaxis], size[np.newaxis, :])
+    close = np.triu(gap < tol_res * scale, k=1)
+    if close.any():
+        j, k = (int(i) for i in np.argwhere(close)[0])
+        raise mf.ResonantEigenvalues(
+            f"eigenvalues lambda^{j} and lambda^{k} are "
+            f"indistinguishable (gap {gap[j, k]:.3e})",
+            pair=(j, k),
+        )
+    return powers
+
+
+def _verdict(check, lam, dim):
+    try:
+        return ("ok", check(complex(lam), dim, TOL_RES))
+    except mf.ResonantEigenvalues as err:
+        return ("resonant", err.pair, str(err))
+    except mf.Superattracting as err:
+        return ("superattracting", str(err))
+
+
+def _diagonal_sweep():
+    lams = [0.0, TOL_RES, 1e-7, 1j, -1.0]
+    # Roots of unity up to order 64, exact and perturbed in modulus and angle
+    # on both sides of the tolerance.
+    for q in range(1, 65):
+        for p in {1, q - 1}:
+            root = np.exp(2j * np.pi * p / q)
+            for eps in (0.0, 1e-12, 1e-10, 7e-10, 3e-9, 2e-8, 1e-6):
+                lams.append(root * (1 + eps) * np.exp((-1) ** q * 1j * eps))
+    # Moduli from 1e-7 to 1e3, real and complex: 1e3^159 overflows and
+    # 1e-7^159 underflows.
+    for r in np.logspace(-7, 3, 31):
+        lams += [r, -r, r * np.exp(0.7j), r * np.exp(-2.9j)]
+    lams += [1.8 + 0.9j, 0.3 - 1.2j, 1e3 * np.exp(1j), 1e-6 * np.exp(2j)]
+    return lams
+
+
+@pytest.mark.parametrize("dim", [20, 160])
+def test_diagonal_matches_pairwise_reference(dim):
+    verdicts = {"ok": 0, "resonant": 0, "superattracting": 0}
+    for lam in _diagonal_sweep():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _verdict(_diagonal, lam, dim)
+            want = _verdict(_pairwise_diagonal, lam, dim)
+        if want[0] == "ok":
+            assert got[0] == "ok", lam
+            np.testing.assert_array_equal(got[1], want[1])
+        else:
+            assert got == want, lam
+        verdicts[want[0]] += 1
+    assert min(verdicts.values()) > 0
 
 
 # --- fractional powers ----------------------------------------------------------
