@@ -22,8 +22,8 @@ def main():
     args = ap.parse_args()
 
     f = mf.logistic_series(args.mu, args.dim)
-    _, _, chart = mf.chart_pipeline(f, 0.1, args.dim, r_eval=0.6)
     field = mf.field_pipeline(f, 0.1, args.dim, r_eval=0.6)
+    chart = field.chart
     trajectory = mf.integrate_flow(field, args.x0, args.t_end, dt=args.dt)
 
     rows = ["t,x_re,x_im,chart_re,chart_im,gap"]

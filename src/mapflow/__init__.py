@@ -18,7 +18,6 @@ from .carleman import (
     CarlemanMatrix,
     build_matrix,
     build_matrix_quadrature,
-    leading_window,
     read_matrix_csv,
     scaled_deviation,
     write_matrix_csv,

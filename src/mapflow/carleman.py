@@ -16,7 +16,8 @@ Matrices are built from the coefficient list as stored, i.e. they represent
 the map in the chart of its own expansion.  Triangular structure needs the
 map shifted to a fixed point first, so the matrix of a fixed-point frame is
 built from its shifted map.  The matrix CSV format is the ``matrix``
-command's output.
+command's output; no command reads it back, but :func:`read_matrix_csv`
+stays on purpose as the reader of that format.
 
 A note on comparisons: entries grow like multiplier^j times binomials, so
 meaningful agreement checks are scaled per row (see
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, convolution_powers
+from .series import PowerSeries, _read_only, convolution_powers, horner
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +49,7 @@ class CarlemanMatrix:
     quadrature_exact: bool | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        e.setflags(write=False)
+        e = _read_only(np.asarray(self.entries, dtype=complex))
         object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be a square matrix")
@@ -63,12 +63,7 @@ def build_matrix(f: PowerSeries, dim: int) -> CarlemanMatrix:
     """Embedding matrix by iterated truncated convolution of the map's row."""
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    if f.order < 1:
-        raise ValueError("map needs at least one coefficient")
-    row1 = np.zeros(dim, dtype=complex)
-    take = min(dim, f.order)
-    row1[:take] = f.coeffs_array[:take]
-    return CarlemanMatrix(entries=convolution_powers(row1), source_map=f)
+    return CarlemanMatrix(entries=convolution_powers(f.truncated(dim).coeffs), source_map=f)
 
 
 def build_matrix_quadrature(
@@ -81,13 +76,16 @@ def build_matrix_quadrature(
     evaluated as an inverse DFT of the sampled powers of f.  For a polynomial
     map of degree d the rule is exact (up to rounding) once
     nodes >= dim*d + dim + 1; below that bound the result carries
-    ``quadrature_exact=False`` and a warning is emitted.
+    ``quadrature_exact=False`` and a warning is emitted.  Fewer than one
+    node raises ``ValueError`` before that.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     deg = max(f.degree(), 1)
     if nodes is None:
         nodes = 4 * dim * deg
+    if nodes < 1:
+        raise ValueError(f"quadrature needs at least one node, got {nodes}")
     bound = dim * deg + dim + 1
     exact = nodes >= bound
     if not exact:
@@ -98,9 +96,7 @@ def build_matrix_quadrature(
         )
     phi = 2.0 * np.pi * np.arange(nodes) / nodes
     z = np.exp(-1j * phi)
-    fz = np.zeros(nodes, dtype=complex)
-    for c in f.coeffs[::-1]:
-        fz = fz * z + c
+    fz = horner(f.coeffs, z)
     entries = np.zeros((dim, dim), dtype=complex)
     power = np.ones(nodes, dtype=complex)
     entries[0] = np.fft.ifft(power)[:dim]
@@ -113,19 +109,6 @@ def build_matrix_quadrature(
         quadrature_nodes=nodes,
         quadrature_exact=exact,
     )
-
-
-def leading_window(dim: int, degree: int, power: int) -> int:
-    """Rows/columns of an N x N truncation unpolluted by the cut-off tail.
-
-    Comparisons of integer matrix powers (or compositions) against direct
-    constructions are trustworthy on the leading block of side
-    dim // (power * degree) + 1; beyond it the discarded columns feed back
-    into the entries.
-    """
-    d = max(1, degree)
-    p = max(1, power)
-    return min(dim, dim // (p * d) + 1)
 
 
 def scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:

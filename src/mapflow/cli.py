@@ -340,9 +340,7 @@ def cmd_chart(ns) -> int:
         f"dim={chart.forward.order} r_eval={chart.r_eval:.17g}",
         "k,u_re,u_im,uinv_re,uinv_im",
     ]
-    for k in range(chart.forward.order):
-        u = chart.forward.coeffs[k]
-        v = chart.inverse.coeffs[k]
+    for k, (u, v) in enumerate(zip(chart.forward.coeffs.tolist(), chart.inverse.coeffs.tolist())):
         lines.append(f"{k},{u.real:.17g},{u.imag:.17g},{v.real:.17g},{v.imag:.17g}")
     _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -360,7 +358,7 @@ def cmd_field(ns) -> int:
         f"dim={field_.series.order}",
         "k,g_re,g_im",
     ]
-    for k, c in enumerate(field_.series.coeffs):
+    for k, c in enumerate(field_.series.coeffs.tolist()):
         lines.append(f"{k},{c.real:.17g},{c.imag:.17g}")
     _emit(ns, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -62,7 +62,7 @@ class FlowField:
         return self.series.base_point
 
     @cached_property
-    def radius_table(self) -> tuple[list[float], list[tuple[complex, ...]]]:
+    def radius_table(self) -> tuple[list[float], list[list[complex]]]:
         """Radii and coefficient prefixes: (radii, prefixes).
 
         Wherever |z| = |x - x*| <= radii[i], the terms that prefixes[i] drops
@@ -73,9 +73,11 @@ class FlowField:
         infinite where M_K = 0.  A longer prefix drops fewer terms, so the
         radii are raised to their running maximum, which makes them
         nondecreasing for ``bisect``.  The last prefix is the whole series.
+        The prefixes are lists of Python complex numbers, which RK4's scalar
+        Horner steps sum faster than numpy scalars.
         """
-        coeffs = self.series.coeffs
-        mags = np.abs(self.series.coeffs_array)
+        mags = np.abs(self.series.coeffs)
+        coeffs = self.series.coeffs.tolist()
         keep = np.arange(2, len(coeffs))
         suffix = np.maximum.accumulate(mags[:1:-1])[::-1]  # M_K for each K in keep
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -111,14 +113,13 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
             f"{chart.x_star!r}"
         )
     n = min(g.order, chart.forward.order)
-    u = chart.forward.coeffs_array[:n]
-    du = np.zeros(n, dtype=complex)
-    du[: n - 1] = [k * u[k] for k in range(1, n)]
+    u = chart.forward.truncated(n)
+    du = np.append(u.derivative().coeffs, 0)
     log_lam = cmath.log(chart.multiplier)
     # Term k of the quotient needs only terms 0 .. k of u and u'.
     window = max(2, n // 2)
-    alt = log_lam * _trunc_div(u[:window], du[:window])
-    dev = scaled_deviation(g.coeffs_array[:window], alt[:window])
+    alt = log_lam * _trunc_div(u.coeffs[:window], du[:window])
+    dev = scaled_deviation(g.coeffs[:window], alt[:window])
     if dev > TOL_FIELD_XCHECK:
         raise BranchMismatch(
             f"field coefficients disagree with Log(lambda)*u/u' by {dev:.3e}; "

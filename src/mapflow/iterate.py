@@ -64,9 +64,11 @@ from .series import (
     TOL_FIX,
     FixedPointFrame,
     PowerSeries,
-    _tail_start,
+    _read_only,
     find_fixed_point,
+    horner,
     tail_radius,
+    trailing_term,
 )
 from .spectral import SpectralFactorization, factor_from_series
 
@@ -115,8 +117,8 @@ class SchroederChart:
     def inverse_pair(self) -> np.ndarray:
         """The (order, 2) array of the coefficients of the inverse series and
         of its derivative, the continuation's Newton slope."""
-        h = self.inverse.coeffs_array
-        return np.stack([h, np.append(np.arange(1, len(h)) * h[1:], 0)], axis=1)
+        dh = np.append(self.inverse.derivative().coeffs, 0)
+        return np.stack([self.inverse.coeffs, dh], axis=1)
 
     @cached_property
     def inverse_trust_radius(self) -> float:
@@ -145,7 +147,7 @@ class IterateExpansion:
     r_eval: float = math.inf
 
     def __post_init__(self):
-        self.mode_coeffs.setflags(write=False)
+        _read_only(self.mode_coeffs)
 
     @property
     def k_max(self) -> int:
@@ -216,18 +218,14 @@ def default_chart_radius(frame: FixedPointFrame) -> float:
     """Conservative default: a tenth of the distance to the nearest other
     fixed point of the map (1.0 when there is none)."""
     g = frame.shifted_map
-    # Fixed points of the shifted map solve g(d) - d = 0; drop the root at 0.
-    poly = list(g.coeffs)
-    poly[1] = poly[1] - 1.0
-    deg = 0
-    for k in range(len(poly) - 1, -1, -1):
-        if poly[k] != 0:
-            deg = k
-            break
+    # Fixed points of the shifted map solve g(d) - d = 0, of g's degree
+    # once that is 2 or more.
+    deg = g.degree()
     if deg < 2:
         return 1.0
-    # poly has a zero constant term by construction; factor the root at 0.
-    reduced = poly[1 : deg + 1]
+    # g has a zero constant term by construction; factor the root at 0.
+    reduced = g.coeffs[1 : deg + 1].copy()
+    reduced[0] -= 1.0
     roots = np.roots(reduced[::-1])
     dists = [abs(r) for r in roots if abs(r) > 1e-9]
     return 0.1 * min(dists) if dists else 1.0
@@ -245,13 +243,16 @@ def build_chart(
     constant term x*: the Poincare recursion gives its fast-decaying
     coefficients at full relative precision, where a floating-point
     reversion of the (rapidly growing) forward coefficients would drown them
-    in rounding noise.
+    in rounding noise.  An ``r_eval`` that is nan, zero or negative raises
+    ``ValueError``; inf is accepted.
     """
     forward = PowerSeries.from_coefficients(S.chart_row, frame.x_star)
     inv_coeffs = S.inverse_row.copy()
     inv_coeffs[0] = frame.x_star
     inverse = PowerSeries.from_coefficients(inv_coeffs, 0j)
     radius = default_chart_radius(frame) if r_eval is None else float(r_eval)
+    if not radius > 0:
+        raise ValueError(f"r_eval must be positive, got {r_eval!r}")
     return SchroederChart(
         multiplier=S.multiplier,
         forward=forward,
@@ -259,15 +260,6 @@ def build_chart(
         frame=frame,
         r_eval=radius,
     )
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner's rule on a complex array.  Axis 0 of ``coeffs`` runs over the
-    powers; ``coeffs[m]`` broadcasts against ``z``."""
-    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], z.shape), dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
 
 
 def _tail_refuses(series: PowerSeries, z: np.ndarray, value: np.ndarray) -> tuple:
@@ -278,12 +270,7 @@ def _tail_refuses(series: PowerSeries, z: np.ndarray, value: np.ndarray) -> tupl
     A tail above EVAL_TAIL_TOL * max(1, |value|), or a value that is not
     finite, refuses.
     """
-    start = _tail_start(series.order)
-    a = np.abs(series.coeffs_array[start:])
-    k = np.flatnonzero(a)
-    tail = np.zeros(z.shape)
-    if k.size:
-        tail = (a[k] * np.abs(z)[..., np.newaxis] ** (k + start)).max(axis=-1)
+    tail = trailing_term(series.coeffs, z)
     fine = np.isfinite(value) & (tail <= EVAL_TAIL_TOL * np.maximum(1.0, np.abs(value)))
     return tail, ~fine
 
@@ -392,7 +379,7 @@ def _chart_values(chart: SchroederChart, xs: np.ndarray) -> tuple:
     # The direct points and the path seeds, in one Horner call.
     z = d.copy()
     z[far] *= PATH_START_FRACTION * r / dist[far]
-    u = _horner(chart.forward.coeffs_array, z)
+    u = horner(chart.forward.coeffs, z)
     if far.size:
         start = chart.x_star + z[far]
         span = np.abs(xs[far] - start) / (PATH_STEP_FRACTION * r)
@@ -472,14 +459,14 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
         t = np.array(ts)[rows]
         k = _time_shift_steps(chart, t, w[cols])
         arg = np.exp((t - k) * cmath.log(chart.multiplier)) * w[cols]
-        value = _horner(chart.inverse.coeffs_array, arg)
+        value = horner(chart.inverse.coeffs, arg)
         tail, refused = _tail_refuses(chart.inverse, arg, value)
         g = chart.frame.shifted_map
-        g_coeffs = g.coeffs_array[: g.degree() + 1]
+        g_coeffs = g.coeffs[: g.degree() + 1]
         for s in range(1, int(k.max(initial=0)) + 1):
             sel = np.flatnonzero((k >= s) & ~refused)
             # x* + g(value - x*); g is expanded about 0.
-            value[sel] = chart.x_star + _horner(g_coeffs, value[sel] - chart.x_star)
+            value[sel] = chart.x_star + horner(g_coeffs, value[sel] - chart.x_star)
         # An overflow anywhere above leaves a non-finite value: refuse it.
         overflow = ~np.isfinite(value)
         tail[overflow] = math.inf
@@ -552,7 +539,7 @@ def evaluate_matrix_grid(
     outside, column_errors = _outside_radius(x, expansion.x_star, expansion.r_eval)
     inside = np.flatnonzero(~outside)
     with np.errstate(all="ignore"):
-        phi = _horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - expansion.x_star)
+        phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - expansion.x_star)
         k = np.arange(expansion.k_max + 1)
         weight = np.exp(np.outer(ts, k) * cmath.log(expansion.multiplier))
         total = weight @ phi

@@ -8,7 +8,13 @@ analytic function about a ``base_point``::
 All coefficients are complex throughout, even for real maps: a negative
 multiplier at a fixed point forces complex non-integer powers, so the whole
 pipeline works over C.  Values are immutable after construction and all
-operations are pure functions of their inputs.
+operations are pure functions of their inputs.  ``coeffs`` is a read-only
+complex ``ndarray``, copied from the caller's coefficients once at
+construction, and the only form of them, with no tuple or second array
+accessor beside it: slice it for numpy, or ``.tolist()`` it for a scalar
+loop in Python complex arithmetic.  The array helpers here
+(:func:`horner`, :func:`trailing_term` and :func:`tail_radius`) serve every
+module.
 
 Composition with an inner series whose constant term sits exactly on the
 outer base point is exact to the truncation order; otherwise the result is
@@ -47,10 +53,29 @@ class ApproximateCompositionWarning(UserWarning):
     """Composition result is a truncated approximation, not exact."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
+    """Horner's rule in Python complex arithmetic on a list of coefficients,
+    for scalar calls (a series' value, Newton, RK4), where numpy scalars
+    would be slower."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
+    return acc
+
+
+def horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """Horner's rule on a complex array.  Axis 0 of ``coeffs`` runs over the
+    powers; ``coeffs[m]`` broadcasts against ``z``.  An overflow gives inf or
+    nan without a warning, as Python complex arithmetic does."""
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], np.shape(z)), dtype=complex)
+    with np.errstate(all="ignore"):
+        for c in coeffs[::-1]:
+            acc = acc * z + c
     return acc
 
 
@@ -87,59 +112,54 @@ def _trunc_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSeries:
     """Truncated Taylor series; ``coeffs[k]`` multiplies ``(x - base_point)**k``."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
     base_point: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        cs = _read_only(np.array(self.coeffs, dtype=complex))
+        if cs.ndim != 1 or not cs.size:
+            raise ValueError("a power series needs a 1-D list of at least one coefficient")
+        object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "base_point", complex(self.base_point))
-        if not self.coeffs:
-            raise ValueError("a power series needs at least one coefficient")
 
     @classmethod
     def from_coefficients(cls, coeffs, base_point=0j, order=None) -> "PowerSeries":
         """Build a series, zero-padding or truncating to ``order`` terms."""
-        cs = [complex(c) for c in coeffs]
-        if order is not None:
-            if order < 1:
-                raise ValueError("order must be at least 1")
-            cs = cs[:order] + [0j] * (order - len(cs))
-        return cls(tuple(cs), complex(base_point))
+        if order is None:
+            return cls(coeffs, base_point)
+        if order < 1:
+            raise ValueError("order must be at least 1")
+        given = np.asarray(coeffs, dtype=complex)[:order]
+        cs = np.zeros(order, dtype=complex)
+        cs[: len(given)] = given
+        return cls(cs, base_point)
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def coeffs_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
-
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]
 
     def __call__(self, x) -> complex:
-        return _horner(self.coeffs, complex(x) - self.base_point)
+        return _horner(self.coeffs.tolist(), complex(x) - self.base_point)
 
     def degree(self) -> int:
         """Index of the last nonzero coefficient (0 for the zero series)."""
-        for k in range(self.order - 1, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return 0
+        nonzero = np.flatnonzero(self.coeffs)
+        return int(nonzero[-1]) if nonzero.size else 0
 
     def truncated(self, order: int) -> "PowerSeries":
         return PowerSeries.from_coefficients(self.coeffs, self.base_point, order=order)
 
     def derivative(self) -> "PowerSeries":
-        n = self.order
-        if n == 1:
-            return PowerSeries((0j,), self.base_point)
-        cs = [k * self.coeffs[k] for k in range(1, n)]
-        return PowerSeries(tuple(cs), self.base_point)
+        """The derivative, one term shorter (the series [0] for order 1)."""
+        cs = np.arange(1, self.order) * self.coeffs[1:]
+        return PowerSeries(cs if cs.size else [0j], self.base_point)
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -152,15 +172,11 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     (otherwise an :class:`ApproximateCompositionWarning` is emitted).
     """
     n = min(outer.order, inner.order)
-    w = inner.coeffs_array[:n].copy()
+    w = inner.coeffs[:n].copy()
     w[0] = w[0] - outer.base_point
     if w[0] != 0:
-        d_out = outer.degree()
-        d_in = max(
-            (k for k in range(1, n) if k < inner.order and inner.coeffs[k] != 0),
-            default=0,
-        )
-        if d_out * max(d_in, 1) > n - 1:
+        d_in = inner.truncated(n).degree()
+        if outer.degree() * max(d_in, 1) > n - 1:
             warnings.warn(
                 "inner constant term is off the outer base point and the "
                 "window cannot hold the recentered polynomial: result is "
@@ -172,10 +188,19 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     for c in outer.coeffs[n - 1 :: -1]:
         acc = _trunc_mul(acc, w)
         acc[0] += c
-    return PowerSeries(tuple(acc), inner.base_point)
+    return PowerSeries(acc, inner.base_point)
 
 
-def tail_radius(coeffs: Sequence[complex], tol: float = 1e-12) -> float:
+def _tail_window(coeffs: np.ndarray) -> tuple:
+    """Magnitudes and indices of the nonzero stored terms at the top of a
+    series, never below its midpoint, where its truncation shows."""
+    start = max(1, len(coeffs) // 2, len(coeffs) - 5)
+    a = np.abs(coeffs[start:])
+    k = np.flatnonzero(a)
+    return a[k], k + start
+
+
+def tail_radius(coeffs: np.ndarray, tol: float = 1e-12) -> float:
     """Radius where the top stored coefficients still contribute at most ``tol``.
 
     A root-test style estimate of how far from the base point the truncated
@@ -186,17 +211,9 @@ def tail_radius(coeffs: Sequence[complex], tol: float = 1e-12) -> float:
     function is a polynomial and the radius is infinite.  Heuristic by
     construction; evaluation sites should additionally be tail-checked.
     """
-    n = len(coeffs)
-    rs = []
-    for k in range(_tail_start(n), n):
-        a = abs(coeffs[k])
-        if a > 0:
-            rs.append((tol / a) ** (1.0 / k))
-    return min(rs) if rs else math.inf
-
-
-def _tail_start(order: int) -> int:
-    return max(1, order // 2, order - 5)
+    a, k = _tail_window(coeffs)
+    # In Python floats, which overflow to inf without a warning.
+    return min(((tol / x) ** (1.0 / j) for x, j in zip(a.tolist(), k.tolist())), default=math.inf)
 
 
 def evaluate_with_tail(series: PowerSeries, x) -> tuple:
@@ -208,28 +225,23 @@ def evaluate_with_tail(series: PowerSeries, x) -> tuple:
     cannot be trusted at ``x``.  Trailing zeros mean the stored function is
     a polynomial there and the tail is exactly zero.
     """
-    z = complex(x) - series.base_point
-    return _horner(series.coeffs, z), trailing_term(series.coeffs, z)
+    return series(x), float(trailing_term(series.coeffs, complex(x) - series.base_point))
 
 
-def trailing_term(coeffs: Sequence[complex], z: complex) -> float:
-    """Magnitude of the largest trailing stored term ``coeffs[k] * z**k``.
+def trailing_term(coeffs: np.ndarray, z) -> np.ndarray:
+    """Magnitude of the largest trailing stored term ``coeffs[k] * z**k``, at
+    every z of an array (a float for a scalar z).
 
     The trailing terms are those of the :func:`tail_radius` window.  A term
     too large for a float gives ``inf``, so the argument is refused rather
-    than ending in an ``OverflowError``.
+    than trusted.
     """
-    n = len(coeffs)
-    tail = 0.0
-    try:
-        az = abs(z)
-        for k in range(_tail_start(n), n):
-            a = abs(coeffs[k])
-            if a > 0:
-                tail = max(tail, a * az**k)
-    except OverflowError:
-        return math.inf
-    return tail
+    a, k = _tail_window(coeffs)
+    with np.errstate(over="ignore"):
+        az = np.abs(np.asarray(z))
+        if not a.size:
+            return np.zeros(az.shape)[()]
+        return (a * az[..., np.newaxis] ** k).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -276,9 +288,13 @@ def find_fixed_point(
     non-convergence and :class:`RestrictiveConditionViolated` when the
     multiplier is numerically zero or a root of unity.
     """
-    fprime = f.derivative()
+    # Only the polynomial part of f is summed and composed: the zero-padded
+    # tail adds nothing, and composing it would cost one convolution per
+    # stored term.
+    poly = f.truncated(f.degree() + 1)
+    fprime = poly.derivative()
     x = complex(guess)
-    residual = f(x) - x
+    residual = poly(x) - x
     converged = False
     for _ in range(max_iter):
         if abs(residual) <= tol_fix:
@@ -290,7 +306,7 @@ def find_fixed_point(
                 f"Newton stalled at {x!r}: f'(x) - 1 vanished", last_iterate=x
             )
         x = x - residual / slope
-        residual = f(x) - x
+        residual = poly(x) - x
     if converged:
         # Polish: a couple of extra steps push the residual to rounding level,
         # which keeps the multiplier (and every chart coefficient) clean.
@@ -299,7 +315,7 @@ def find_fixed_point(
             if slope == 0:
                 break
             candidate = x - residual / slope
-            cand_residual = f(candidate) - candidate
+            cand_residual = poly(candidate) - candidate
             if abs(cand_residual) < abs(residual):
                 x, residual = candidate, cand_residual
             else:
@@ -310,18 +326,14 @@ def find_fixed_point(
             f"last iterate {x!r} has residual {abs(residual):.3e}",
             last_iterate=x,
         )
-    # Only the polynomial part of f is composed: the zero-padded tail adds
-    # nothing, and composing it would cost one convolution per stored term.
     shift = PowerSeries.from_coefficients([x, 1.0], 0j, order=f.order)
-    g = compose(f.truncated(f.degree() + 1), shift).truncated(f.order)
-    cs = list(g.coeffs)
-    cs[0] = cs[0] - x
-    if abs(cs[0]) > tol_fix:
+    g = compose(poly, shift).truncated(f.order).coeffs.copy()
+    g[0] -= x
+    if abs(g[0]) > tol_fix:
         raise FixedPointNotFound(
-            f"shifted map has residual {abs(cs[0]):.3e} at 0", last_iterate=x
+            f"shifted map has residual {abs(g[0]):.3e} at 0", last_iterate=x
         )
-    cs[0] = 0j
-    g = PowerSeries(tuple(cs), 0j)
-    lam = g.coeffs[1]
+    g[0] = 0j
+    lam = complex(g[1])
     _check_multiplier(lam)
-    return FixedPointFrame(x_star=x, multiplier=lam, shifted_map=g)
+    return FixedPointFrame(x_star=x, multiplier=lam, shifted_map=PowerSeries(g, 0j))

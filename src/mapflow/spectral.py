@@ -62,14 +62,10 @@ from .series import (
     FixedPointFrame,
     PowerSeries,
     TOL_RES,
+    _read_only,
     _trunc_div,
     convolution_powers,
 )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +147,7 @@ def _inverse_chart_row(g: PowerSeries, powers: np.ndarray) -> np.ndarray:
     """
     n = len(powers)
     deg = min(g.degree(), n - 1)
-    gm = g.coeffs_array[2 : deg + 1]
+    gm = g.coeffs[2 : deg + 1]
     hp = np.zeros((deg + 1, n), dtype=complex)
     h = hp[1]
     h[1] = 1.0

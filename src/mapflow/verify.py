@@ -388,7 +388,7 @@ def check_paper_matrix() -> CheckResult:
                 value_dev = max(value_dev, abs(value - grid.value(i, j)))
         log_dev = max(
             log_dev,
-            scaled_deviation(matrix_log(paper).entries[1], log_row(fact).coeffs_array),
+            scaled_deviation(matrix_log(paper).entries[1], log_row(fact).coeffs),
         )
     return CheckResult(
         name="paper-matrix",

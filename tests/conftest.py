@@ -5,6 +5,17 @@ import mapflow as mf
 DIM = 40
 
 
+def leading_window(dim: int, degree: int, power: int) -> int:
+    """Rows/columns of a dim x dim truncation unpolluted by the cut-off tail.
+
+    Comparisons of integer matrix powers (or compositions) against direct
+    constructions are trustworthy on the leading block of side
+    dim // (power * degree) + 1; beyond it the discarded columns feed back
+    into the entries.
+    """
+    return min(dim, dim // (max(1, power) * max(1, degree)) + 1)
+
+
 @pytest.fixture(scope="session")
 def logistic4():
     return mf.logistic_series(4.0, DIM)

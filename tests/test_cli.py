@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -555,6 +556,29 @@ def test_integrate_refuses_more_steps_than_a_trajectory_may_hold(flags, steps, c
         f"error: ValueError: |t_end|/dt asks for {steps} RK4 steps, more than the "
         "1000000 a trajectory may hold; raise dt or shorten t_end\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["iterate", "--preset", "logistic:4", "--r-eval", "nan", "--t", "0.5", "--x", "0.01"],
+     "r_eval must be positive, got nan"),
+    (["chart", "--preset", "logistic:4", "--r-eval", "nan"], "r_eval must be positive, got nan"),
+    (["chart", "--preset", "logistic:4", "--r-eval", "0"], "r_eval must be positive, got 0.0"),
+    (["integrate", "--preset", "logistic:4", "--r-eval", "-1"], "r_eval must be positive, got -1.0"),
+    (["matrix", "--preset", "logistic:4", "--dim", "6", "--quadrature-nodes", "0",
+      "--check-quadrature"], "quadrature needs at least one node, got 0"),
+])
+def test_nonsensical_radius_or_node_count_is_refused(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the aliasing warning
+        code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err == f"error: ValueError: {message}\n"
+
+
+def test_infinite_r_eval_is_accepted(capsys):
+    code, out, _ = run(["chart", "--preset", "logistic:4", "--r-eval", "inf"], capsys)
+    assert code == 0
+    assert " r_eval=inf\n" in out
 
 
 def test_map_spec_required(capsys):

@@ -100,7 +100,7 @@ def test_chart_inverse_matches_series_reversion(logistic4):
     ident = np.zeros(12)
     ident[1] = 1.0
     h_of_u = mf.compose(chart.inverse, chart.forward)
-    assert np.abs(h_of_u.coeffs_array - ident).max() < 1e-10
+    assert np.abs(h_of_u.coeffs - ident).max() < 1e-10
 
 
 def test_default_radius_is_tenth_of_fixed_point_gap(logistic4, logistic2):

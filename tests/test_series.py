@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mapflow.series import (
     compose,
     evaluate_with_tail,
     find_fixed_point,
+    tail_radius,
     trailing_term,
 )
 
@@ -31,6 +34,31 @@ def test_polynomial_roundtrip_bit_identical():
     assert list(s.coeffs) == [complex(c) for c in coeffs]
 
 
+def test_coeffs_are_a_read_only_complex_array():
+    s = series([1, 2, 3])
+    assert isinstance(s.coeffs, np.ndarray) and s.coeffs.dtype == complex
+    with pytest.raises(ValueError):
+        s.coeffs[0] = 5
+
+
+def test_series_keeps_its_own_copy_of_the_callers_array():
+    given = np.array([1.0, 2.0, 3.0])
+    s = PowerSeries(given)
+    padded = series(given, order=5)
+    given[0] = 99.0
+    assert list(s.coeffs) == [1, 2, 3]
+    assert list(padded.coeffs) == [1, 2, 3, 0, 0]
+    assert given.flags.writeable
+
+
+def test_from_coefficients_pads_and_truncates():
+    assert list(series([1, 2j, 3], order=5).coeffs) == [1, 2j, 3, 0, 0]
+    assert list(series([1, 2j, 3], order=2).coeffs) == [1, 2j]
+    assert list(series([1, 2j, 3]).coeffs) == [1, 2j, 3]
+    with pytest.raises(ValueError):
+        series([1, 2], order=0)
+
+
 def test_evaluation_at_base_point_is_constant_term():
     s = series([2.5 + 1j, 3, 4], base=0.7)
     assert s(0.7) == 2.5 + 1j
@@ -39,7 +67,7 @@ def test_evaluation_at_base_point_is_constant_term():
 def test_horner_matches_numpy_polyval():
     s = series([1, -2, 0.5, 3, -0.25])
     x = 0.37 - 0.11j
-    expected = np.polyval(s.coeffs_array[::-1], x)
+    expected = np.polyval(s.coeffs[::-1], x)
     assert abs(s(x) - expected) < 1e-14
 
 
@@ -51,11 +79,45 @@ def test_tail_of_an_overflowing_term_is_inf():
     assert evaluate_with_tail(s, -1e10j)[1] == float("inf")
     # |z| itself overflows here.
     assert trailing_term(s.coeffs, complex(1.5e308, 1.5e308)) == float("inf")
+    # Over an array of z, each entry is the value at that point alone.
+    zs = np.array([0.5, 1e10, -1e10j, complex(1.5e308, 1.5e308), 0.0, 0.3 - 0.2j])
+    tails = trailing_term(s.coeffs, zs)
+    assert tails.shape == zs.shape
+    assert tails.tolist() == [evaluate_with_tail(s, z)[1] for z in zs]
+    assert np.isinf(tails).tolist() == [False, True, True, True, False, False]
+
+
+def _trailing_terms_loop(coeffs, z):
+    """|c_k| |z|^k over the tail window in Python floats: the scalar
+    reference for the array helpers."""
+    n = len(coeffs)
+    return [abs(c) * abs(z) ** k for k, c in enumerate(coeffs)
+            if k >= max(1, n // 2, n - 5) and c]
+
+
+def test_tail_helpers_match_the_scalar_loop():
+    # numpy's abs and power may differ from Python's in the last bit, and
+    # |z|^k carries an ulp of |z| k times: hence the tolerances.
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 7, 12, 40, 61):
+        c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+        c[rng.uniform(size=n) < 0.2] = 0
+        zs = (rng.standard_normal(25) + 1j * rng.standard_normal(25)) * 10.0 ** rng.uniform(-2, 1, 25)
+        got = trailing_term(c, zs)
+        for g, z in zip(got.tolist(), zs.tolist()):
+            ref = max(_trailing_terms_loop(c.tolist(), z), default=0.0)
+            assert g == pytest.approx(ref, rel=2 * (n + 2) * 2.0**-52, abs=0)
+        terms_at_one = _trailing_terms_loop(c.tolist(), 1.0)  # the |c_k|
+        ks = [k for k in range(max(1, n // 2, n - 5), n) if c[k]]
+        radii = [(1e-12 / a) ** (1.0 / k) for a, k in zip(terms_at_one, ks)]
+        ref = min(radii, default=math.inf)
+        assert tail_radius(c) == pytest.approx(ref, rel=8 * 2.0**-52, abs=0)
 
 
 def test_derivative():
     s = series([5, 1, 2, 3])
     assert list(s.derivative().coeffs) == [1, 4, 9]
+    assert list(series([5]).derivative().coeffs) == [0]
 
 
 # --- compose ------------------------------------------------------------------
@@ -63,8 +125,8 @@ def test_derivative():
 def test_compose_identity_is_neutral():
     f = series([0, 4, -4], order=8)
     ident = PowerSeries.from_coefficients([0, 1], order=8)
-    assert compose(f, ident).coeffs == f.coeffs
-    assert compose(ident, f).coeffs == f.coeffs
+    assert np.array_equal(compose(f, ident).coeffs, f.coeffs)
+    assert np.array_equal(compose(ident, f).coeffs, f.coeffs)
 
 
 def test_compose_logistic_self():
@@ -72,7 +134,7 @@ def test_compose_logistic_self():
     f = series([0, 4, -4], order=8)
     ff = compose(f, f)
     expected = [0, 16, -80, 128, -64, 0, 0, 0]
-    assert np.allclose(ff.coeffs_array, expected, atol=1e-12)
+    assert np.allclose(ff.coeffs, expected, atol=1e-12)
 
 
 def test_compose_shift_pair_is_identity():
@@ -80,7 +142,7 @@ def test_compose_shift_pair_is_identity():
     h = series([-x_star, 1], order=6)
     h_inv = series([x_star, 1], order=6)
     out = compose(h, h_inv)
-    assert np.allclose(out.coeffs_array, [0, 1, 0, 0, 0, 0], atol=0)
+    assert np.allclose(out.coeffs, [0, 1, 0, 0, 0, 0], atol=0)
 
 
 def test_compose_warns_when_recentering_cannot_be_exact():
@@ -115,7 +177,7 @@ def test_compose_associative_on_zero_constant_cubics(a, b, c):
     fc = series([0, 1] + c, order=order)
     left = compose(compose(fa, fb), fc)
     right = compose(fa, compose(fb, fc))
-    assert np.abs(left.coeffs_array - right.coeffs_array).max() < 1e-12
+    assert np.abs(left.coeffs - right.coeffs).max() < 1e-12
 
 
 # --- find_fixed_point ---------------------------------------------------------
