@@ -12,26 +12,26 @@ import mapflow as mf
 from mapflow.logistic import logistic4_iterate
 
 
+TIMES = (0.25, 0.5, 1.5, 2.0)
+POINTS = (0.01, 0.05, 0.1)
+
+
+def _worst(grid):
+    return max(
+        abs(grid.value(i, j) - logistic4_iterate(t, x))
+        for i, t in enumerate(grid.ts)
+        for j, x in enumerate(grid.xs)
+    )
+
+
 def worst_error(dim):
     f = mf.logistic_series(4.0, dim)
     frame, fact, chart = mf.chart_pipeline(f, 0.1, dim, r_eval=0.6)
-    expansion = mf.build_expansion(fact, frame)
-    worst_chart = worst_modes = 0.0
-    for t in (0.25, 0.5, 1.5, 2.0):
-        for x in (0.01, 0.05, 0.1):
-            ref = logistic4_iterate(t, x)
-            worst_chart = max(
-                worst_chart, abs(mf.evaluate_iterate_chart(chart, t, x) - ref)
-            )
-            # loose tail flag: at low orders we *want* the best-effort value
-            worst_modes = max(
-                worst_modes,
-                abs(
-                    mf.evaluate_iterate_matrix(expansion, t, x, tail_tol=1e-3)
-                    - ref
-                ),
-            )
-    return worst_chart, worst_modes
+    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
+    by_chart = mf.evaluate_chart_grid(chart, TIMES, POINTS)
+    # loose tail flag: at low orders we *want* the best-effort value
+    by_modes = mf.evaluate_matrix_grid(expansion, TIMES, POINTS, tail_tol=1e-3)
+    return _worst(by_chart), _worst(by_modes)
 
 
 def main():

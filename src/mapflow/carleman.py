@@ -17,7 +17,10 @@ the map in the chart of its own expansion.  Triangular structure needs the
 map shifted to a fixed point first, so the matrix of a fixed-point frame is
 built from its shifted map.  The matrix CSV format is the ``matrix``
 command's output; no command reads it back, but :func:`read_matrix_csv`
-stays on purpose as the reader of that format.
+stays on purpose as the reader of that format.  Its ``re+imi`` cells
+(:func:`format_complex`) also print x* and the multiplier in the headers of
+the ``chart`` and ``field`` commands.  A quadrature matrix records only
+whether its node count reached the exactness bound (``quadrature_exact``).
 
 A note on comparisons: entries grow like multiplier^j times binomials, so
 meaningful agreement checks are scaled per row (see
@@ -40,16 +43,16 @@ class CarlemanMatrix:
     """Dense complex embedding matrix plus the map it was built from.
 
     For the functions of a factorization (fractional powers, logarithms)
-    ``source_map`` is the row-1 series about the fixed point.
+    ``source_map`` is the row-1 series about the fixed point.  ``entries``
+    is a read-only copy of the caller's array.
     """
 
     entries: np.ndarray
     source_map: PowerSeries
-    quadrature_nodes: int | None = None
     quadrature_exact: bool | None = None
 
     def __post_init__(self):
-        e = _read_only(np.asarray(self.entries, dtype=complex))
+        e = _read_only(np.array(self.entries, dtype=complex))
         object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be a square matrix")
@@ -103,12 +106,7 @@ def build_matrix_quadrature(
     for j in range(1, dim):
         power = power * fz
         entries[j] = np.fft.ifft(power)[:dim]
-    return CarlemanMatrix(
-        entries=entries,
-        source_map=f,
-        quadrature_nodes=nodes,
-        quadrature_exact=exact,
-    )
+    return CarlemanMatrix(entries=entries, source_map=f, quadrature_exact=exact)
 
 
 def scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -132,7 +130,8 @@ def scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 # --- matrix CSV interchange -------------------------------------------------
 
-def _format_complex(z: complex) -> str:
+def format_complex(z: complex) -> str:
+    """A complex number as one ``re+imi`` cell, each part to 17 digits."""
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
@@ -150,10 +149,10 @@ def write_matrix_csv(M: CarlemanMatrix, fh) -> None:
     Header: ``carleman dim=N map=<coeff list>`` with coefficients in the same
     re+imi cell format, lowest degree first.
     """
-    coeffs = ",".join(_format_complex(c) for c in M.source_map.coeffs)
+    coeffs = ",".join(format_complex(c) for c in M.source_map.coeffs)
     fh.write(f"carleman dim={M.dim} map={coeffs}\n")
     for j in range(M.dim):
-        fh.write(",".join(_format_complex(z) for z in M.entries[j]) + "\n")
+        fh.write(",".join(format_complex(z) for z in M.entries[j]) + "\n")
 
 
 def read_matrix_csv(fh) -> CarlemanMatrix:

@@ -2,10 +2,12 @@
 
 Subcommands: matrix, iterate, chart, field, integrate, lyapunov, verify.
 Outputs are deterministic CSV (or JSON where noted) intended for plotting;
-complex values in CSV grids are always split into re/im columns.  Every flag
-can also be given in a key=value config file (``--config``); explicit flags
-win over file entries, and file values are checked like flags (type and
-allowed choices).
+complex values in CSV grids are always split into re/im columns.  A
+subcommand accepts only the flags it reads: the chart flags ``--guess``,
+``--tol`` and ``--r-eval`` belong to iterate, chart, field and integrate, and
+``--format`` to iterate and verify.  Every flag can also be given in a
+key=value config file (``--config``); explicit flags win over file entries,
+and file values are checked like flags (type and allowed choices).
 
 The parser is built once, when this module is imported, so ``main(argv)`` may
 be called many times in one process and each call pays only for parsing and
@@ -30,6 +32,7 @@ from . import verify as verify_mod
 from .carleman import (
     build_matrix,
     build_matrix_quadrature,
+    format_complex,
     scaled_deviation,
     write_matrix_csv,
 )
@@ -62,6 +65,13 @@ EXIT_USAGE = 2
 EXIT_RESTRICTIVE = 3
 EXIT_OUT_OF_CHART = 4
 EXIT_NONCONVERGENT = 5
+
+# The exit code of each error type, first match wins; other errors exit 1.
+_ERROR_EXITS = (
+    (RestrictiveConditionViolated, EXIT_RESTRICTIVE),
+    ((OutOfChart, ChartEscape), EXIT_OUT_OF_CHART),
+    (NonConvergent, EXIT_NONCONVERGENT),
+)
 
 DEFAULT_DIM = 32
 DEFAULT_LYAPUNOV_N = 100_000
@@ -98,49 +108,45 @@ def build_parser() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grids=False):
+    def map_command(name, summary, chart=True):
+        """A subcommand that reads a map; ``chart`` adds the chart's flags."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--coeffs", type=_parse_complex_list, default=None,
                        help="map coefficients, lowest degree first, e.g. 0,4,-4")
         p.add_argument("--preset", default=None, help="named map, e.g. logistic:4")
         p.add_argument("--dim", type=int, default=DEFAULT_DIM,
                        help=f"truncation order (default {DEFAULT_DIM})")
-        p.add_argument("--guess", type=complex, default=0j,
-                       help="fixed-point search start (default 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="fixed-point residual tolerance override")
-        p.add_argument("--r-eval", type=float, default=None, dest="r_eval",
-                       help="chart evaluation radius override")
+        if chart:
+            p.add_argument("--guess", type=complex, default=0j,
+                           help="fixed-point search start (default 0)")
+            p.add_argument("--tol", type=float, default=None,
+                           help="fixed-point residual tolerance override")
+            p.add_argument("--r-eval", type=float, default=None, dest="r_eval",
+                           help="chart evaluation radius override")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"),
-                       help="output format where supported")
         p.add_argument("--config", default=None,
                        help="key=value file mirroring these flags")
-        if grids:
-            p.add_argument("--t", type=_parse_float_list, default=None,
-                           help="comma list of times")
-            p.add_argument("--x", type=_parse_complex_list, default=None,
-                           help="comma list of evaluation points")
+        return p
 
-    p = sub.add_parser("matrix", help="dump the embedding matrix")
-    common(p)
+    p = map_command("matrix", "dump the embedding matrix", chart=False)
     p.add_argument("--check-quadrature", action="store_true",
                    help="also report the builder-agreement deviation")
     p.add_argument("--quadrature-nodes", type=int, default=None)
 
-    p = sub.add_parser("iterate", help="evaluate f^t over a (t, x) grid")
-    common(p, grids=True)
+    p = map_command("iterate", "evaluate f^t over a (t, x) grid")
+    p.add_argument("--format", default=None, choices=("csv", "json"),
+                   help="output format (default csv)")
+    p.add_argument("--t", type=_parse_float_list, default=None,
+                   help="comma list of times")
+    p.add_argument("--x", type=_parse_complex_list, default=None,
+                   help="comma list of evaluation points")
     p.add_argument("--route", default="both", choices=("chart", "matrix", "both"))
     p.add_argument("--fixed-point", type=complex, default=None, dest="fixed_point",
                    help="which fixed point's chart to use (overrides --guess)")
 
-    p = sub.add_parser("chart", help="dump the linearizing chart series")
-    common(p)
-
-    p = sub.add_parser("field", help="dump the flow field coefficients")
-    common(p)
-
-    p = sub.add_parser("integrate", help="integrate dx/dt = G(x)")
-    common(p)
+    map_command("chart", "dump the linearizing chart series")
+    map_command("field", "dump the flow field coefficients")
+    p = map_command("integrate", "integrate dx/dt = G(x)")
     p.add_argument("--x0", type=complex, default=None, help="initial state")
     p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
@@ -287,32 +293,28 @@ def cmd_iterate(ns) -> int:
         return _reference_value(reference, t, x) if reference is not None else None
 
     if ns.format == "json":
-        rows = []
+        payload = []
         for i, t in enumerate(ns.t):
             for j, x in enumerate(ns.x):
-                ref = ref_at(t, x)
+                r = ref_at(t, x)
                 for name, values, converged in routes:
-                    value = values[i][j] if converged[i][j] else None
-                    rows.append((t, complex(x), value, name, converged[i][j], ref))
-        payload = [
-            {
-                "t": t,
-                "x_re": x.real,
-                "x_im": x.imag,
-                "ft_re": None if v is None else v.real,
-                "ft_im": None if v is None else v.imag,
-                "route": name,
-                "converged": converged,
-                "ref_re": None if r is None else r.real,
-                "ref_im": None if r is None else r.imag,
-            }
-            for (t, x, v, name, converged, r) in rows
-        ]
+                    v = values[i][j] if converged[i][j] else None
+                    payload.append({
+                        "t": t,
+                        "x_re": x.real,
+                        "x_im": x.imag,
+                        "ft_re": None if v is None else v.real,
+                        "ft_im": None if v is None else v.imag,
+                        "route": name,
+                        "converged": converged[i][j],
+                        "ref_re": None if r is None else r.real,
+                        "ref_im": None if r is None else r.imag,
+                    })
         _emit(ns, json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
 
     # Each t and x is formatted once; a row joins the cached cells.
-    x_cells = [f"{x.real:.17g},{x.imag:.17g}" for x in map(complex, ns.x)]
+    x_cells = [f"{x.real:.17g},{x.imag:.17g}" for x in ns.x]
     lines = ["t,x_re,x_im,ft_re,ft_im,route,converged,ref_re,ref_im"]
     for i, t in enumerate(ns.t):
         t_cell = f"{t:.17g}"
@@ -335,8 +337,8 @@ def cmd_chart(ns) -> int:
         _map_series(ns), ns.guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol
     )
     lines = [
-        f"chart x_star={chart.x_star.real:.17g}{chart.x_star.imag:+.17g}i "
-        f"lambda={chart.multiplier.real:.17g}{chart.multiplier.imag:+.17g}i "
+        f"chart x_star={format_complex(chart.x_star)} "
+        f"lambda={format_complex(chart.multiplier)} "
         f"dim={chart.forward.order} r_eval={chart.r_eval:.17g}",
         "k,u_re,u_im,uinv_re,uinv_im",
     ]
@@ -353,9 +355,8 @@ def _field(ns):
 def cmd_field(ns) -> int:
     field_ = _field(ns)
     lines = [
-        f"field x_star={field_.x_star.real:.17g}{field_.x_star.imag:+.17g}i "
-        f"lambda={field_.multiplier.real:.17g}{field_.multiplier.imag:+.17g}i "
-        f"dim={field_.series.order}",
+        f"field x_star={format_complex(field_.x_star)} "
+        f"lambda={format_complex(field_.multiplier)} dim={field_.series.order}",
         "k,g_re,g_im",
     ]
     for k, c in enumerate(field_.series.coeffs.tolist()):
@@ -442,18 +443,9 @@ def main(argv=None) -> int:
         if getattr(ns, "config", None):
             ns = _apply_config_file(ns, argv)
         return _COMMANDS[ns.command](ns)
-    except RestrictiveConditionViolated as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_RESTRICTIVE
-    except (OutOfChart, ChartEscape) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_OUT_OF_CHART
-    except NonConvergent as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_NONCONVERGENT
     except (MapflowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_ERROR
+        return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_ERROR)
 
 
 if __name__ == "__main__":

@@ -136,9 +136,10 @@ class SchroederChart:
 class IterateExpansion:
     """Mode expansion of f^t: mode k scaled by lambda^{k t} and summed.
 
-    Column k of the (order, k_max + 1) array ``mode_coeffs`` holds the
-    coefficients of mode k, a series about x*; mode 0 is the constant x*.
-    Points farther than ``r_eval`` from x* are refused, as on the chart route.
+    Column k of ``mode_coeffs``, a read-only copy of the caller's array,
+    holds the coefficients of mode k, a series about x*; mode 0 is the
+    constant x*.  Points farther than ``r_eval`` from x* are refused, as
+    on the chart route.
     """
 
     mode_coeffs: np.ndarray
@@ -147,11 +148,9 @@ class IterateExpansion:
     r_eval: float = math.inf
 
     def __post_init__(self):
-        _read_only(self.mode_coeffs)
-
-    @property
-    def k_max(self) -> int:
-        return self.mode_coeffs.shape[1] - 1
+        object.__setattr__(
+            self, "mode_coeffs", _read_only(np.array(self.mode_coeffs, dtype=complex))
+        )
 
 
 class PointStatus(IntEnum):
@@ -489,30 +488,20 @@ def evaluate_iterate_chart(chart: SchroederChart, t: float, x) -> complex:
 
 
 def build_expansion(
-    S: SpectralFactorization,
-    frame: FixedPointFrame,
-    k_max: int | None = None,
-    r_eval: float = math.inf,
+    S: SpectralFactorization, frame: FixedPointFrame, r_eval: float = math.inf
 ) -> IterateExpansion:
     """Mode series phi_k = h_k u^k built from the factorization's two rows.
 
-    Column k of the expansion's array holds phi_k: the coefficients of u^k,
-    row k of the forward factor, scaled by h_k and expanded about the fixed
-    point; phi_0 is the constant x*.
-    ``k_max`` defaults to dim - 1, using all computed spectral data.  The
-    CLI passes its chart's ``r_eval``; with the default only the mode-sum
-    test refuses points.
+    Column k of the expansion's array holds phi_k for every k < dim: the
+    coefficients of u^k, row k of the forward factor, scaled by h_k and
+    expanded about the fixed point; phi_0 is the constant x*.  The CLI
+    passes its chart's ``r_eval``; with the default only the mode-sum test
+    refuses points.
     """
-    n = S.dim
-    if k_max is None:
-        k_max = n - 1
-    if not 0 <= k_max < n:
-        raise ValueError(f"k_max must lie in [0, {n - 1}]")
-    x_star = frame.x_star
-    coeffs = np.zeros((n, k_max + 1), dtype=complex)
+    n, x_star = S.dim, frame.x_star
+    coeffs = np.zeros((n, n), dtype=complex)
     coeffs[0, 0] = x_star
-    k = slice(1, k_max + 1)
-    coeffs[:, k] = (S.inverse_row[k, np.newaxis] * S.chart_matrix[k]).T
+    coeffs[:, 1:] = (S.inverse_row[1:, np.newaxis] * S.chart_matrix[1:]).T
     return IterateExpansion(
         mode_coeffs=coeffs,
         multiplier=S.multiplier,
@@ -540,7 +529,7 @@ def evaluate_matrix_grid(
     inside = np.flatnonzero(~outside)
     with np.errstate(all="ignore"):
         phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - expansion.x_star)
-        k = np.arange(expansion.k_max + 1)
+        k = np.arange(expansion.mode_coeffs.shape[1])
         weight = np.exp(np.outer(ts, k) * cmath.log(expansion.multiplier))
         total = weight @ phi
         last = np.abs(weight[:, -1:] * phi[-1])

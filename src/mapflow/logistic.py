@@ -108,13 +108,13 @@ def logistic2_chart_coefficients(n: int) -> list:
     return [Fraction(2 ** (k - 1), k) for k in range(1, n + 1)]
 
 
-def logistic4_matrix_entry(j: int, k: int, mu: float = 4.0) -> float:
-    """Closed-form embedding-matrix entry for the logistic family:
-    (-1)^(k-j) * binom(j, k-j) * mu^j for 0 <= k-j <= j, else 0 (row 0 is
+def logistic4_matrix_entry(j: int, k: int) -> float:
+    """Closed-form embedding-matrix entry of the mu=4 logistic map:
+    (-1)^(k-j) * binom(j, k-j) * 4^j for 0 <= k-j <= j, else 0 (row 0 is
     the unit row)."""
     if j == 0:
         return 1.0 if k == 0 else 0.0
     m = k - j
     if m < 0 or m > j:
         return 0.0
-    return float((-1) ** m * math.comb(j, m) * mu**j)
+    return float((-1) ** m * math.comb(j, m) * 4.0**j)

@@ -276,13 +276,9 @@ def _check_multiplier(lam: complex) -> None:
                 )
 
 
-def find_fixed_point(
-    f: PowerSeries,
-    guess,
-    tol_fix: float = TOL_FIX,
-    max_iter: int = MAX_NEWTON_ITER,
-) -> FixedPointFrame:
-    """Locate a fixed point of ``f`` by Newton iteration from ``guess``.
+def find_fixed_point(f: PowerSeries, guess, tol_fix: float = TOL_FIX) -> FixedPointFrame:
+    """Locate a fixed point of ``f`` by Newton iteration from ``guess``, in at
+    most MAX_NEWTON_ITER steps.
 
     Raises :class:`FixedPointNotFound` (carrying the last iterate) on
     non-convergence and :class:`RestrictiveConditionViolated` when the
@@ -296,7 +292,7 @@ def find_fixed_point(
     x = complex(guess)
     residual = poly(x) - x
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         if abs(residual) <= tol_fix:
             converged = True
             break
@@ -322,7 +318,7 @@ def find_fixed_point(
                 break
     if abs(residual) > tol_fix:
         raise FixedPointNotFound(
-            f"no fixed point within {max_iter} iterations from {guess!r}; "
+            f"no fixed point within {MAX_NEWTON_ITER} iterations from {guess!r}; "
             f"last iterate {x!r} has residual {abs(residual):.3e}",
             last_iterate=x,
         )

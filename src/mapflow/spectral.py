@@ -110,24 +110,25 @@ class SpectralFactorization:
         return _read_only(convolution_powers(self.inverse_row))
 
 
-def _diagonal(lam: complex, n: int, tol_res: float) -> np.ndarray:
+def _diagonal(lam: complex, n: int) -> np.ndarray:
     """The powers lambda^j for j < n, once the multiplier is checked.
 
-    Raises :class:`Superattracting` when it is numerically zero and
+    Raises :class:`Superattracting` when |lambda| <= TOL_RES and
     :class:`ResonantEigenvalues`, with the first colliding index pair in
-    row-major order, when two of the powers are indistinguishable.  The
+    row-major order, when two of the powers are indistinguishable (relative
+    gap below TOL_RES).  The
     relative gap |lambda^j - lambda^k| / max(|lambda^j|, |lambda^k|) equals
     |1 - lambda^d| / max(1, |lambda|^d) with d = k - j, so the pairs (0, d)
     decide, and the first colliding pair is (0, d) with the least such d.
     """
-    if abs(lam) <= tol_res:
+    if abs(lam) <= TOL_RES:
         raise Superattracting(f"multiplier {lam!r} is numerically zero")
     powers = lam ** np.arange(n)
     # hypot on the parts is the scalar abs().
     diff = 1.0 - powers[1:]
     gap = np.hypot(diff.real, diff.imag)
     size = np.hypot(powers.real[1:], powers.imag[1:])
-    close = np.flatnonzero(gap < tol_res * np.maximum(1.0, size))
+    close = np.flatnonzero(gap < TOL_RES * np.maximum(1.0, size))
     if close.size:
         d = int(close[0]) + 1
         raise ResonantEigenvalues(
@@ -191,20 +192,18 @@ def _chart_row(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def factor_from_series(
-    frame: FixedPointFrame, dim: int, tol_res: float = TOL_RES
-) -> SpectralFactorization:
+def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorization:
     """Factorization of the shifted map's dim x dim embedding matrix.
 
     Computes the inverse chart h by the Poincare recursion and the chart u by
     Lagrange inversion (see the module notes); no matrix is built.  Raises
     :class:`Superattracting` and :class:`ResonantEigenvalues` exactly where
-    :func:`diagonalize` does.
+    :func:`diagonalize` does, at the fixed resonance tolerance TOL_RES.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
     lam = complex(frame.multiplier)
-    h = _inverse_chart_row(frame.shifted_map, _diagonal(lam, dim, tol_res))
+    h = _inverse_chart_row(frame.shifted_map, _diagonal(lam, dim))
     return SpectralFactorization(
         multiplier=lam,
         chart_row=_chart_row(h),
@@ -214,9 +213,7 @@ def factor_from_series(
     )
 
 
-def diagonalize(
-    Mg: CarlemanMatrix, frame: FixedPointFrame, tol_res: float = TOL_RES
-) -> SpectralFactorization:
+def diagonalize(Mg: CarlemanMatrix, frame: FixedPointFrame) -> SpectralFactorization:
     """Factor an upper-triangular embedding matrix by the entrywise recursion.
 
     Preconditions checked: ``Mg`` upper triangular, its (1,1) entry matches
@@ -249,7 +246,7 @@ def diagonalize(
             f"frame multiplier {lam!r} disagrees with matrix diagonal "
             f"{entries[1, 1]!r}"
         )
-    powers = _diagonal(lam, n, tol_res)
+    powers = _diagonal(lam, n)
     V = np.eye(n, dtype=complex)
     for k in range(1, n):
         for j in range(k - 1, -1, -1):

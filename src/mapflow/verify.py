@@ -18,6 +18,7 @@ tail checks keep the evaluations honest at these sample points).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,10 +77,12 @@ def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
     return frame, fact, chart
 
 
-def _result(name, deviation, tolerance, detail="") -> CheckResult:
+def _result(name, deviation, tolerance, detail="", passed=None) -> CheckResult:
+    """A check's result; it passes when ``deviation <= tolerance`` unless
+    ``passed`` says otherwise (a check with more than one criterion)."""
     return CheckResult(
         name=name,
-        passed=bool(deviation <= tolerance),
+        passed=bool(deviation <= tolerance if passed is None else passed),
         deviation=float(deviation),
         tolerance=float(tolerance),
         detail=detail,
@@ -98,14 +101,12 @@ def check_matrix_exact() -> CheckResult:
     return _result("matrix-exact", dev, 0.0, "mu=4, dim=8, exact integers")
 
 
-def check_builder_equivalence(dim: int = 16, nodes: int = 256) -> CheckResult:
+def check_builder_equivalence(dim: int = 16) -> CheckResult:
     f = logistic_series(4.0, dim)
     a = build_matrix(f, dim)
-    b = build_matrix_quadrature(f, dim, nodes=nodes)
+    b = build_matrix_quadrature(f, dim, nodes=256)
     dev = scaled_deviation(a.entries, b.entries)
-    return _result(
-        "builder-equivalence", dev, 1e-10, f"dim={dim}, nodes={nodes}, row-scaled"
-    )
+    return _result("builder-equivalence", dev, 1e-10, f"dim={dim}, nodes=256, row-scaled")
 
 
 def check_chart_coefficients() -> CheckResult:
@@ -124,10 +125,11 @@ _C4_TIMES = (0.25, 0.5, 1.5, 2.0)
 _C4_POINTS = (0.01, 0.05, 0.1)
 
 
-def _oracle_errors(grid) -> dict:
-    """Absolute error of each grid value against the closed mu=4 iterate."""
+def _oracle_errors(grid, reference=logistic4_iterate) -> dict:
+    """Absolute error of each grid value against a closed iterate (mu=4 by
+    default)."""
     return {
-        (t, x): abs(grid.value(i, j) - logistic4_iterate(t, x))
+        (t, x): abs(grid.value(i, j) - reference(t, x))
         for i, t in enumerate(grid.ts)
         for j, x in enumerate(grid.xs)
     }
@@ -160,11 +162,7 @@ def check_mu2_oracle(dim: int = 40) -> CheckResult:
     _, _, chart = _pipeline(2.0, 0.1, dim, 0.3)
     times, points = (0.5, 1.5), (0.01, 0.1)
     grid = evaluate_chart_grid(chart, times, points)
-    dev = 0.0
-    for i, t in enumerate(times):
-        for j, x in enumerate(points):
-            ref = logistic2_iterate(t, x)
-            dev = max(dev, abs(grid.value(i, j) - ref))
+    dev = max(_oracle_errors(grid, logistic2_iterate).values())
     return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={dim}")
 
 
@@ -215,19 +213,13 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
     v1 = grid1.value(3, 0)
     split = abs(v0 - v1)
     imag = abs(v1.imag)
-    ok = worst_int <= 1e-6 and split >= 1e-3 and imag >= 1e-3
     detail = (
         f"integer-time gap {worst_int:.3e} (<=1e-6), half-time split "
         f"{split:.3e} (>=1e-3), |Im| {imag:.3e} (>=1e-3)"
     )
     # The reported deviation is the binding integer-time agreement.
-    return CheckResult(
-        name="non-uniqueness",
-        passed=bool(ok),
-        deviation=float(worst_int),
-        tolerance=1e-6,
-        detail=detail,
-    )
+    return _result("non-uniqueness", worst_int, 1e-6, detail,
+                   passed=worst_int <= 1e-6 and split >= 1e-3 and imag >= 1e-3)
 
 
 def check_field(dim: int = 40) -> CheckResult:
@@ -240,14 +232,11 @@ def check_field(dim: int = 40) -> CheckResult:
     coeff_dev = max(
         abs(coeffs[1] - 2.0 * LN2), abs(coeffs[2] - (-2.0 / 3.0 * LN2))
     )
-    passed = dev <= 1e-6 and coeff_dev <= 1e-9
-    return CheckResult(
-        name="field-extraction",
-        passed=bool(passed),
-        deviation=float(dev),
-        tolerance=1e-6,
-        detail=f"values vs closed field; coefficient check dev {coeff_dev:.3e} "
+    return _result(
+        "field-extraction", dev, 1e-6,
+        f"values vs closed field; coefficient check dev {coeff_dev:.3e} "
         "(<=1e-9) for ln4 and -(2/3)ln2",
+        passed=dev <= 1e-6 and coeff_dev <= 1e-9,
     )
 
 
@@ -283,15 +272,11 @@ def check_validity_window() -> CheckResult:
     inside = abs(dfdt(0.9, 0.5) - logistic4_field(logistic4_iterate(0.9, 0.5)).real)
     d_after = dfdt(1.1, 0.5)
     g_after = logistic4_field(logistic4_iterate(1.1, 0.5)).real
-    sign_flip = d_after * g_after < 0
-    passed = dev_tmax <= 1e-12 and inside <= 1e-4 and sign_flip
-    return CheckResult(
-        name="validity-window",
-        passed=bool(passed),
-        deviation=float(inside),
-        tolerance=1e-4,
-        detail=f"t_max(0.5) = {t_max!r}; derivative match {inside:.3e} at "
+    return _result(
+        "validity-window", inside, 1e-4,
+        f"t_max(0.5) = {t_max!r}; derivative match {inside:.3e} at "
         f"t=0.9; signs at t=1.1: d/dt {d_after:+.3f} vs field {g_after:+.3f}",
+        passed=dev_tmax <= 1e-12 and inside <= 1e-4 and d_after * g_after < 0,
     )
 
 
@@ -351,14 +336,12 @@ def check_order_sweep() -> CheckResult:
         abs(fact.chart_row[k] - float(c)) / float(c)
         for k, c in enumerate(logistic4_chart_coefficients(top - 1), start=1)
     )
-    return CheckResult(
-        name="order-sweep",
-        passed=bool(growth <= 1e-12 and coeff_dev <= 1e-12),
-        deviation=float(growth),
-        tolerance=1e-12,
-        detail=f"chart-route error growth over dims {_SWEEP_DIMS} (0 means "
+    return _result(
+        "order-sweep", growth, 1e-12,
+        f"chart-route error growth over dims {_SWEEP_DIMS} (0 means "
         f"non-increasing); dim-{top} chart coefficients relative dev "
         f"{coeff_dev:.3e} (<=1e-12)",
+        passed=growth <= 1e-12 and coeff_dev <= 1e-12,
     )
 
 
@@ -390,14 +373,12 @@ def check_paper_matrix() -> CheckResult:
             log_dev,
             scaled_deviation(matrix_log(paper).entries[1], log_row(fact).coeffs),
         )
-    return CheckResult(
-        name="paper-matrix",
-        passed=bool(value_dev <= 1e-10 and log_dev <= 1e-9),
-        deviation=float(value_dev),
-        tolerance=1e-10,
-        detail=f"mu=4 at 0 and 3/4, dim={dim}: row 1 of M^t vs chart "
+    return _result(
+        "paper-matrix", value_dev, 1e-10,
+        f"mu=4 at 0 and 3/4, dim={dim}: row 1 of M^t vs chart "
         f"route at t={times}; row 1 of log M vs log_row dev {log_dev:.3e} "
         "(<=1e-9, row-scaled)",
+        passed=value_dev <= 1e-10 and log_dev <= 1e-9,
     )
 
 
@@ -438,24 +419,14 @@ SUITES = {
 
 
 def run_suite(name: str, dim: int | None = None, n: int | None = None):
-    """Run a named suite; dim/n override the defaults where a check takes them."""
+    """Run a named suite; dim/n override the defaults of the checks whose
+    signature has them."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    given = {key: value for key, value in (("dim", dim), ("n", n)) if value is not None}
     results = []
     for key in SUITES[name]:
         fn = CRITERIA[key]
-        kwargs = {}
-        if dim is not None and key in (
-            "builder-equivalence",
-            "iterate-oracle",
-            "mu2-oracle",
-            "semigroup",
-            "non-uniqueness",
-            "field-extraction",
-            "flow-consistency",
-        ):
-            kwargs["dim"] = dim
-        if n is not None and key == "lyapunov":
-            kwargs["n"] = n
-        results.append(fn(**kwargs))
+        takes = inspect.signature(fn).parameters
+        results.append(fn(**{k: v for k, v in given.items() if k in takes}))
     return results

@@ -6,6 +6,7 @@ The same checks back the ``mapflow verify`` subcommand.
 """
 
 import cmath
+import inspect
 import math
 import types
 
@@ -13,7 +14,7 @@ import pytest
 
 from mapflow import iterate, verify
 from mapflow.series import PowerSeries
-from mapflow.verify import CRITERIA, SUITES, check_paper_matrix, run_suite
+from mapflow.verify import CRITERIA, SUITES, CheckResult, check_paper_matrix, run_suite
 
 ORDERED = [
     "matrix-exact",
@@ -53,6 +54,43 @@ def test_full_suite_runner():
     results = run_suite("all")
     assert len(results) == len(CRITERIA)
     assert all(r.passed for r in results)
+
+
+# The checks whose order run_suite's dim overrides.
+TAKES_DIM = {
+    "builder-equivalence",
+    "iterate-oracle",
+    "mu2-oracle",
+    "semigroup",
+    "non-uniqueness",
+    "field-extraction",
+    "flow-consistency",
+}
+
+
+def test_run_suite_passes_dim_and_n_to_the_checks_that_take_them(monkeypatch):
+    calls = {}
+
+    def recorder(name, check):
+        def stand_in(**kwargs):
+            calls[name] = kwargs
+            return CheckResult(name, True, 0.0, 0.0)
+
+        stand_in.__signature__ = inspect.signature(check)
+        return stand_in
+
+    for name, check in list(CRITERIA.items()):
+        monkeypatch.setitem(CRITERIA, name, recorder(name, check))
+    run_suite("all", dim=20, n=2000)
+    assert set(calls) == set(CRITERIA)
+    assert {name for name, kwargs in calls.items() if "dim" in kwargs} == TAKES_DIM
+    assert all(kwargs.get("dim", 20) == 20 for kwargs in calls.values())
+    assert {name: kwargs["n"] for name, kwargs in calls.items() if "n" in kwargs} == {
+        "lyapunov": 2000
+    }
+    calls.clear()
+    run_suite("all")
+    assert all(kwargs == {} for kwargs in calls.values())
 
 
 def test_paper_matrix_fails_on_a_scaled_log_row(monkeypatch):

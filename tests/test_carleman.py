@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapflow.carleman import (
+    CarlemanMatrix,
     build_matrix,
     build_matrix_quadrature,
     read_matrix_csv,
@@ -33,6 +34,14 @@ def test_logistic_matrix_matches_closed_form_exactly():
 def test_identity_map_gives_identity_matrix():
     M = build_matrix(PowerSeries.from_coefficients([0, 1], order=6), 6)
     assert np.array_equal(M.entries, np.eye(6, dtype=complex))
+
+
+def test_matrix_keeps_a_copy_of_the_callers_entries():
+    e = np.eye(3, dtype=complex)
+    M = CarlemanMatrix(e, PowerSeries([0, 1]))
+    e[0, 0] = 2
+    assert M.entries[0, 0] == 1
+    assert not M.entries.flags.writeable
 
 
 def test_generic_quadratic_row_two():

@@ -438,6 +438,18 @@ def test_config_file_fixed_point_overrides_guess(tmp_path, capsys):
     assert abs(float(out.splitlines()[1].split(",")[3]) - 0.84) < 1e-8
 
 
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    # format belongs to iterate and verify; chart prints its CSV as ever.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset=logistic:4\ndim=8\nformat=json\nguess=0\n")
+    code, out, _ = run(["chart", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "k,u_re,u_im,uinv_re,uinv_im"
+    code, out, _ = run(["matrix", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out.startswith("carleman dim=8 ")
+
+
 def test_config_file_switches_on_a_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset=logistic:4\ndim=8\ncheck_quadrature=yes\n")
@@ -579,6 +591,25 @@ def test_infinite_r_eval_is_accepted(capsys):
     code, out, _ = run(["chart", "--preset", "logistic:4", "--r-eval", "inf"], capsys)
     assert code == 0
     assert " r_eval=inf\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--guess", "0"],
+    ["matrix", "--tol", "1e-9"],
+    ["matrix", "--r-eval", "0.5"],
+    ["matrix", "--format", "csv"],
+    ["chart", "--format", "json"],
+    ["field", "--format", "csv"],
+    ["integrate", "--format", "json"],
+])
+def test_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--preset", "logistic:4", "--dim", "8"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mapflow ")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
 
 
 def test_map_spec_required(capsys):

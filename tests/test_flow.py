@@ -7,7 +7,7 @@ import pytest
 
 import mapflow as mf
 from mapflow.flow import FIELD_DROP_TOL, LYAPUNOV_CHUNK
-from mapflow.logistic import logistic4_field, logistic4_iterate
+from mapflow.logistic import logistic2_field, logistic4_field, logistic4_iterate
 from mapflow.spectral import fractional_power, matrix_log
 
 from conftest import leading_window
@@ -61,9 +61,10 @@ def test_branch_mismatch_detected(logistic4, pipe2_origin):
 
 # --- evaluate_field ----------------------------------------------------------------
 
-def test_field_values_match_closed_form(field4):
-    for x in (0.01, 0.05, 0.1):
-        assert abs(mf.evaluate_field(field4, x) - logistic4_field(x)) < 1e-6
+def test_field_values_match_closed_form(field4, field2):
+    for field, closed in ((field4, logistic4_field), (field2, logistic2_field)):
+        for x in (0.01, 0.05, 0.1, 0.25):
+            assert abs(mf.evaluate_field(field, x) - closed(x)) < 1e-6
 
 
 def test_field_at_half_is_pi_ln2_over_4(logistic4):

@@ -281,12 +281,14 @@ def test_mode_sum_flags_divergence(pipe4_origin):
     assert err.value.last_term is not None
 
 
-def test_k_max_bounds(pipe4_origin):
+def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin):
     frame, fact, _ = pipe4_origin
-    short = mf.build_expansion(fact, frame, k_max=5)
-    assert short.mode_coeffs.shape == (DIM, 6)
-    with pytest.raises(ValueError):
-        mf.build_expansion(fact, frame, k_max=DIM)
+    assert mf.build_expansion(fact, frame).mode_coeffs.shape == (DIM, DIM)
+    coeffs = np.eye(3, dtype=complex)
+    expansion = mf.IterateExpansion(coeffs, 4.0, 0j)
+    coeffs[0, 0] = 2
+    assert expansion.mode_coeffs[0, 0] == 1
+    assert not expansion.mode_coeffs.flags.writeable
 
 
 def test_complex_multiplier_pipeline():

@@ -240,7 +240,7 @@ def test_shifted_map_is_bit_identical_to_full_length_compose(coeffs, guess, dim)
 def test_fixed_point_nonconvergence_carries_last_iterate():
     f = PowerSeries.from_coefficients([1.0, 0.0, 1.0], order=8)  # x^2 + 1
     with pytest.raises(mf.FixedPointNotFound) as err:
-        find_fixed_point(f, 0.0, max_iter=8)
+        find_fixed_point(f, 0.0)
     assert err.value.last_iterate is not None
 
 

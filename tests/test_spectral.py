@@ -291,16 +291,16 @@ def test_construction_shares_powers(monkeypatch):
 
 # --- resonance check ----------------------------------------------------------------
 
-def _pairwise_diagonal(lam, n, tol_res):
+def _pairwise_diagonal(lam, n):
     """The resonance check over the full table of pairs (j, k), j < k."""
-    if abs(lam) <= tol_res:
+    if abs(lam) <= TOL_RES:
         raise mf.Superattracting(f"multiplier {lam!r} is numerically zero")
     powers = lam ** np.arange(n)
     diff = powers[:, np.newaxis] - powers[np.newaxis, :]
     gap = np.hypot(diff.real, diff.imag)
     size = np.hypot(powers.real, powers.imag)
     scale = np.maximum(size[:, np.newaxis], size[np.newaxis, :])
-    close = np.triu(gap < tol_res * scale, k=1)
+    close = np.triu(gap < TOL_RES * scale, k=1)
     if close.any():
         j, k = (int(i) for i in np.argwhere(close)[0])
         raise mf.ResonantEigenvalues(
@@ -313,7 +313,7 @@ def _pairwise_diagonal(lam, n, tol_res):
 
 def _verdict(check, lam, dim):
     try:
-        return ("ok", check(complex(lam), dim, TOL_RES))
+        return ("ok", check(complex(lam), dim))
     except mf.ResonantEigenvalues as err:
         return ("resonant", err.pair, str(err))
     except mf.Superattracting as err:
