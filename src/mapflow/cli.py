@@ -236,6 +236,8 @@ def _emit(ns, text: str):
 
 
 def cmd_matrix(ns) -> int:
+    if ns.quadrature_nodes is not None and not ns.check_quadrature:
+        raise ValueError("--quadrature-nodes needs --check-quadrature")
     f = _map_series(ns)
     M = build_matrix(f, ns.dim)
     buf = io.StringIO()
@@ -356,7 +358,7 @@ def cmd_field(ns) -> int:
     field_ = _field(ns)
     lines = [
         f"field x_star={format_complex(field_.x_star)} "
-        f"lambda={format_complex(field_.multiplier)} dim={field_.series.order}",
+        f"lambda={format_complex(field_.chart.multiplier)} dim={field_.series.order}",
         "k,g_re,g_im",
     ]
     for k, c in enumerate(field_.series.coeffs.tolist()):

@@ -34,8 +34,9 @@ import numpy as np
 
 from .carleman import CarlemanMatrix, scaled_deviation
 from .errors import BranchMismatch, ChartEscape, OutOfChart
-from .iterate import SchroederChart
+from .iterate import SchroederChart, _in_radius, _outside_reason, chart_pipeline
 from .series import PowerSeries, _horner, _trunc_div
+from .spectral import log_row
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
 TOL_FIELD_XCHECK = 1e-7
@@ -51,11 +52,14 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class FlowField:
-    """Vector field of the continuous iteration, as a series about x*."""
+    """Vector field of the continuous iteration, as a series about x*.
+
+    ``chart`` is the chart it was built with; its frame holds x*, the
+    multiplier and the Log lambda of the field.
+    """
 
     series: PowerSeries
     chart: SchroederChart
-    multiplier: complex
 
     @property
     def x_star(self) -> complex:
@@ -115,7 +119,7 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
     n = min(g.order, chart.forward.order)
     u = chart.forward.truncated(n)
     du = np.append(u.derivative().coeffs, 0)
-    log_lam = cmath.log(chart.multiplier)
+    log_lam = chart.frame.log_multiplier
     # Term k of the quotient needs only terms 0 .. k of u and u'.
     window = max(2, n // 2)
     alt = log_lam * _trunc_div(u.coeffs[:window], du[:window])
@@ -125,7 +129,7 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
             f"field coefficients disagree with Log(lambda)*u/u' by {dev:.3e}; "
             "check the logarithm branch / chart pairing"
         )
-    return FlowField(series=g, chart=chart, multiplier=chart.multiplier)
+    return FlowField(series=g, chart=chart)
 
 
 def evaluate_field(field: FlowField, x) -> complex:
@@ -135,11 +139,9 @@ def evaluate_field(field: FlowField, x) -> complex:
     :class:`OutOfChart`.
     """
     x = complex(x)
-    if not abs(x - field.x_star) <= field.chart.r_eval * (1.0 + 1e-12):
-        raise OutOfChart(
-            f"|x - x*| = {abs(x - field.x_star):.4g} exceeds the chart "
-            f"radius {field.chart.r_eval:.4g}"
-        )
+    dist = abs(x - field.x_star)
+    if not _in_radius(dist, field.chart.r_eval):
+        raise OutOfChart(_outside_reason(dist, field.chart.r_eval))
     return field.value(x)
 
 
@@ -166,8 +168,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     x = complex(x0)
     if not cmath.isfinite(x):
         raise ValueError(f"x0 must be finite, got {x!r}")
-    x_star = field.x_star
-    r = field.chart.r_eval * (1.0 + 1e-12)
+    x_star, r_eval = field.x_star, field.chart.r_eval
     ratio = abs(t_end) / dt
     if ratio > MAX_RK4_STEPS + 0.5:  # round(ratio) steps would exceed the bound
         raise ValueError(
@@ -179,7 +180,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     g = field.value
     trajectory = [(0.0, x)]
     for i in range(steps):
-        if not abs(x - x_star) <= r:
+        if not _in_radius(abs(x - x_star), r_eval):
             raise ChartEscape(
                 f"trajectory left the chart at t = {i * h:.6g}",
                 t_reached=i * h,
@@ -191,7 +192,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
         k4 = g(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trajectory.append(((i + 1) * h, x))
-    if not abs(x - x_star) <= r:
+    if not _in_radius(abs(x - x_star), r_eval):
         raise ChartEscape(
             f"trajectory left the chart at t = {t_end:.6g}",
             t_reached=t_end,
@@ -269,8 +270,5 @@ def field_pipeline(
     tol_fix: float | None = None,
 ) -> FlowField:
     """Fixed point -> factorization -> chart -> field row -> field, in one call."""
-    from .iterate import chart_pipeline
-    from .spectral import log_row
-
     _, fact, chart = chart_pipeline(f, guess, dim, r_eval=r_eval, tol_fix=tol_fix)
     return build_field(log_row(fact), chart)

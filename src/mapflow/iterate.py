@@ -6,10 +6,11 @@ the fixed point, and of its inverse.  Then
 
     f^t(x) = u_inv(lambda^t * u(x)),
 
-with lambda^t on the recorded principal branch.  Mode route: expanding the
-same matrix power row gives f^t(x) = sum_k lambda^{k t} phi_k(x) where each
-mode phi_k = h_k u^k is a fixed power series about the fixed point.  The two
-routes are algebraically identical and are cross-checked in the test suite.
+with lambda^t on the principal branch of the frame's Log lambda.  Mode
+route: expanding the same matrix power row gives
+f^t(x) = sum_k lambda^{k t} phi_k(x) where each mode phi_k = h_k u^k is a
+fixed power series about the fixed point.  The two routes are algebraically
+identical and are cross-checked in the test suite.
 
 Evaluation hygiene.  Truncated series only deserve trust inside an empirical
 radius (a tail test on the top coefficients).  Three mechanisms keep
@@ -47,11 +48,15 @@ and lambda^(t-k), the shift counts and the mode weights from ``np.exp`` and
 arithmetic to rounding (u within about 1e-14 relative), not bit for bit.
 :func:`chart_value`, :func:`evaluate_iterate_chart` and
 :func:`evaluate_iterate_matrix` are one-point grids.
+
+Both routes, the field of :mod:`mapflow.flow` and its RK4 integrator accept
+a point x when |x - x*| <= r_eval * (1 + 1e-12), the allowance covering the
+rounding of x* + d; :func:`_in_radius` and :func:`_outside_reason` hold that
+rule and the text of its refusal.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -98,12 +103,13 @@ class SchroederChart:
 
     ``forward`` maps x near the fixed point to the linear coordinate (zero
     constant term, unit linear term, expanded about x*); ``inverse`` is its
-    reversion, expanded about 0 with constant term x*.  ``r_eval`` is the
-    user-facing evaluation radius; ``forward_radius``/``inverse_radius`` are
-    derived tail-test radii of the two truncated series.
+    reversion, expanded about 0 with constant term x*.  ``frame`` holds x*,
+    the multiplier and Log lambda; ``x_star`` and ``multiplier`` read
+    through to it.  ``r_eval`` is the user-facing evaluation radius;
+    ``forward_radius``/``inverse_radius`` are derived tail-test radii of the
+    two truncated series.
     """
 
-    multiplier: complex
     forward: PowerSeries
     inverse: PowerSeries
     frame: FixedPointFrame
@@ -131,6 +137,10 @@ class SchroederChart:
     def x_star(self) -> complex:
         return self.frame.x_star
 
+    @property
+    def multiplier(self) -> complex:
+        return self.frame.multiplier
+
 
 @dataclass(frozen=True, eq=False)
 class IterateExpansion:
@@ -138,13 +148,13 @@ class IterateExpansion:
 
     Column k of ``mode_coeffs``, a read-only copy of the caller's array,
     holds the coefficients of mode k, a series about x*; mode 0 is the
-    constant x*.  Points farther than ``r_eval`` from x* are refused, as
-    on the chart route.
+    constant x*.  ``frame`` holds x*, lambda and the Log lambda of the
+    weights.  Points farther than ``r_eval`` from x* are refused, as on the
+    chart route.
     """
 
     mode_coeffs: np.ndarray
-    multiplier: complex
-    x_star: complex
+    frame: FixedPointFrame
     r_eval: float = math.inf
 
     def __post_init__(self):
@@ -252,13 +262,7 @@ def build_chart(
     radius = default_chart_radius(frame) if r_eval is None else float(r_eval)
     if not radius > 0:
         raise ValueError(f"r_eval must be positive, got {r_eval!r}")
-    return SchroederChart(
-        multiplier=S.multiplier,
-        forward=forward,
-        inverse=inverse,
-        frame=frame,
-        r_eval=radius,
-    )
+    return SchroederChart(forward=forward, inverse=inverse, frame=frame, r_eval=radius)
 
 
 def _tail_refuses(series: PowerSeries, z: np.ndarray, value: np.ndarray) -> tuple:
@@ -406,15 +410,23 @@ def chart_value(chart: SchroederChart, x) -> complex:
     return complex(u[0])
 
 
+def _in_radius(dist, r_eval: float):
+    """Whether a distance |x - x*| is within the chart radius, up to a
+    relative 1e-12 for rounding; false for nan.  Elementwise on arrays."""
+    return dist <= r_eval * (1.0 + 1e-12)
+
+
+def _outside_reason(dist: float, r_eval: float) -> str:
+    """The refusal text for a point at distance ``dist`` outside r_eval."""
+    return f"|x - x*| = {dist:.4g} exceeds the chart radius {r_eval:.4g}"
+
+
 def _outside_radius(x: np.ndarray, x_star: complex, r_eval: float) -> tuple:
     """The mask of the x farther than r_eval from x* (or not finite), and the
     refusal reason by index of each."""
     dist = np.abs(x - x_star)
-    outside = ~(dist <= r_eval * (1.0 + 1e-12))
-    reasons = {
-        j: f"|x - x*| = {dist[j]:.4g} exceeds the chart radius {r_eval:.4g}"
-        for j in np.flatnonzero(outside).tolist()
-    }
+    outside = ~_in_radius(dist, r_eval)
+    reasons = {j: _outside_reason(dist[j], r_eval) for j in np.flatnonzero(outside).tolist()}
     return outside, reasons
 
 
@@ -457,7 +469,7 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
         rows, cols = np.nonzero(status == PointStatus.OK)
         t = np.array(ts)[rows]
         k = _time_shift_steps(chart, t, w[cols])
-        arg = np.exp((t - k) * cmath.log(chart.multiplier)) * w[cols]
+        arg = np.exp((t - k) * chart.frame.log_multiplier) * w[cols]
         value = horner(chart.inverse.coeffs, arg)
         tail, refused = _tail_refuses(chart.inverse, arg, value)
         g = chart.frame.shifted_map
@@ -498,16 +510,11 @@ def build_expansion(
     passes its chart's ``r_eval``; with the default only the mode-sum test
     refuses points.
     """
-    n, x_star = S.dim, frame.x_star
+    n = S.dim
     coeffs = np.zeros((n, n), dtype=complex)
-    coeffs[0, 0] = x_star
+    coeffs[0, 0] = frame.x_star
     coeffs[:, 1:] = (S.inverse_row[1:, np.newaxis] * S.chart_matrix[1:]).T
-    return IterateExpansion(
-        mode_coeffs=coeffs,
-        multiplier=S.multiplier,
-        x_star=x_star,
-        r_eval=float(r_eval),
-    )
+    return IterateExpansion(mode_coeffs=coeffs, frame=frame, r_eval=float(r_eval))
 
 
 def evaluate_matrix_grid(
@@ -525,12 +532,13 @@ def evaluate_matrix_grid(
     xs = [complex(x) for x in xs]
     nt, nx = len(ts), len(xs)
     x = np.array(xs, dtype=complex)
-    outside, column_errors = _outside_radius(x, expansion.x_star, expansion.r_eval)
+    frame = expansion.frame
+    outside, column_errors = _outside_radius(x, frame.x_star, expansion.r_eval)
     inside = np.flatnonzero(~outside)
     with np.errstate(all="ignore"):
-        phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - expansion.x_star)
+        phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - frame.x_star)
         k = np.arange(expansion.mode_coeffs.shape[1])
-        weight = np.exp(np.outer(ts, k) * cmath.log(expansion.multiplier))
+        weight = np.exp(np.outer(ts, k) * frame.log_multiplier)
         total = weight @ phi
         last = np.abs(weight[:, -1:] * phi[-1])
         # A sum that overflowed has no meaningful last-term test.
@@ -545,15 +553,13 @@ def evaluate_matrix_grid(
     return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
 
 
-def evaluate_iterate_matrix(
-    expansion: IterateExpansion, t: float, x, tail_tol: float = TAIL_TOL
-) -> complex:
+def evaluate_iterate_matrix(expansion: IterateExpansion, t: float, x) -> complex:
     """f^t(x) = sum_k lambda^{k t} phi_k(x), with a last-term convergence test.
 
     Raises :class:`NonConvergent` (carrying the last-term magnitude) when the
     final mode's contribution is not negligible against the running sum.
     """
-    return evaluate_matrix_grid(expansion, (t,), (x,), tail_tol).value(0, 0)
+    return evaluate_matrix_grid(expansion, (t,), (x,)).value(0, 0)
 
 
 def chart_pipeline(

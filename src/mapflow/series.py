@@ -29,6 +29,7 @@ triangular.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -142,9 +143,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, k: int) -> complex:
-        return self.coeffs[k]
-
     def __call__(self, x) -> complex:
         return _horner(self.coeffs.tolist(), complex(x) - self.base_point)
 
@@ -252,11 +250,26 @@ class FixedPointFrame:
     g'(0) equals the multiplier.  The constant term is set to exactly zero once
     the Newton residual is below tolerance, so the embedding matrix of g is
     exactly upper triangular.
+
+    The frame is the one owner of x*, the multiplier and its logarithm: the
+    factorization, the chart, the mode expansion and the field all read them
+    from here.
     """
 
     x_star: complex
     multiplier: complex
     shifted_map: PowerSeries
+
+    @property
+    def log_multiplier(self) -> complex:
+        """Log lambda on the principal branch, arg in (-pi, pi].
+
+        Every non-integer power uses it, as lambda^{j t} = exp(j t Log lambda),
+        and the flow field is Log lambda * u / u'.  One branch keeps the
+        diagonal powers a one-parameter semigroup in t, and makes a negative
+        multiplier give genuinely complex non-integer iterates.
+        """
+        return cmath.log(self.multiplier)
 
 
 def _check_multiplier(lam: complex) -> None:

@@ -39,17 +39,13 @@ spoils the chart from order ~80 on.
 Everything here lives in the fixed-point frame: the powers and the logarithm
 are matrices of g's iterates and of g's generator, and their row-1 series
 are expanded about x*, which is where the iterate and flow modules evaluate
-them; no matrix is ever conjugated back to the coordinates of f.
-
-Branch convention: all non-integer powers use the principal logarithm of the
-multiplier, arg in (-pi, pi], applied as lambda^{j t} = exp(j t Log lambda).
-This keeps the diagonal a one-parameter semigroup in t (and makes a negative
-multiplier produce genuinely complex non-integer iterates).
+them; no matrix is ever conjugated back to the coordinates of f.  Every
+non-integer power takes Log lambda from the frame
+(:attr:`mapflow.series.FixedPointFrame.log_multiplier`, principal branch).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,22 +68,20 @@ from .series import (
 class SpectralFactorization:
     """Unitriangular diagonalization of the shifted map's embedding matrix.
 
-    ``chart_row`` holds the coefficients of the linearizing chart u and
-    ``inverse_row`` those of its inverse h, both about 0 in the shifted frame
-    (zero constant term, unit linear term).  They are row 1 of the factor
-    ``chart_matrix`` and of its inverse ``chart_matrix_inv``, which satisfy
-    chart_matrix @ M(g) @ chart_matrix_inv = diag(multiplier^j).  The rows
-    of both factors are convolution powers of the two rows, formed on first
+    ``frame`` is the fixed point it was built at; x*, the multiplier lambda
+    and Log lambda are read from it.  ``chart_row`` holds the coefficients
+    of the linearizing chart u and ``inverse_row`` those of its inverse h,
+    both about 0 in the shifted frame (zero constant term, unit linear
+    term).  They are row 1 of the factor ``chart_matrix`` and of its inverse
+    ``chart_matrix_inv``, which satisfy
+    chart_matrix @ M(g) @ chart_matrix_inv = diag(lambda^j).  The rows of
+    both factors are convolution powers of the two rows, formed on first
     use (:func:`diagonalize` supplies its recursion's factors instead).
-    ``log_multiplier`` is the principal logarithm of the multiplier used for
-    every non-integer power.
     """
 
-    multiplier: complex
+    frame: FixedPointFrame
     chart_row: np.ndarray
     inverse_row: np.ndarray
-    x_star: complex
-    log_multiplier: complex
 
     def __post_init__(self):
         for name in ("chart_row", "inverse_row"):
@@ -202,15 +196,8 @@ def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorizatio
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    lam = complex(frame.multiplier)
-    h = _inverse_chart_row(frame.shifted_map, _diagonal(lam, dim))
-    return SpectralFactorization(
-        multiplier=lam,
-        chart_row=_chart_row(h),
-        inverse_row=h,
-        x_star=complex(frame.x_star),
-        log_multiplier=cmath.log(lam),
-    )
+    h = _inverse_chart_row(frame.shifted_map, _diagonal(complex(frame.multiplier), dim))
+    return SpectralFactorization(frame=frame, chart_row=_chart_row(h), inverse_row=h)
 
 
 def diagonalize(Mg: CarlemanMatrix, frame: FixedPointFrame) -> SpectralFactorization:
@@ -259,13 +246,7 @@ def diagonalize(Mg: CarlemanMatrix, frame: FixedPointFrame) -> SpectralFactoriza
         for j in range(k - 1, -1, -1):
             acc = entries[j, j + 1 : k + 1] @ W[j + 1 : k + 1, k]
             W[j, k] = acc / (powers[k] - powers[j])
-    S = SpectralFactorization(
-        multiplier=lam,
-        chart_row=V[1],
-        inverse_row=W[1],
-        x_star=complex(frame.x_star),
-        log_multiplier=cmath.log(lam),
-    )
+    S = SpectralFactorization(frame=frame, chart_row=V[1], inverse_row=W[1])
     # Seed the factors' caches with the recursion's matrices.
     vars(S).update(chart_matrix=_read_only(V), chart_matrix_inv=_read_only(W))
     return S
@@ -275,7 +256,7 @@ def _function_of_core(S: SpectralFactorization, diag: np.ndarray) -> CarlemanMat
     """V^-1 diag V, a function of the shifted map's matrix; row 1 about x*."""
     core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
     return CarlemanMatrix(
-        entries=core, source_map=PowerSeries.from_coefficients(core[1], S.x_star)
+        entries=core, source_map=PowerSeries.from_coefficients(core[1], S.frame.x_star)
     )
 
 
@@ -289,7 +270,7 @@ def fractional_power(S: SpectralFactorization, t: float) -> CarlemanMatrix:
     f^t(x) - x*.
     """
     j = np.arange(S.dim)
-    return _function_of_core(S, np.exp(j * (t * S.log_multiplier)))
+    return _function_of_core(S, np.exp(j * (t * S.frame.log_multiplier)))
 
 
 def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
@@ -299,7 +280,7 @@ def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
     continuous-time vector field generating the iteration; the flow module
     consumes it.
     """
-    return _function_of_core(S, np.arange(S.dim) * S.log_multiplier)
+    return _function_of_core(S, np.arange(S.dim) * S.frame.log_multiplier)
 
 
 def log_row(S: SpectralFactorization) -> PowerSeries:
@@ -316,10 +297,10 @@ def log_row(S: SpectralFactorization) -> PowerSeries:
     m = math.isqrt(n)
     blocks = -(-n // m)
     coeffs = np.zeros(blocks * m, dtype=complex)
-    coeffs[:n] = S.inverse_row * (np.arange(n) * S.log_multiplier)
+    coeffs[:n] = S.inverse_row * (np.arange(n) * S.frame.log_multiplier)
     baby = convolution_powers(S.chart_row, m + 1)
     parts = coeffs.reshape(blocks, m) @ baby[:m]
     acc = parts[-1]
     for part in parts[-2::-1]:
         acc = np.convolve(acc, baby[m])[:n] + part
-    return PowerSeries.from_coefficients(acc, S.x_star)
+    return PowerSeries.from_coefficients(acc, S.frame.x_star)

@@ -28,8 +28,8 @@ import numpy as np
 from .carleman import build_matrix, build_matrix_quadrature, scaled_deviation
 from .flow import (
     TOL_ODE,
-    build_field,
     evaluate_field,
+    field_pipeline,
     integrate_flow,
     lyapunov_logistic,
     validity_window,
@@ -75,6 +75,19 @@ def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
     f = logistic_series(mu, dim)
     frame, fact, chart = chart_pipeline(f, guess, dim, r_eval=r_eval)
     return frame, fact, chart
+
+
+@lru_cache(maxsize=None)
+def _expansion(dim: int):
+    """The mode expansion of mu=4 at 0, bounded by its chart's radius."""
+    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    return build_expansion(fact, frame, r_eval=chart.r_eval)
+
+
+@lru_cache(maxsize=None)
+def _field(dim: int):
+    """The flow field of mu=4 at 0, with the chart radius 0.6."""
+    return field_pipeline(logistic_series(4.0, dim), 0.1, dim, r_eval=0.6)
 
 
 def _result(name, deviation, tolerance, detail="", passed=None) -> CheckResult:
@@ -143,9 +156,7 @@ def _chart_errors(dim: int) -> dict:
 
 def _iterate_errors(dim: int):
     """Per-sample absolute errors of both routes against the closed iterate."""
-    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
-    by_modes = _oracle_errors(evaluate_matrix_grid(expansion, _C4_TIMES, _C4_POINTS))
+    by_modes = _oracle_errors(evaluate_matrix_grid(_expansion(dim), _C4_TIMES, _C4_POINTS))
     by_chart = _chart_errors(dim)
     return {key: (by_chart[key], by_modes[key]) for key in by_chart}
 
@@ -167,8 +178,8 @@ def check_mu2_oracle(dim: int = 40) -> CheckResult:
 
 
 def check_semigroup(dim: int = 40) -> CheckResult:
-    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
+    _, _, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    expansion = _expansion(dim)
     routes = (
         lambda ts, xs: evaluate_chart_grid(chart, ts, xs),
         lambda ts, xs: evaluate_matrix_grid(expansion, ts, xs),
@@ -223,8 +234,7 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
 
 
 def check_field(dim: int = 40) -> CheckResult:
-    _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    field = build_field(log_row(fact), chart)
+    field = _field(dim)
     dev = 0.0
     for x in (0.01, 0.05, 0.1):
         dev = max(dev, abs(evaluate_field(field, x) - logistic4_field(x)))
@@ -241,12 +251,11 @@ def check_field(dim: int = 40) -> CheckResult:
 
 
 def check_flow_consistency(dim: int = 40) -> CheckResult:
-    _, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    field = build_field(log_row(fact), chart)
+    field = _field(dim)
     end_1 = integrate_flow(field, 0.01, 1.0, dt=1e-3)[-1][1]
     dev_map = abs(end_1 - 0.0396)
     end_half = integrate_flow(field, 0.01, 0.5, dt=1e-3)[-1][1]
-    dev_chart = abs(end_half - evaluate_iterate_chart(chart, 0.5, 0.01))
+    dev_chart = abs(end_half - evaluate_iterate_chart(field.chart, 0.5, 0.01))
     dev = max(dev_map, dev_chart)
     return _result(
         "flow-consistency",
@@ -420,13 +429,13 @@ SUITES = {
 
 def run_suite(name: str, dim: int | None = None, n: int | None = None):
     """Run a named suite; dim/n override the defaults of the checks whose
-    signature has them."""
+    signature has them.  An override that no check of the suite takes
+    raises ``ValueError`` before any check runs."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     given = {key: value for key, value in (("dim", dim), ("n", n)) if value is not None}
-    results = []
-    for key in SUITES[name]:
-        fn = CRITERIA[key]
-        takes = inspect.signature(fn).parameters
-        results.append(fn(**{k: v for k, v in given.items() if k in takes}))
-    return results
+    checks = [(CRITERIA[key], inspect.signature(CRITERIA[key]).parameters) for key in SUITES[name]]
+    for key in given:
+        if not any(key in takes for _, takes in checks):
+            raise ValueError(f"suite {name!r} has no check that takes {key}")
+    return [fn(**{k: v for k, v in given.items() if k in takes}) for fn, takes in checks]

@@ -5,15 +5,14 @@ pinned tolerance (run with ``pytest -s`` to see them for passing tests too).
 The same checks back the ``mapflow verify`` subcommand.
 """
 
-import cmath
 import inspect
 import math
-import types
 
 import pytest
 
-from mapflow import iterate, verify
-from mapflow.series import PowerSeries
+from mapflow import verify
+from mapflow.iterate import build_chart
+from mapflow.series import FixedPointFrame, PowerSeries
 from mapflow.verify import CRITERIA, SUITES, CheckResult, check_paper_matrix, run_suite
 
 ORDERED = [
@@ -104,12 +103,25 @@ def test_paper_matrix_fails_on_a_scaled_log_row(monkeypatch):
     assert not check_paper_matrix().passed
 
 
+class _WrongBranchFrame(FixedPointFrame):
+    """A frame whose Log(lambda) is off the principal branch by 2 pi i."""
+
+    @property
+    def log_multiplier(self):
+        return super().log_multiplier + 2j * math.pi
+
+
 def test_paper_matrix_fails_on_the_wrong_branch_of_log_lambda(monkeypatch):
-    # The chart route raises lambda^t with Log(lambda) + 2 pi i.
-    wrong = types.SimpleNamespace(
-        log=lambda z: cmath.log(z) + 2j * math.pi, exp=cmath.exp
-    )
-    monkeypatch.setattr(iterate, "cmath", wrong)
+    # Only the chart route raises lambda^t with Log(lambda) + 2 pi i; the
+    # paper's matrices keep the principal branch of the true frame.
+    pipeline = verify._pipeline
+
+    def wrong_chart(*args):
+        frame, fact, chart = pipeline(*args)
+        wrong = _WrongBranchFrame(frame.x_star, frame.multiplier, frame.shifted_map)
+        return frame, fact, build_chart(fact, wrong, r_eval=chart.r_eval)
+
+    monkeypatch.setattr(verify, "_pipeline", wrong_chart)
     result = check_paper_matrix()
     assert not result.passed
     assert result.deviation > result.tolerance

@@ -578,6 +578,12 @@ def test_integrate_refuses_more_steps_than_a_trajectory_may_hold(flags, steps, c
     (["integrate", "--preset", "logistic:4", "--r-eval", "-1"], "r_eval must be positive, got -1.0"),
     (["matrix", "--preset", "logistic:4", "--dim", "6", "--quadrature-nodes", "0",
       "--check-quadrature"], "quadrature needs at least one node, got 0"),
+    (["matrix", "--preset", "logistic:4", "--dim", "4", "--quadrature-nodes", "3"],
+     "--quadrature-nodes needs --check-quadrature"),
+    (["verify", "--suite", "lyapunov", "--dim", "7"],
+     "suite 'lyapunov' has no check that takes dim"),
+    (["verify", "--suite", "semigroup", "--n", "5000"],
+     "suite 'semigroup' has no check that takes n"),
 ])
 def test_nonsensical_radius_or_node_count_is_refused(argv, message, capsys):
     with warnings.catch_warnings():

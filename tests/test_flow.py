@@ -87,6 +87,33 @@ def test_field_out_of_radius_raises(field4):
             mf.evaluate_field(field4, x)
 
 
+def test_pipeline_objects_share_one_frame(pipe4_origin):
+    frame, fact, chart = pipe4_origin
+    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
+    field = mf.build_field(mf.log_row(fact), chart)
+    for owner in (fact, chart, expansion, field.chart):
+        assert owner.frame is frame
+    assert (chart.x_star, chart.multiplier) == (frame.x_star, frame.multiplier)
+
+
+def test_every_evaluator_applies_one_chart_radius(pipe4_origin, field4):
+    # x* is exactly 0 and r_eval 0.6 on both; the rule allows a relative 1e-12.
+    frame, fact, chart = pipe4_origin
+    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
+    inside, outside = 0.6 * (1 + 5e-13), 0.6 * (1 + 2e-12)
+    for grid in (mf.evaluate_chart_grid(chart, (0.5,), (inside, outside)),
+                 mf.evaluate_matrix_grid(expansion, (0.5,), (inside, outside))):
+        assert grid.status.tolist() == [[mf.PointStatus.OK, mf.PointStatus.OUTSIDE_RADIUS]]
+    mf.evaluate_field(field4, inside)
+    with pytest.raises(mf.OutOfChart):
+        mf.evaluate_field(field4, outside)
+    # One step back towards x*: only the start is tested against the radius.
+    mf.integrate_flow(field4, inside, -1e-3)
+    with pytest.raises(mf.ChartEscape) as err:
+        mf.integrate_flow(field4, outside, -1e-3)
+    assert err.value.t_reached == 0.0
+
+
 # (mu, fixed point, r_eval) of the charts whose fields the evaluator is tested on
 CHARTS = [(4.0, 0.0, 0.6), (4.0, 0.75, 0.3), (2.0, 0.0, 0.45)]
 

@@ -249,7 +249,7 @@ def test_modes_sum_to_identity_at_time_zero(pipe4_origin):
     frame, fact, _ = pipe4_origin
     expansion = mf.build_expansion(fact, frame)
     for x in (0.005, 0.01, 0.03):
-        total = sum(_horner(mode, x - expansion.x_star) for mode in expansion.mode_coeffs.T)
+        total = sum(_horner(mode, x - frame.x_star) for mode in expansion.mode_coeffs.T)
         assert abs(total - x) < 1e-8
         assert abs(mf.evaluate_iterate_matrix(expansion, 0.0, x) - x) < 1e-8
 
@@ -285,7 +285,7 @@ def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin)
     frame, fact, _ = pipe4_origin
     assert mf.build_expansion(fact, frame).mode_coeffs.shape == (DIM, DIM)
     coeffs = np.eye(3, dtype=complex)
-    expansion = mf.IterateExpansion(coeffs, 4.0, 0j)
+    expansion = mf.IterateExpansion(coeffs, frame)
     coeffs[0, 0] = 2
     assert expansion.mode_coeffs[0, 0] == 1
     assert not expansion.mode_coeffs.flags.writeable
@@ -336,7 +336,6 @@ def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
     ]
     inv = mf.PowerSeries(tuple(inv_coeffs), 0j)
     scaled = SchroederChart(
-        multiplier=chart.multiplier,
         forward=fwd,
         inverse=inv,
         frame=chart.frame,
@@ -439,12 +438,13 @@ def _ref_matrix(expansion, t, x):
     """The per-point mode sum, written with Python complex arithmetic.
 
     Returns the sum and its scale, max(1, the sum of the terms' moduli)."""
-    if abs(complex(x) - expansion.x_star) > expansion.r_eval * (1.0 + 1e-12):
+    x_star = expansion.frame.x_star
+    if abs(complex(x) - x_star) > expansion.r_eval * (1.0 + 1e-12):
         raise mf.OutOfChart("outside r_eval")
-    log_lam = cmath.log(expansion.multiplier)
+    log_lam = cmath.log(expansion.frame.multiplier)
     total = last = 0j
     scale = 1.0
-    z = complex(x) - expansion.x_star
+    z = complex(x) - x_star
     for k, mode in enumerate(expansion.mode_coeffs.T.tolist()):
         last = cmath.exp(k * t * log_lam) * _horner(mode, z)
         total += last
@@ -726,8 +726,8 @@ def test_continuation_refuses_a_zero_slope(pipe4_second):
     # so no tail test runs.  The second point converges from w = 0.
     _, _, chart = pipe4_second
     inverse = mf.PowerSeries.from_coefficients([chart.x_star, 1.0, -0.5], order=8)
-    flat = SchroederChart(multiplier=chart.multiplier, forward=chart.forward,
-                          inverse=inverse, frame=chart.frame, r_eval=chart.r_eval)
+    flat = SchroederChart(forward=chart.forward, inverse=inverse, frame=chart.frame,
+                          r_eval=chart.r_eval)
     x = chart.x_star + np.array([0.2, 0.3])
     u, reasons = iterate._continue(flat, x, x, np.ones(2), np.array([1.0, 0.0], dtype=complex))
     assert reasons == {0: "continuation hit a critical point of the chart"}

@@ -73,7 +73,7 @@ def test_factorization_invariants():
     eye = np.eye(dim)
     assert np.abs(S.chart_matrix @ S.chart_matrix_inv - eye).max() < 1e-10
     product = S.chart_matrix @ mg.entries @ S.chart_matrix_inv
-    assert scaled_deviation(product, np.diag(S.multiplier ** np.arange(dim))) < 1e-9
+    assert scaled_deviation(product, np.diag(S.frame.multiplier ** np.arange(dim))) < 1e-9
     assert np.allclose(np.diag(S.chart_matrix), 1.0, atol=0)
     assert np.allclose(np.diag(S.chart_matrix_inv), 1.0, atol=0)
 
@@ -84,7 +84,7 @@ def test_diagonalization_column_relative_at_large_dim():
     dim = 40
     _, mg, S = factor(4.0, 0.1, dim)
     product = S.chart_matrix @ mg.entries @ S.chart_matrix_inv
-    dev = scaled_deviation(product.T, np.diag(S.multiplier ** np.arange(dim)).T)
+    dev = scaled_deviation(product.T, np.diag(S.frame.multiplier ** np.arange(dim)).T)
     assert dev < 1e-10
 
 
@@ -105,7 +105,7 @@ def test_left_eigenrow_is_left_eigenvector():
     psi = S.chart_row
     w = leading_window(dim, 2, 1)
     lhs = (psi @ mg.entries)[:w]
-    rhs = (S.multiplier * psi)[:w]
+    rhs = (S.frame.multiplier * psi)[:w]
     assert scaled_deviation(lhs, rhs) < 1e-9
 
 
@@ -170,8 +170,7 @@ def test_series_core_agrees_with_diagonalize(coeffs, guess, dim):
     ref = diagonalize(build_matrix(frame.shifted_map, dim), frame)
     assert scaled_deviation(S.chart_matrix, ref.chart_matrix) < 1e-9
     assert scaled_deviation(S.chart_matrix_inv, ref.chart_matrix_inv) < 1e-9
-    assert S.multiplier == ref.multiplier
-    assert S.log_multiplier == ref.log_multiplier
+    assert S.frame is frame and ref.frame is frame
 
 
 @pytest.mark.parametrize("coeffs, guess", CORE_MAPS)
@@ -245,7 +244,7 @@ def test_shared_powers_agree_with_sequential_construction(name, dim):
     phi = _trunc_div(one, S.inverse_row[1:])
     du = np.abs(S.chart_row - _lagrange_sequential(phi))
     assert np.all(du <= eps * _lagrange_sequential(np.abs(phi)))
-    a = S.inverse_row * (np.arange(dim) * S.log_multiplier)
+    a = S.inverse_row * (np.arange(dim) * S.frame.log_multiplier)
     dg = np.abs(log_row(S).coeffs - _horner_sum(a, S.chart_row))
     assert np.all(dg <= eps * _horner_sum(np.abs(a), np.abs(S.chart_row)))
 
@@ -462,7 +461,7 @@ def test_log_at_second_fixed_point_is_the_shifted_maps_generator():
 
 def test_log_at_origin_is_the_chart_core():
     _, _, S = factor(4.0, 0.1, 12)
-    diag = np.arange(12) * S.log_multiplier
+    diag = np.arange(12) * S.frame.log_multiplier
     core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
     L = matrix_log(S)
     assert np.array_equal(L.entries, core)
@@ -471,6 +470,6 @@ def test_log_at_origin_is_the_chart_core():
 
 def test_principal_branch_for_negative_multiplier():
     _, _, S = factor(4.0, 0.7, 12)
-    assert abs(S.multiplier + 2.0) < 1e-10
-    assert abs(S.log_multiplier - complex(math.log(2), math.pi)) < 1e-12
+    assert abs(S.frame.multiplier + 2.0) < 1e-10
+    assert abs(S.frame.log_multiplier - complex(math.log(2), math.pi)) < 1e-12
 
