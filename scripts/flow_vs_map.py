@@ -22,14 +22,13 @@ def main():
     args = ap.parse_args()
 
     f = mf.logistic_series(args.mu, args.dim)
-    field = mf.field_pipeline(f, 0.1, args.dim, r_eval=0.6)
-    chart = field.chart
-    trajectory = mf.integrate_flow(field, args.x0, args.t_end, dt=args.dt)
+    p = mf.pipeline(f, 0.1, args.dim, r_eval=0.6)
+    trajectory = mf.integrate_flow(p.field, args.x0, args.t_end, dt=args.dt)
 
     rows = ["t,x_re,x_im,chart_re,chart_im,gap"]
     worst = 0.0
     samples = trajectory[:: max(1, len(trajectory) // 200)]
-    grid = mf.evaluate_chart_grid(chart, [t for t, _ in samples], [args.x0])
+    grid = mf.evaluate_chart_grid(p.chart, [t for t, _ in samples], [args.x0])
     for i, (t, x) in enumerate(samples):
         ref = grid.value(i, 0)
         gap = abs(x - ref)

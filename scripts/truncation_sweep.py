@@ -26,11 +26,10 @@ def _worst(grid):
 
 def worst_error(dim):
     f = mf.logistic_series(4.0, dim)
-    frame, fact, chart = mf.chart_pipeline(f, 0.1, dim, r_eval=0.6)
-    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
-    by_chart = mf.evaluate_chart_grid(chart, TIMES, POINTS)
+    p = mf.pipeline(f, 0.1, dim, r_eval=0.6)
+    by_chart = mf.evaluate_chart_grid(p.chart, TIMES, POINTS)
     # loose tail flag: at low orders we *want* the best-effort value
-    by_modes = mf.evaluate_matrix_grid(expansion, TIMES, POINTS, tail_tol=1e-3)
+    by_modes = mf.evaluate_matrix_grid(p.expansion, TIMES, POINTS, tail_tol=1e-3)
     return _worst(by_chart), _worst(by_modes)
 
 

@@ -12,6 +12,9 @@ the fixed-point frame,
 * the vector field G with df^t/dt = G(f^t) (row 1 of the matrix logarithm),
 
 with everything cross-checked against exactly solvable logistic references.
+:func:`pipeline` runs these steps for one map and fixed point; its
+:class:`Pipeline` holds the factorization and the chart and builds the mode
+expansion and the field on first use.
 """
 
 from .carleman import (
@@ -36,11 +39,12 @@ from .errors import (
 )
 from .flow import (
     FlowField,
+    Pipeline,
     build_field,
     evaluate_field,
-    field_pipeline,
     integrate_flow,
     lyapunov_logistic,
+    pipeline,
     validity_window,
 )
 from .iterate import (
@@ -50,7 +54,6 @@ from .iterate import (
     SchroederChart,
     build_chart,
     build_expansion,
-    chart_pipeline,
     chart_value,
     default_chart_radius,
     evaluate_chart_grid,

@@ -43,14 +43,8 @@ from .errors import (
     OutOfChart,
     RestrictiveConditionViolated,
 )
-from .flow import field_pipeline, integrate_flow, lyapunov_logistic
-from .iterate import (
-    PointStatus,
-    build_expansion,
-    chart_pipeline,
-    evaluate_chart_grid,
-    evaluate_matrix_grid,
-)
+from .flow import integrate_flow, lyapunov_logistic, pipeline
+from .iterate import PointStatus, evaluate_chart_grid, evaluate_matrix_grid
 from .logistic import (
     logistic2_iterate,
     logistic4_iterate,
@@ -227,6 +221,14 @@ def _map_series(ns) -> PowerSeries:
     return PowerSeries.from_coefficients(ns.coeffs, 0j, order=ns.dim)
 
 
+def _pipeline(ns):
+    """The pipeline of the map and chart flags; iterate's ``--fixed-point``
+    overrides ``--guess``."""
+    fixed_point = getattr(ns, "fixed_point", None)
+    guess = ns.guess if fixed_point is None else fixed_point
+    return pipeline(_map_series(ns), guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
+
+
 def _emit(ns, text: str):
     if ns.output:
         with open(ns.output, "w", encoding="utf-8", newline="") as fh:
@@ -274,22 +276,19 @@ def _reference_value(reference, t, x) -> complex | None:
 
 
 def cmd_iterate(ns) -> int:
-    f = _map_series(ns)
     if not ns.t or not ns.x:
         raise ValueError("iterate needs non-empty --t and --x grids")
-    guess = ns.guess if ns.fixed_point is None else ns.fixed_point
-    frame, fact, chart = chart_pipeline(f, guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
+    p = _pipeline(ns)
     grids = []
     if ns.route in ("chart", "both"):
-        grids.append(("chart", evaluate_chart_grid(chart, ns.t, ns.x)))
+        grids.append(("chart", evaluate_chart_grid(p.chart, ns.t, ns.x)))
     if ns.route in ("matrix", "both"):
-        expansion = build_expansion(fact, frame, r_eval=chart.r_eval)
-        grids.append(("matrix", evaluate_matrix_grid(expansion, ns.t, ns.x)))
+        grids.append(("matrix", evaluate_matrix_grid(p.expansion, ns.t, ns.x)))
     routes = [
         (name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist())
         for name, grid in grids
     ]
-    reference = _reference_fn(ns, frame.x_star)
+    reference = _reference_fn(ns, p.chart.x_star)
 
     def ref_at(t, x):
         return _reference_value(reference, t, x) if reference is not None else None
@@ -335,9 +334,7 @@ def cmd_iterate(ns) -> int:
 
 
 def cmd_chart(ns) -> int:
-    _, _, chart = chart_pipeline(
-        _map_series(ns), ns.guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol
-    )
+    chart = _pipeline(ns).chart
     lines = [
         f"chart x_star={format_complex(chart.x_star)} "
         f"lambda={format_complex(chart.multiplier)} "
@@ -350,12 +347,8 @@ def cmd_chart(ns) -> int:
     return EXIT_OK
 
 
-def _field(ns):
-    return field_pipeline(_map_series(ns), ns.guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
-
-
 def cmd_field(ns) -> int:
-    field_ = _field(ns)
+    field_ = _pipeline(ns).field
     lines = [
         f"field x_star={format_complex(field_.x_star)} "
         f"lambda={format_complex(field_.chart.multiplier)} dim={field_.series.order}",
@@ -368,7 +361,7 @@ def cmd_field(ns) -> int:
 
 
 def cmd_integrate(ns) -> int:
-    field_ = _field(ns)
+    field_ = _pipeline(ns).field
     x0 = ns.x0 if ns.x0 is not None else field_.x_star
     trajectory = integrate_flow(field_, x0, ns.t_end, dt=ns.dt)
     lines = ["t,x_re,x_im"]

@@ -6,7 +6,11 @@ dx/dt = G(x), x(0) = x0.  The pipeline sums that row from the two chart
 series as Log(lambda) * sum_k k h_k u^k, with no matrix.  The same field has
 a closed chart form G = Log(lambda) * u(x) / u'(x), which this module uses as
 a cross-check when building a field (a mismatch almost always means a wrong
-logarithm branch).
+logarithm branch; coefficients that are not finite are refused on their own).
+
+:func:`pipeline` is the one way the CLI, ``verify`` and the scripts build all
+this: fixed point, factorization and chart at once, and the mode expansion of
+:mod:`mapflow.iterate` and the field on first use (:class:`Pipeline`).
 
 The field is summed by Horner's rule up to the last term that can change the
 result at the current |x - x*|: the terms it drops add up to at most one
@@ -34,9 +38,16 @@ import numpy as np
 
 from .carleman import CarlemanMatrix, scaled_deviation
 from .errors import BranchMismatch, ChartEscape, OutOfChart
-from .iterate import SchroederChart, _in_radius, _outside_reason, chart_pipeline
-from .series import PowerSeries, _horner, _trunc_div
-from .spectral import log_row
+from .iterate import (
+    IterateExpansion,
+    SchroederChart,
+    _in_radius,
+    _outside_reason,
+    build_chart,
+    build_expansion,
+)
+from .series import TOL_FIX, PowerSeries, _horner, _trunc_div, find_fixed_point
+from .spectral import SpectralFactorization, factor_from_series, log_row
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
 TOL_FIELD_XCHECK = 1e-7
@@ -116,6 +127,12 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
             f"log expanded about {g.base_point!r} but chart sits at "
             f"{chart.x_star!r}"
         )
+    bad = np.flatnonzero(~np.isfinite(g.coeffs))
+    if bad.size:
+        raise BranchMismatch(
+            f"{bad.size} field coefficients are not finite, the first at k = "
+            f"{bad[0]}: the chart series are too large to sum at this order"
+        )
     n = min(g.order, chart.forward.order)
     u = chart.forward.truncated(n)
     du = np.append(u.derivative().coeffs, 0)
@@ -124,7 +141,7 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
     window = max(2, n // 2)
     alt = log_lam * _trunc_div(u.coeffs[:window], du[:window])
     dev = scaled_deviation(g.coeffs[:window], alt[:window])
-    if dev > TOL_FIELD_XCHECK:
+    if not dev <= TOL_FIELD_XCHECK:
         raise BranchMismatch(
             f"field coefficients disagree with Log(lambda)*u/u' by {dev:.3e}; "
             "check the logarithm branch / chart pairing"
@@ -262,13 +279,44 @@ def lyapunov_logistic(n: int, x0: float) -> float:
     return total / n
 
 
-def field_pipeline(
+@dataclass(frozen=True, eq=False)
+class Pipeline:
+    """One map's factorization and chart, and what is built from them.
+
+    The factorization's frame holds x*, lambda and Log lambda; the chart,
+    the mode expansion and the field hold that same frame.  The expansion
+    and the field are built on first use, once each.
+    """
+
+    factorization: SpectralFactorization
+    chart: SchroederChart
+
+    @cached_property
+    def expansion(self) -> IterateExpansion:
+        """The mode expansion, bounded by the chart's radius."""
+        fact = self.factorization
+        return build_expansion(fact, fact.frame, r_eval=self.chart.r_eval)
+
+    @cached_property
+    def field(self) -> FlowField:
+        """The flow field, summed from the factorization's field row."""
+        return build_field(log_row(self.factorization), self.chart)
+
+
+def pipeline(
     f: PowerSeries,
     guess,
     dim: int,
     r_eval: float | None = None,
     tol_fix: float | None = None,
-) -> FlowField:
-    """Fixed point -> factorization -> chart -> field row -> field, in one call."""
-    _, fact, chart = chart_pipeline(f, guess, dim, r_eval=r_eval, tol_fix=tol_fix)
-    return build_field(log_row(fact), chart)
+) -> Pipeline:
+    """Locate the fixed point near ``guess``, factor, and build the chart.
+
+    The factorization comes from the shifted map's two chart series
+    (:func:`mapflow.spectral.factor_from_series`); no matrix is built.
+    ``r_eval`` overrides the chart's default radius and ``tol_fix`` the
+    fixed point's Newton residual tolerance.
+    """
+    frame = find_fixed_point(f, guess, tol_fix=TOL_FIX if tol_fix is None else tol_fix)
+    fact = factor_from_series(frame, dim)
+    return Pipeline(fact, build_chart(fact, frame, r_eval=r_eval))

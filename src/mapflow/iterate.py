@@ -10,7 +10,9 @@ with lambda^t on the principal branch of the frame's Log lambda.  Mode
 route: expanding the same matrix power row gives
 f^t(x) = sum_k lambda^{k t} phi_k(x) where each mode phi_k = h_k u^k is a
 fixed power series about the fixed point.  The two routes are algebraically
-identical and are cross-checked in the test suite.
+identical and are cross-checked in the test suite.  Both take their objects
+from one :func:`mapflow.flow.pipeline`: the chart route its ``chart``, the
+mode route its ``expansion``.
 
 Evaluation hygiene.  Truncated series only deserve trust inside an empirical
 radius (a tail test on the top coefficients).  Three mechanisms keep
@@ -66,16 +68,14 @@ import numpy as np
 
 from .errors import MapflowError, NonConvergent, OutOfChart
 from .series import (
-    TOL_FIX,
     FixedPointFrame,
     PowerSeries,
     _read_only,
-    find_fixed_point,
     horner,
     tail_radius,
     trailing_term,
 )
-from .spectral import SpectralFactorization, factor_from_series
+from .spectral import SpectralFactorization
 
 # Relative size of the trailing stored terms tolerated at an evaluation
 # site: beyond this the truncated value has fewer than ~6 reliable digits
@@ -506,9 +506,9 @@ def build_expansion(
 
     Column k of the expansion's array holds phi_k for every k < dim: the
     coefficients of u^k, row k of the forward factor, scaled by h_k and
-    expanded about the fixed point; phi_0 is the constant x*.  The CLI
-    passes its chart's ``r_eval``; with the default only the mode-sum test
-    refuses points.
+    expanded about the fixed point; phi_0 is the constant x*.
+    :attr:`mapflow.flow.Pipeline.expansion` passes its chart's ``r_eval``;
+    with the default only the mode-sum test refuses points.
     """
     n = S.dim
     coeffs = np.zeros((n, n), dtype=complex)
@@ -560,22 +560,3 @@ def evaluate_iterate_matrix(expansion: IterateExpansion, t: float, x) -> complex
     final mode's contribution is not negligible against the running sum.
     """
     return evaluate_matrix_grid(expansion, (t,), (x,)).value(0, 0)
-
-
-def chart_pipeline(
-    f: PowerSeries,
-    guess,
-    dim: int,
-    r_eval: float | None = None,
-    tol_fix: float | None = None,
-):
-    """Locate the fixed point, factor, and build the chart.
-
-    Returns (frame, factorization, chart).  The factorization comes from the
-    shifted map's two chart series (:func:`mapflow.spectral.factor_from_series`);
-    no matrix is built.
-    """
-    frame = find_fixed_point(f, guess, tol_fix=TOL_FIX if tol_fix is None else tol_fix)
-    fact = factor_from_series(frame, dim)
-    chart = build_chart(fact, frame, r_eval=r_eval)
-    return frame, fact, chart

@@ -299,8 +299,11 @@ def log_row(S: SpectralFactorization) -> PowerSeries:
     coeffs = np.zeros(blocks * m, dtype=complex)
     coeffs[:n] = S.inverse_row * (np.arange(n) * S.frame.log_multiplier)
     baby = convolution_powers(S.chart_row, m + 1)
-    parts = coeffs.reshape(blocks, m) @ baby[:m]
-    acc = parts[-1]
-    for part in parts[-2::-1]:
-        acc = np.convolve(acc, baby[m])[:n] + part
+    # A sum that overflows leaves non-finite coefficients, which build_field
+    # refuses; numpy's warnings about it would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = coeffs.reshape(blocks, m) @ baby[:m]
+        acc = parts[-1]
+        for part in parts[-2::-1]:
+            acc = np.convolve(acc, baby[m])[:n] + part
     return PowerSeries.from_coefficients(acc, S.frame.x_star)

@@ -13,7 +13,10 @@ absolute as stated.
 
 Charts are built with explicit generous evaluation radii (the conservative
 default radius is a usage guard, not an accuracy statement; the internal
-tail checks keep the evaluations honest at these sample points).
+tail checks keep the evaluations honest at these sample points).  Every
+check builds through one cached :func:`mapflow.flow.pipeline` per map,
+fixed point, order and radius, and takes the mode expansion and the field
+from it, so a suite run builds each factorization once.
 """
 
 from __future__ import annotations
@@ -29,18 +32,12 @@ from .carleman import build_matrix, build_matrix_quadrature, scaled_deviation
 from .flow import (
     TOL_ODE,
     evaluate_field,
-    field_pipeline,
     integrate_flow,
     lyapunov_logistic,
+    pipeline,
     validity_window,
 )
-from .iterate import (
-    build_expansion,
-    chart_pipeline,
-    evaluate_chart_grid,
-    evaluate_iterate_chart,
-    evaluate_matrix_grid,
-)
+from .iterate import evaluate_chart_grid, evaluate_iterate_chart, evaluate_matrix_grid
 from .logistic import (
     logistic2_iterate,
     logistic4_chart_coefficients,
@@ -72,22 +69,9 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
-    f = logistic_series(mu, dim)
-    frame, fact, chart = chart_pipeline(f, guess, dim, r_eval=r_eval)
-    return frame, fact, chart
-
-
-@lru_cache(maxsize=None)
-def _expansion(dim: int):
-    """The mode expansion of mu=4 at 0, bounded by its chart's radius."""
-    frame, fact, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    return build_expansion(fact, frame, r_eval=chart.r_eval)
-
-
-@lru_cache(maxsize=None)
-def _field(dim: int):
-    """The flow field of mu=4 at 0, with the chart radius 0.6."""
-    return field_pipeline(logistic_series(4.0, dim), 0.1, dim, r_eval=0.6)
+    """The pipeline of the logistic map ``mu`` at the fixed point nearest
+    ``guess``; the checks share it, its expansion and its field."""
+    return pipeline(logistic_series(mu, dim), guess, dim, r_eval=r_eval)
 
 
 def _result(name, deviation, tolerance, detail="", passed=None) -> CheckResult:
@@ -124,8 +108,7 @@ def check_builder_equivalence(dim: int = 16) -> CheckResult:
 
 def check_chart_coefficients() -> CheckResult:
     """First 8 chart coefficients at the origin match the exact expansion."""
-    _, fact, _ = _pipeline(4.0, 0.1, 16, 0.6)
-    row = fact.chart_row
+    row = _pipeline(4.0, 0.1, 16, 0.6).factorization.chart_row
     exact = logistic4_chart_coefficients(8)
     dev = 0.0
     for k in range(1, 9):
@@ -150,13 +133,14 @@ def _oracle_errors(grid, reference=logistic4_iterate) -> dict:
 
 def _chart_errors(dim: int) -> dict:
     """Per-sample absolute errors of the chart route against the closed iterate."""
-    _, _, chart = _pipeline(4.0, 0.1, dim, 0.6)
+    chart = _pipeline(4.0, 0.1, dim, 0.6).chart
     return _oracle_errors(evaluate_chart_grid(chart, _C4_TIMES, _C4_POINTS))
 
 
 def _iterate_errors(dim: int):
     """Per-sample absolute errors of both routes against the closed iterate."""
-    by_modes = _oracle_errors(evaluate_matrix_grid(_expansion(dim), _C4_TIMES, _C4_POINTS))
+    expansion = _pipeline(4.0, 0.1, dim, 0.6).expansion
+    by_modes = _oracle_errors(evaluate_matrix_grid(expansion, _C4_TIMES, _C4_POINTS))
     by_chart = _chart_errors(dim)
     return {key: (by_chart[key], by_modes[key]) for key in by_chart}
 
@@ -170,7 +154,7 @@ def check_iterate_oracle(dim: int = 40) -> CheckResult:
 
 
 def check_mu2_oracle(dim: int = 40) -> CheckResult:
-    _, _, chart = _pipeline(2.0, 0.1, dim, 0.3)
+    chart = _pipeline(2.0, 0.1, dim, 0.3).chart
     times, points = (0.5, 1.5), (0.01, 0.1)
     grid = evaluate_chart_grid(chart, times, points)
     dev = max(_oracle_errors(grid, logistic2_iterate).values())
@@ -178,11 +162,10 @@ def check_mu2_oracle(dim: int = 40) -> CheckResult:
 
 
 def check_semigroup(dim: int = 40) -> CheckResult:
-    _, _, chart = _pipeline(4.0, 0.1, dim, 0.6)
-    expansion = _expansion(dim)
+    p = _pipeline(4.0, 0.1, dim, 0.6)
     routes = (
-        lambda ts, xs: evaluate_chart_grid(chart, ts, xs),
-        lambda ts, xs: evaluate_matrix_grid(expansion, ts, xs),
+        lambda ts, xs: evaluate_chart_grid(p.chart, ts, xs),
+        lambda ts, xs: evaluate_matrix_grid(p.expansion, ts, xs),
     )
     times, points = (0.25, 0.5, 1.0), (0.005, 0.01, 0.02)
     per_pair = {}
@@ -212,8 +195,8 @@ def check_semigroup(dim: int = 40) -> CheckResult:
 def check_nonuniqueness(dim: int = 40) -> CheckResult:
     """Charts at the two fixed points coincide at integer times and split
     at half-integer time with a genuinely complex branch."""
-    _, _, chart0 = _pipeline(4.0, 0.1, dim, 0.6)
-    _, _, chart1 = _pipeline(4.0, 0.7, dim, 0.6)
+    chart0 = _pipeline(4.0, 0.1, dim, 0.6).chart
+    chart1 = _pipeline(4.0, 0.7, dim, 0.6).chart
     times, x = (1.0, 2.0, 3.0, 0.5), 0.3
     grid0 = evaluate_chart_grid(chart0, times, (x,))
     grid1 = evaluate_chart_grid(chart1, times, (x,))
@@ -234,7 +217,7 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
 
 
 def check_field(dim: int = 40) -> CheckResult:
-    field = _field(dim)
+    field = _pipeline(4.0, 0.1, dim, 0.6).field
     dev = 0.0
     for x in (0.01, 0.05, 0.1):
         dev = max(dev, abs(evaluate_field(field, x) - logistic4_field(x)))
@@ -251,7 +234,7 @@ def check_field(dim: int = 40) -> CheckResult:
 
 
 def check_flow_consistency(dim: int = 40) -> CheckResult:
-    field = _field(dim)
+    field = _pipeline(4.0, 0.1, dim, 0.6).field
     end_1 = integrate_flow(field, 0.01, 1.0, dt=1e-3)[-1][1]
     dev_map = abs(end_1 - 0.0396)
     end_half = integrate_flow(field, 0.01, 0.5, dt=1e-3)[-1][1]
@@ -340,9 +323,9 @@ def check_order_sweep() -> CheckResult:
     )
     growth = max(growth, 0.0)
     top = _SWEEP_DIMS[-1]
-    _, fact, _ = _pipeline(4.0, 0.1, top, 0.6)
+    row = _pipeline(4.0, 0.1, top, 0.6).factorization.chart_row
     coeff_dev = max(
-        abs(fact.chart_row[k] - float(c)) / float(c)
+        abs(row[k] - float(c)) / float(c)
         for k, c in enumerate(logistic4_chart_coefficients(top - 1), start=1)
     )
     return _result(
@@ -369,10 +352,12 @@ def check_paper_matrix() -> CheckResult:
     dim, times = 40, (0.5, 1.5)
     value_dev = log_dev = 0.0
     for guess in (0.1, 0.7):
-        frame, fact, chart = _pipeline(4.0, guess, dim, 0.6)
+        p = _pipeline(4.0, guess, dim, 0.6)
+        # The paper's matrices take the factorization's own frame, never the chart's.
+        frame = p.factorization.frame
         paper = diagonalize(build_matrix(frame.shifted_map, dim), frame)
         points = [frame.x_star + d for d in _C4_POINTS]
-        grid = evaluate_chart_grid(chart, times, points)
+        grid = evaluate_chart_grid(p.chart, times, points)
         for i, t in enumerate(times):
             row = fractional_power(paper, t).source_map
             for j, x in enumerate(points):
@@ -380,7 +365,7 @@ def check_paper_matrix() -> CheckResult:
                 value_dev = max(value_dev, abs(value - grid.value(i, j)))
         log_dev = max(
             log_dev,
-            scaled_deviation(matrix_log(paper).entries[1], log_row(fact).coeffs),
+            scaled_deviation(matrix_log(paper).entries[1], log_row(p.factorization).coeffs),
         )
     return _result(
         "paper-matrix", value_dev, 1e-10,

@@ -28,26 +28,26 @@ def logistic2():
 
 @pytest.fixture(scope="session")
 def pipe4_origin(logistic4):
-    """(frame, factorization, chart) for mu=4 at the fixed point 0."""
-    return mf.chart_pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    """The pipeline of mu=4 at the fixed point 0."""
+    return mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
 
 
 @pytest.fixture(scope="session")
 def pipe4_second(logistic4):
-    """(frame, factorization, chart) for mu=4 at the fixed point 3/4."""
-    return mf.chart_pipeline(logistic4, 0.7, DIM, r_eval=0.6)
+    """The pipeline of mu=4 at the fixed point 3/4."""
+    return mf.pipeline(logistic4, 0.7, DIM, r_eval=0.6)
 
 
 @pytest.fixture(scope="session")
 def pipe2_origin(logistic2):
-    return mf.chart_pipeline(logistic2, 0.1, DIM, r_eval=0.3)
+    return mf.pipeline(logistic2, 0.1, DIM, r_eval=0.3)
 
 
 @pytest.fixture(scope="session")
-def field4(logistic4):
-    return mf.field_pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+def field4(pipe4_origin):
+    return pipe4_origin.field
 
 
 @pytest.fixture(scope="session")
-def field2(logistic2):
-    return mf.field_pipeline(logistic2, 0.1, DIM, r_eval=0.3)
+def field2(pipe2_origin):
+    return pipe2_origin.field

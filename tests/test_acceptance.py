@@ -10,7 +10,9 @@ import math
 
 import pytest
 
+import mapflow.flow
 from mapflow import verify
+from mapflow.flow import Pipeline
 from mapflow.iterate import build_chart
 from mapflow.series import FixedPointFrame, PowerSeries
 from mapflow.verify import CRITERIA, SUITES, CheckResult, check_paper_matrix, run_suite
@@ -53,6 +55,24 @@ def test_full_suite_runner():
     results = run_suite("all")
     assert len(results) == len(CRITERIA)
     assert all(r.passed for r in results)
+
+
+def test_a_suite_run_builds_each_factorization_once(monkeypatch):
+    # The checks share verify's one pipeline cache: a run factors each
+    # (map, fixed point, order) it uses once, however many checks read it.
+    for value in vars(verify).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    calls = []
+    factor = mapflow.flow.factor_from_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(mapflow.flow, "factor_from_series", counted)
+    run_suite("all")
+    assert calls and len(calls) == verify._pipeline.cache_info().currsize
 
 
 # The checks whose order run_suite's dim overrides.
@@ -117,9 +137,10 @@ def test_paper_matrix_fails_on_the_wrong_branch_of_log_lambda(monkeypatch):
     pipeline = verify._pipeline
 
     def wrong_chart(*args):
-        frame, fact, chart = pipeline(*args)
+        p = pipeline(*args)
+        frame = p.factorization.frame
         wrong = _WrongBranchFrame(frame.x_star, frame.multiplier, frame.shifted_map)
-        return frame, fact, build_chart(fact, wrong, r_eval=chart.r_eval)
+        return Pipeline(p.factorization, build_chart(p.factorization, wrong, r_eval=p.chart.r_eval))
 
     monkeypatch.setattr(verify, "_pipeline", wrong_chart)
     result = check_paper_matrix()

@@ -281,6 +281,41 @@ def test_field_at_order_160_is_built(capsys):
     assert abs(float(lines[3].split(",")[1]) - math.log(4.0)) < 1e-12
 
 
+@pytest.mark.parametrize("argv, message", [
+    # At order 80 the chart series of lambda = 1.001 are too large for the
+    # field row's sums, which overflow from k = 31 on.
+    (["field", "--dim", "80"],
+     "49 field coefficients are not finite, the first at k = 31: the chart "
+     "series are too large to sum at this order"),
+    (["integrate", "--dim", "80", "--x0", "0.01", "--t-end", "0.1"],
+     "49 field coefficients are not finite, the first at k = 31: the chart "
+     "series are too large to sum at this order"),
+    (["field", "--dim", "40"],
+     "field coefficients disagree with Log(lambda)*u/u' by 1.490e-01; check "
+     "the logarithm branch / chart pairing"),
+])
+def test_a_field_that_fails_its_cross_check_is_refused(argv, message, capsys):
+    # Outside pytest a numpy warning would print to stderr beside the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*argv, "--coeffs=0,1.001,-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: BranchMismatch: {message}\n"
+
+
+def test_chart_builds_neither_the_expansion_nor_the_field(monkeypatch, capsys):
+    import mapflow.flow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chart built the mode expansion or the field")
+
+    monkeypatch.setattr(mapflow.flow, "build_expansion", refuse)
+    monkeypatch.setattr(mapflow.flow, "log_row", refuse)
+    code, out, _ = run(["chart", "--preset", "logistic:4", "--dim", "40"], capsys)
+    assert code == 0
+    assert out.startswith("chart x_star=0+0i")
+
+
 def _exact_chart(mu: int, n: int) -> tuple:
     """Coefficients 1 .. n-1 of the chart u and its inverse h at 0."""
     if mu == 4:  # u = arcsin(sqrt x)^2, h = sin(sqrt w)^2

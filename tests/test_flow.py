@@ -36,7 +36,7 @@ def test_field_coefficients_mu2(field2):
 
 def test_field_of_linear_map_is_exact():
     f = mf.PowerSeries.from_coefficients([0, 3.0], order=8)
-    field = mf.field_pipeline(f, 0.0, 8)
+    field = mf.pipeline(f, 0.0, 8).field
     assert abs(field.series.coeffs[1] - math.log(3.0)) < 1e-14
     assert all(abs(c) < 1e-14 for k, c in enumerate(field.series.coeffs) if k != 1)
 
@@ -47,14 +47,14 @@ def test_field_vanishes_at_fixed_point(field4, field2):
 
 
 def test_field_second_fixed_point_is_complex(logistic4):
-    field = mf.field_pipeline(logistic4, 0.7, DIM, r_eval=0.3)
+    field = mf.pipeline(logistic4, 0.7, DIM, r_eval=0.3).field
     assert abs(field.series.coeffs[1] - complex(LN2, math.pi)) < 1e-12
 
 
 def test_branch_mismatch_detected(logistic4, pipe2_origin):
-    _, fact, _ = mf.chart_pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    fact = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6).factorization
     log = matrix_log(fact)
-    _, _, wrong_chart = pipe2_origin
+    wrong_chart = pipe2_origin.chart
     with pytest.raises(mf.BranchMismatch):
         mf.build_field(log, wrong_chart)
 
@@ -68,13 +68,13 @@ def test_field_values_match_closed_form(field4, field2):
 
 
 def test_field_at_half_is_pi_ln2_over_4(logistic4):
-    field = mf.field_pipeline(logistic4, 0.1, DIM, r_eval=1.0)
+    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=1.0).field
     v = mf.evaluate_field(field, 0.5)
     assert abs(v - math.pi * LN2 / 4) < 1e-6
 
 
 def test_field_positive_inside_unit_interval(logistic4):
-    field = mf.field_pipeline(logistic4, 0.1, DIM, r_eval=1.0)
+    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=1.0).field
     for x in np.linspace(0.05, 0.95, 19):
         v = mf.evaluate_field(field, x)
         assert v.real > 0
@@ -87,19 +87,23 @@ def test_field_out_of_radius_raises(field4):
             mf.evaluate_field(field4, x)
 
 
-def test_pipeline_objects_share_one_frame(pipe4_origin):
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
-    field = mf.build_field(mf.log_row(fact), chart)
-    for owner in (fact, chart, expansion, field.chart):
+def test_pipeline_objects_share_one_frame(logistic4):
+    # A fresh pipeline: the shared fixture may already hold its expansion and field.
+    p = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    assert "expansion" not in vars(p) and "field" not in vars(p)
+    frame = p.factorization.frame
+    # Each is built once, on first use; a second access gives the same object.
+    assert p.expansion is p.expansion and p.field is p.field
+    for owner in (p.chart, p.expansion, p.field.chart):
         assert owner.frame is frame
-    assert (chart.x_star, chart.multiplier) == (frame.x_star, frame.multiplier)
+    assert p.field.chart is p.chart
+    assert p.expansion.r_eval == p.chart.r_eval == 0.6
+    assert (p.chart.x_star, p.chart.multiplier) == (frame.x_star, frame.multiplier)
 
 
 def test_every_evaluator_applies_one_chart_radius(pipe4_origin, field4):
     # x* is exactly 0 and r_eval 0.6 on both; the rule allows a relative 1e-12.
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame, r_eval=chart.r_eval)
+    chart, expansion = pipe4_origin.chart, pipe4_origin.expansion
     inside, outside = 0.6 * (1 + 5e-13), 0.6 * (1 + 2e-12)
     for grid in (mf.evaluate_chart_grid(chart, (0.5,), (inside, outside)),
                  mf.evaluate_matrix_grid(expansion, (0.5,), (inside, outside))):
@@ -121,7 +125,7 @@ CHARTS = [(4.0, 0.0, 0.6), (4.0, 0.75, 0.3), (2.0, 0.0, 0.45)]
 @pytest.fixture(scope="module")
 def fields():
     return [
-        mf.field_pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r)
+        mf.pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r).field
         for mu, x_star, r in CHARTS
         for dim in (40, 160)
     ]
@@ -159,7 +163,7 @@ def test_radius_table_bounds_the_dropped_terms(fields):
 
 
 def test_field_matches_finite_difference_of_iterates(field4, pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     h = 1e-4
     for x in (0.02, 0.05):
         fd = (
@@ -195,7 +199,7 @@ def test_flow_property_of_endpoints(field4):
 
 
 def test_complex_trajectory_from_second_fixed_point(logistic4):
-    field = mf.field_pipeline(logistic4, 0.7, DIM, r_eval=0.3)
+    field = mf.pipeline(logistic4, 0.7, DIM, r_eval=0.3).field
     traj = mf.integrate_flow(field, 0.7, 1.0, dt=1e-3)
     assert any(abs(x.imag) > 1e-3 for _, x in traj)
     assert abs(traj[-1][1] - 0.84) < 1e-5
@@ -238,7 +242,7 @@ def test_trajectory_is_byte_identical_to_the_full_sum(mu, x_star, r_eval, ranges
     # guaranteed: on l4_0 about one start in four gets a row that is an ulp
     # off, and the flow then carries that difference (up to 3 ulps by t = 1.5).
     # The next test bounds the difference where many terms are dropped.
-    field = mf.field_pipeline(mf.logistic_series(mu, DIM), x_star, DIM, r_eval=r_eval)
+    field = mf.pipeline(mf.logistic_series(mu, DIM), x_star, DIM, r_eval=r_eval).field
     rng = np.random.default_rng(3)
     for lo, hi in ranges:
         for offset in rng.uniform(lo, hi, 2):
@@ -249,7 +253,7 @@ def test_trajectory_is_byte_identical_to_the_full_sum(mu, x_star, r_eval, ranges
 
 
 def test_trajectory_far_from_the_fixed_point_is_within_an_ulp_of_the_full_sum(logistic4):
-    field = mf.field_pipeline(logistic4, 0.0, DIM, r_eval=0.95)
+    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=0.95).field
     traj = mf.integrate_flow(field, 0.3, 0.4, 1e-3)
     ref = _rk4_full_horner(field, 0.3, 0.4, 1e-3)
     assert len(traj) == len(ref) == 401
@@ -259,7 +263,7 @@ def test_trajectory_far_from_the_fixed_point_is_within_an_ulp_of_the_full_sum(lo
 
 
 def test_chart_escape_carries_partial_trajectory(logistic4):
-    field = mf.field_pipeline(logistic4, 0.1, DIM, r_eval=0.05)
+    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.05).field
     with pytest.raises(mf.ChartEscape) as err:
         mf.integrate_flow(field, 0.03, 2.0, dt=1e-3)
     assert err.value.trajectory
@@ -373,7 +377,7 @@ def test_lyapunov_memory_is_bounded():
 
 def test_log_row_equals_power_derivative(logistic4):
     dim = 16
-    _, fact, _ = mf.chart_pipeline(logistic4.truncated(dim), 0.1, dim)
+    fact = mf.pipeline(logistic4.truncated(dim), 0.1, dim).factorization
     L = matrix_log(fact)
     h = 1e-4
     fd = (
@@ -386,7 +390,8 @@ def test_log_row_equals_power_derivative(logistic4):
 def test_monomial_coordinates_satisfy_linear_system(field4, pipe4_origin, logistic4):
     # For x_j(t) = f^t(x)^j the log matrix is the coefficient matrix of the
     # linear ODE system: dx_j/dt = sum_k L[j,k] x_k.
-    _, fact, chart = pipe4_origin
+    fact = pipe4_origin.factorization
+    chart = pipe4_origin.chart
     L = matrix_log(fact)
     h = 1e-4
     x = 0.05

@@ -38,7 +38,7 @@ DIM = 40
 # --- build_chart ---------------------------------------------------------------
 
 def test_origin_chart_matches_exact_coefficients(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     exact = logistic4_chart_coefficients(8)
     for k in range(1, 9):
         assert abs(chart.forward.coeffs[k] - float(exact[k - 1])) < 1e-12
@@ -47,13 +47,13 @@ def test_origin_chart_matches_exact_coefficients(pipe4_origin):
 
 
 def test_origin_chart_values_match_closed_form(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     for x in (0.01, 0.05, 0.2, 0.3):
         assert abs(chart.forward(x) - logistic4_chart(x)) < 1e-10
 
 
 def test_mu2_chart_matches_log_series(pipe2_origin):
-    _, _, chart = pipe2_origin
+    chart = pipe2_origin.chart
     expected = [0, 1, 1, 4 / 3]
     for k, c in enumerate(expected):
         assert abs(chart.forward.coeffs[k] - c) < 1e-12
@@ -64,7 +64,7 @@ def test_mu2_chart_matches_log_series(pipe2_origin):
 def test_second_chart_normalized_taylor(pipe4_second):
     # Hand expansion of the unit-derivative chart at 3/4: quadratic and cubic
     # coefficients are 2/3 and 16/9.
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     assert abs(chart.frame.x_star - 0.75) < 1e-12
     assert abs(chart.forward.coeffs[1] - 1.0) < 1e-13
     assert abs(chart.forward.coeffs[2] - 2 / 3) < 1e-12
@@ -75,7 +75,8 @@ def test_second_chart_normalized_taylor(pipe4_second):
 
 def test_chart_functional_equation_residual(pipe4_origin, pipe4_second):
     for pipe in (pipe4_origin, pipe4_second):
-        frame, _, chart = pipe
+        chart = pipe.chart
+        frame = chart.frame
         lam = chart.multiplier
         g = frame.shifted_map
         # 20 samples within a conservative radius around the fixed point
@@ -88,7 +89,7 @@ def test_chart_functional_equation_residual(pipe4_origin, pipe4_second):
 
 
 def test_chart_inverse_roundtrip(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     for i in range(20):
         x = 0.002 * (i + 1)
         assert abs(chart.inverse(chart.forward(x)) - x) < 1e-8
@@ -96,7 +97,7 @@ def test_chart_inverse_roundtrip(pipe4_origin):
 
 def test_chart_inverse_matches_series_reversion(logistic4):
     # The inverse series composed with the chart is the identity to order 12.
-    _, _, chart = mf.chart_pipeline(logistic4.truncated(12), 0.1, 12)
+    chart = mf.pipeline(logistic4.truncated(12), 0.1, 12).chart
     ident = np.zeros(12)
     ident[1] = 1.0
     h_of_u = mf.compose(chart.inverse, chart.forward)
@@ -115,32 +116,32 @@ def test_default_radius_is_tenth_of_fixed_point_gap(logistic4, logistic2):
 # --- evaluate_iterate_chart ------------------------------------------------------
 
 def test_time_one_reproduces_the_map(pipe4_origin, logistic4):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     for x in (0.01, 0.05, 0.2):
         assert abs(mf.evaluate_iterate_chart(chart, 1.0, x) - logistic4(x)) < 1e-9
 
 
 def test_half_time_matches_closed_form(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     v = mf.evaluate_iterate_chart(chart, 0.5, 0.05)
     assert abs(v - logistic4_iterate(0.5, 0.05)) < 1e-6
 
 
 def test_second_chart_integer_time_coincides_with_principal(pipe4_second):
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     v = mf.evaluate_iterate_chart(chart, 2.0, 0.7)
     assert abs(v - logistic4_iterate(2.0, 0.7)) < 1e-6
 
 
 def test_out_of_chart_radius_raises(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     with pytest.raises(mf.OutOfChart):
         mf.evaluate_iterate_chart(chart, 0.5, 0.7)  # r_eval is 0.6
 
 
 def test_integer_consistency_both_routes(pipe4_origin, logistic4):
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact, chart = pipe4_origin.factorization, pipe4_origin.chart
+    expansion = mf.build_expansion(fact, fact.frame)
     x0 = 0.02
     orbit = [complex(x0)]
     for _ in range(4):
@@ -151,8 +152,8 @@ def test_integer_consistency_both_routes(pipe4_origin, logistic4):
 
 
 def test_semigroup_property_both_routes(pipe4_origin):
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact, chart = pipe4_origin.factorization, pipe4_origin.chart
+    expansion = mf.build_expansion(fact, fact.frame)
     routes = (
         lambda t, x: mf.evaluate_iterate_chart(chart, t, x),
         lambda t, x: mf.evaluate_iterate_matrix(expansion, t, x),
@@ -167,14 +168,14 @@ def test_semigroup_property_both_routes(pipe4_origin):
 def test_linear_map_iterates_exactly():
     # chart of a pure scaling map is the identity; f^t(x) = 3^t x
     f = mf.PowerSeries.from_coefficients([0, 3.0], order=8)
-    _, _, chart = mf.chart_pipeline(f, 0.0, 8)
+    chart = mf.pipeline(f, 0.0, 8).chart
     for t in (0.5, 1.0, 2.3):
         for x in (0.1, -0.4, 0.2j):
             assert abs(mf.evaluate_iterate_chart(chart, t, x) - 3.0**t * x) < 1e-12
 
 
 def test_negative_time_inverts_the_map(pipe4_origin, logistic4):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     x = 0.05
     y = mf.evaluate_iterate_chart(chart, -1.0, x)
     assert abs(logistic4(y) - x) < 1e-9
@@ -183,7 +184,7 @@ def test_negative_time_inverts_the_map(pipe4_origin, logistic4):
 # --- continuation beyond the series radius --------------------------------------
 
 def test_chart_value_continues_past_series_radius(pipe4_second):
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     # 0.3 lies far outside the second chart's series radius (~0.25 about 3/4)
     assert abs(0.3 - chart.x_star) > chart.forward_radius
     w = chart_value(chart, 0.3)
@@ -191,8 +192,8 @@ def test_chart_value_continues_past_series_radius(pipe4_second):
 
 
 def test_branch_non_uniqueness(pipe4_origin, pipe4_second):
-    _, _, chart0 = pipe4_origin
-    _, _, chart1 = pipe4_second
+    chart0 = pipe4_origin.chart
+    chart1 = pipe4_second.chart
     x = 0.3
     for t in (1.0, 2.0, 3.0):
         a = mf.evaluate_iterate_chart(chart0, t, x)
@@ -209,7 +210,8 @@ def test_branch_non_uniqueness(pipe4_origin, pipe4_second):
 
 def test_mode_zero_is_fixed_point_constant(pipe4_origin, pipe4_second):
     for pipe in (pipe4_origin, pipe4_second):
-        frame, fact, _ = pipe
+        fact = pipe.factorization
+        frame = fact.frame
         expansion = mf.build_expansion(fact, frame)
         m0 = expansion.mode_coeffs[:, 0]
         assert m0[0] == frame.x_star
@@ -217,16 +219,16 @@ def test_mode_zero_is_fixed_point_constant(pipe4_origin, pipe4_second):
 
 
 def test_mode_one_has_unit_linear_coefficient(pipe4_origin):
-    frame, fact, _ = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact = pipe4_origin.factorization
+    expansion = mf.build_expansion(fact, fact.frame)
     assert abs(expansion.mode_coeffs[1, 1] - 1.0) < 1e-13
 
 
 def test_modes_match_closed_form_taylor(pipe4_origin):
     # phi_k = (-1)^(k+1)/2 * (2 arcsin(sqrt x))^(2k) / (2k)! ; its Taylor
     # coefficients follow from exact convolution powers of the chart series.
-    frame, fact, _ = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact = pipe4_origin.factorization
+    expansion = mf.build_expansion(fact, fact.frame)
     u_exact = [Fraction(0)] + logistic4_chart_coefficients(11)
     for k in (1, 2):
         conv = [Fraction(1)] + [Fraction(0)] * 11
@@ -246,7 +248,8 @@ def test_modes_match_closed_form_taylor(pipe4_origin):
 
 
 def test_modes_sum_to_identity_at_time_zero(pipe4_origin):
-    frame, fact, _ = pipe4_origin
+    fact = pipe4_origin.factorization
+    frame = fact.frame
     expansion = mf.build_expansion(fact, frame)
     for x in (0.005, 0.01, 0.03):
         total = sum(_horner(mode, x - frame.x_star) for mode in expansion.mode_coeffs.T)
@@ -255,15 +258,15 @@ def test_modes_sum_to_identity_at_time_zero(pipe4_origin):
 
 
 def test_matrix_route_matches_closed_form(pipe4_origin):
-    frame, fact, _ = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact = pipe4_origin.factorization
+    expansion = mf.build_expansion(fact, fact.frame)
     v = mf.evaluate_iterate_matrix(expansion, 1.5, 0.02)
     assert abs(v - logistic4_iterate(1.5, 0.02)) < 1e-6
 
 
 def test_routes_agree_at_random_samples(pipe4_origin):
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact, chart = pipe4_origin.factorization, pipe4_origin.chart
+    expansion = mf.build_expansion(fact, fact.frame)
     rng = np.random.default_rng(42)
     for _ in range(20):
         t = rng.uniform(0.0, 2.0)
@@ -274,15 +277,16 @@ def test_routes_agree_at_random_samples(pipe4_origin):
 
 
 def test_mode_sum_flags_divergence(pipe4_origin):
-    frame, fact, _ = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
+    fact = pipe4_origin.factorization
+    expansion = mf.build_expansion(fact, fact.frame)
     with pytest.raises(mf.NonConvergent) as err:
         mf.evaluate_iterate_matrix(expansion, 12.0, 0.05)
     assert err.value.last_term is not None
 
 
 def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin):
-    frame, fact, _ = pipe4_origin
+    fact = pipe4_origin.factorization
+    frame = fact.frame
     assert mf.build_expansion(fact, frame).mode_coeffs.shape == (DIM, DIM)
     coeffs = np.eye(3, dtype=complex)
     expansion = mf.IterateExpansion(coeffs, frame)
@@ -294,8 +298,8 @@ def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin)
 def test_complex_multiplier_pipeline():
     lam = 1.5 + 0.5j
     f = mf.PowerSeries.from_coefficients([0, lam, 0.3 - 0.2j], order=20)
-    frame, fact, chart = mf.chart_pipeline(f, 0.0, 20, r_eval=0.3)
-    assert abs(frame.multiplier - lam) < 1e-12
+    chart = mf.pipeline(f, 0.0, 20, r_eval=0.3).chart
+    assert abs(chart.multiplier - lam) < 1e-12
     for delta in (0.01, 0.004 - 0.006j):
         resid = abs(chart.forward(f(delta)) - lam * chart.forward(delta))
         assert resid < 1e-10
@@ -315,8 +319,8 @@ def test_pipeline_linearizes_random_repelling_maps(a1, a2, a3):
     # maps fixing 0 with a real repelling multiplier: the chart must satisfy
     # its defining equation and invert cleanly near the fixed point
     f = mf.PowerSeries.from_coefficients([0.0, a1, a2, a3], order=16)
-    frame, fact, chart = mf.chart_pipeline(f, 0.0, 16, r_eval=0.5)
-    lam = frame.multiplier
+    chart = mf.pipeline(f, 0.0, 16, r_eval=0.5).chart
+    lam = chart.multiplier
     for delta in (0.004, -0.006, 0.003j):
         resid = abs(chart.forward(f(delta)) - lam * chart.forward(delta))
         assert resid < 1e-8
@@ -326,7 +330,7 @@ def test_pipeline_linearizes_random_repelling_maps(a1, a2, a3):
 # --- normalization invariance -----------------------------------------------------
 
 def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
-    _, _, chart = pipe4_origin
+    chart = pipe4_origin.chart
     c = 2.5 - 0.4j
     fwd = mf.PowerSeries(
         tuple(c * v for v in chart.forward.coeffs), chart.forward.base_point
@@ -475,12 +479,12 @@ def _assert_grid_matches_reference(grid, reference, rtol=1e-14):
 def test_chart_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
     rng = np.random.default_rng(7)
     ts = [-1.3, 0.0, 0.5, 2.2, 3.9, *rng.uniform(-2.0, 4.0, 5)]
-    _, _, chart0 = pipe4_origin
+    chart0 = pipe4_origin.chart
     xs0 = [0.0, -0.0, 0.3, 0.59, 0.7, *rng.uniform(-0.6, 0.6, 6)]
     assert _assert_grid_matches_reference(
         mf.evaluate_chart_grid(chart0, ts, xs0), lambda t, x: _ref_chart(chart0, t, x),
     )
-    _, _, chart1 = pipe4_second
+    chart1 = pipe4_second.chart
     xs1 = [0.2, 0.3, 0.75, 0.9, 1.2, 1.4, *(0.75 + 0.45 * rng.uniform(-1, 1, 6))]
     assert _assert_grid_matches_reference(
         mf.evaluate_chart_grid(chart1, ts, xs1), lambda t, x: _ref_chart(chart1, t, x),
@@ -489,7 +493,7 @@ def test_chart_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
 
 def test_complex_chart_grid_matches_the_scalar_formulas():
     f = mf.PowerSeries.from_coefficients([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], order=24)
-    _, _, chart = mf.chart_pipeline(f, 0.0, 24, r_eval=0.65)
+    chart = mf.pipeline(f, 0.0, 24, r_eval=0.65).chart
     rng = np.random.default_rng(11)
     xs = list(0.2 * rng.uniform(-1, 1, 8) + 0.2j * rng.uniform(-1, 1, 8)) + [0.7]
     assert _assert_grid_matches_reference(
@@ -503,9 +507,9 @@ def test_matrix_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
     ts = [-0.5, 0.0, 0.5, 1.5, 4.0, 6.0, *rng.uniform(0.0, 3.0, 4)]
     for pipe, xs in ((pipe4_origin, rng.uniform(-0.6, 0.3, 8)),
                      (pipe4_second, rng.uniform(0.64, 0.86, 8))):
-        frame, fact, chart = pipe
+        fact, chart = pipe.factorization, pipe.chart
         for r_eval in (math.inf, chart.forward_radius):
-            expansion = mf.build_expansion(fact, frame, r_eval=r_eval)
+            expansion = mf.build_expansion(fact, fact.frame, r_eval=r_eval)
             assert _assert_grid_matches_reference(
                 mf.evaluate_matrix_grid(expansion, ts, list(xs)),
                 lambda t, x: _ref_matrix(expansion, t, x),
@@ -519,8 +523,8 @@ def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
     # 600 seeded real and complex points out to r_eval: the batched
     # continuation refuses the same points as the scalar one, and the
     # values agree to rounding.
-    frame, _, chart = mf.chart_pipeline(mf.logistic_series(mu, dim), guess, dim)
-    reach = 9 * iterate.default_chart_radius(frame)  # 0.9 of the fixed-point gap
+    chart = mf.pipeline(mf.logistic_series(mu, dim), guess, dim).chart
+    reach = 9 * iterate.default_chart_radius(chart.frame)  # 0.9 of the fixed-point gap
     rng = np.random.default_rng(dim)
     radius = reach * np.sqrt(rng.uniform(0, 1, 600))
     angle = np.concatenate([rng.choice([0, np.pi], 300), rng.uniform(0, 2 * np.pi, 300)])
@@ -538,10 +542,10 @@ def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
 
 
 def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_second):
-    frame, fact, chart0 = pipe4_origin
-    _, _, chart1 = pipe4_second
-    expansion = mf.build_expansion(fact, frame)
-    bounded = mf.build_expansion(fact, frame, r_eval=chart0.r_eval)
+    fact, chart0 = pipe4_origin.factorization, pipe4_origin.chart
+    chart1 = pipe4_second.chart
+    expansion = mf.build_expansion(fact, fact.frame)
+    bounded = pipe4_origin.expansion
     cases = [
         # x = 1.4 is past r_eval; continuation cannot reach 1.2.
         (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 1.4,
@@ -578,9 +582,9 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
 
 
 def test_overflowing_times_are_refused_with_the_route_status(pipe4_origin):
-    frame, fact, chart = pipe4_origin
-    expansion = mf.build_expansion(fact, frame)
-    contracting = mf.chart_pipeline(mf.logistic_series(0.5, 40), 0.0, 40, r_eval=0.3)[2]
+    fact, chart = pipe4_origin.factorization, pipe4_origin.chart
+    expansion = mf.build_expansion(fact, fact.frame)
+    contracting = mf.pipeline(mf.logistic_series(0.5, 40), 0.0, 40, r_eval=0.3).chart
     for grid, status in (
         (mf.evaluate_chart_grid(chart, [1000.0, 1e6], [0.3, 0.0, 0.1j]),
          mf.PointStatus.OUT_OF_CHART),
@@ -603,7 +607,7 @@ def _seeded_cubic_charts():
         f = mf.PowerSeries.from_coefficients([0, lam, a2, a3], order=40)
         frame = mf.find_fixed_point(f, 0.0)
         reach = 9 * iterate.default_chart_radius(frame)  # 0.9 of the fixed-point gap
-        charts.append((mf.chart_pipeline(f, 0.0, 40, r_eval=reach)[2], reach))
+        charts.append((mf.pipeline(f, 0.0, 40, r_eval=reach).chart, reach))
     return charts
 
 
@@ -615,7 +619,7 @@ def test_capped_continuation_matches_the_uncapped_newton():
     rng = np.random.default_rng(10)
     cases = []
     for dim in (40, 80, 160):
-        chart = mf.chart_pipeline(mf.logistic_series(4.0, dim), 0.7, dim, r_eval=0.6)[2]
+        chart = mf.pipeline(mf.logistic_series(4.0, dim), 0.7, dim, r_eval=0.6).chart
         cases.append((chart, 0.6))
     cases += _seeded_cubic_charts()
     counts = {"same value": 0, "same continued value": 0, "both refuse": 0, "capped": 0}
@@ -647,7 +651,7 @@ def test_points_reached_only_after_many_newton_passes_are_refused():
     # these points took more than 16 passes, and a 40x finer path refuses
     # them all.
     f = mf.logistic_series(3.7, 160)
-    _, _, chart = mf.chart_pipeline(f, 0.7, 160, r_eval=0.66)
+    chart = mf.pipeline(f, 0.7, 160, r_eval=0.66).chart
     xs = [0.08610810810810798, 1.0646756756756757, 0.9595945945945946]
     for x in xs:
         expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
@@ -661,7 +665,7 @@ def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, mon
     # x = 1.2 at 3/4 runs out of its 16 at one waypoint, where the uncapped
     # Newton ran all 60 without converging.  In a batch the points share
     # their passes: it takes as many as its longest path.
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     calls = []
     evaluate = iterate._inverse_with_slope
 
@@ -695,7 +699,7 @@ def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, mon
     (3.7, 0.7, 160), (2.5 + 0.5j, 0.0, 80),
 ])
 def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim):
-    chart = mf.chart_pipeline(mf.logistic_series(mu, dim), guess, dim)[2]
+    chart = mf.pipeline(mf.logistic_series(mu, dim), guess, dim).chart
     rho = chart.inverse_trust_radius
     assert 0 < rho < math.inf
     rng = np.random.default_rng(dim)
@@ -711,7 +715,7 @@ def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim)
 def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
     # The first point starts its path at an iterate whose powers overflow;
     # the second, at 0.1 from the solution of its only waypoint, converges.
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     x = np.array([1.0, chart.inverse(0.1)])
     with np.errstate(all="ignore"):
         u, reasons = iterate._continue(
@@ -724,7 +728,7 @@ def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
 def test_continuation_refuses_a_zero_slope(pipe4_second):
     # h(w) = x* + w - w^2/2 stops at h'(1) = 0; its trailing terms are 0,
     # so no tail test runs.  The second point converges from w = 0.
-    _, _, chart = pipe4_second
+    chart = pipe4_second.chart
     inverse = mf.PowerSeries.from_coefficients([chart.x_star, 1.0, -0.5], order=8)
     flat = SchroederChart(forward=chart.forward, inverse=inverse, frame=chart.frame,
                           r_eval=chart.r_eval)
@@ -761,10 +765,10 @@ def test_converged_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_e
     scale = np.maximum(1.0, np.abs(ref))
     errors = {}
     for dim in (40, 80, 160):
-        frame, fact, chart = mf.chart_pipeline(mf.logistic_series(mu, dim), x_star, dim,
-                                               r_eval=r_eval)
+        p = mf.pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r_eval)
+        fact, chart = p.factorization, p.chart
         bound = min(chart.r_eval, chart.forward_radius)
-        expansion = mf.build_expansion(fact, frame, r_eval=bound)
+        expansion = mf.build_expansion(fact, fact.frame, r_eval=bound)
         for route, grid in (("chart", mf.evaluate_chart_grid(chart, ts, xs)),
                             ("matrix", mf.evaluate_matrix_grid(expansion, ts, xs))):
             ok = grid.status == mf.PointStatus.OK
