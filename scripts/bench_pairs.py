@@ -12,9 +12,10 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T``
 once in each checkout with the same seed; the side that runs first
 alternates from pair to pair.  For every end-to-end metric that
 ``BENCHMARK.json`` lists, the file records each side's median, quartiles
-and runs, and the number of pairs in which the change reads better;
-``median_digits`` stands next to each rate.  Every run's last output line
-is also appended to ``<output>.runs.jsonl`` as it finishes.
+and runs, the number of pairs in which the change reads better, and a
+verdict against the metric's bound (:func:`verdict`); ``median_digits``
+stands next to each rate.  Every run's last output line is also appended to
+``<output>.runs.jsonl`` as it finishes.
 """
 
 import argparse
@@ -30,7 +31,11 @@ DESCRIPTION = (
     "--seed S --seconds {seconds}` (the side that runs first alternates from "
     "pair to pair). For each end-to-end metric: the median and quartiles of "
     "each side's runs, every run, and the pairs in which the change reads "
-    "better. `median_digits` stands next to each rate."
+    "better, and a verdict against the metric's bound: `unresolved` where the "
+    "parent's quartile spread is wider than the bound (unless every change run "
+    "beats every parent run), else `worse` where the change median is worse "
+    "than the parent median by more than the bound, else `within_bound`. "
+    "`median_digits` stands next to each rate."
 )
 
 
@@ -57,6 +62,27 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 def _side(runs: list) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
+
+
+def verdict(parent: dict, change: dict, better: str, bound: float) -> str:
+    """The no-regression verdict of one metric on one workload, for two sides
+    as :func:`_side` gives them and a ``bound`` relative to the parent's
+    median.
+
+    ``unresolved`` when the parent's own quartile spread is wider than the
+    bound, since a difference of the medians cannot then be told from
+    run-to-run spread, unless every change run reads better than every
+    parent run; otherwise ``worse`` when the change's median is worse by
+    more than the bound; otherwise ``within_bound``.
+    """
+    sign = 1 if better == "higher" else -1
+    allowed = bound * abs(parent["median"])
+    beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
+    if parent["q3"] - parent["q1"] > allowed and not beats_all:
+        return "unresolved"
+    if sign * (parent["median"] - change["median"]) > allowed:
+        return "worse"
+    return "within_bound"
 
 
 def summarise_workload(seeds: list, parent: list, change: list, metrics: list) -> dict:
@@ -88,6 +114,8 @@ def summarise_workload(seeds: list, parent: list, change: list, metrics: list) -
             "change": _side(c),
             "change_better_pairs": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
         }
+        entry["verdict"] = verdict(entry["parent"], entry["change"], spec["better"],
+                                   spec["bound"])
         if spec["unit"] == "1/s":
             entry["median_digits"] = digits
         summary["metrics"][name] = entry

@@ -9,10 +9,13 @@ subcommand accepts only the flags it reads: the chart flags ``--guess``,
 key=value config file (``--config``); explicit flags win over file entries,
 and file values are checked like flags (type and allowed choices).
 
-The parser is built once, when this module is imported, so ``main(argv)`` may
-be called many times in one process and each call pays only for parsing and
-its own command.  A config file applies to its own call only: it never
-changes the shared parser.
+Each subparser names its command function as the ``run`` default, and
+``main`` calls ``ns.run(ns)``: the parser's table of subcommands is the only
+one.  The parser is built once, when this module is imported (after the
+command functions it names), so ``main(argv)`` may be called many times in
+one process and each call pays only for parsing and its own command.  A
+config file applies to its own call only: it never changes the shared
+parser.
 
 Exit codes: 0 success (verify: all checks passed), 1 generic error or failed
 verification, 2 usage error, 3 restrictive-condition violations (zero /
@@ -102,9 +105,11 @@ def build_parser() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def map_command(name, summary, chart=True):
-        """A subcommand that reads a map; ``chart`` adds the chart's flags."""
+    def map_command(name, summary, run, chart=True):
+        """A subcommand that reads a map and runs ``run``; ``chart`` adds the
+        chart's flags."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--coeffs", type=_parse_complex_list, default=None,
                        help="map coefficients, lowest degree first, e.g. 0,4,-4")
         p.add_argument("--preset", default=None, help="named map, e.g. logistic:4")
@@ -122,12 +127,12 @@ def build_parser() -> tuple:
                        help="key=value file mirroring these flags")
         return p
 
-    p = map_command("matrix", "dump the embedding matrix", chart=False)
+    p = map_command("matrix", "dump the embedding matrix", cmd_matrix, chart=False)
     p.add_argument("--check-quadrature", action="store_true",
                    help="also report the builder-agreement deviation")
     p.add_argument("--quadrature-nodes", type=int, default=None)
 
-    p = map_command("iterate", "evaluate f^t over a (t, x) grid")
+    p = map_command("iterate", "evaluate f^t over a (t, x) grid", cmd_iterate)
     p.add_argument("--format", default=None, choices=("csv", "json"),
                    help="output format (default csv)")
     p.add_argument("--t", type=_parse_float_list, default=None,
@@ -138,20 +143,22 @@ def build_parser() -> tuple:
     p.add_argument("--fixed-point", type=complex, default=None, dest="fixed_point",
                    help="which fixed point's chart to use (overrides --guess)")
 
-    map_command("chart", "dump the linearizing chart series")
-    map_command("field", "dump the flow field coefficients")
-    p = map_command("integrate", "integrate dx/dt = G(x)")
+    map_command("chart", "dump the linearizing chart series", cmd_chart)
+    map_command("field", "dump the flow field coefficients", cmd_field)
+    p = map_command("integrate", "integrate dx/dt = G(x)", cmd_integrate)
     p.add_argument("--x0", type=complex, default=None, help="initial state")
     p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
 
     p = sub.add_parser("lyapunov", help="chain-rule Lyapunov estimate (mu=4)")
+    p.set_defaults(run=cmd_lyapunov)
     p.add_argument("--n", type=int, default=DEFAULT_LYAPUNOV_N)
     p.add_argument("--x0", type=complex, default=0.123456)
     p.add_argument("--output", default=None)
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
@@ -160,12 +167,6 @@ def build_parser() -> tuple:
     p.add_argument("--config", default=None)
 
     return parser, sub.choices
-
-
-_PARSER, _SUBPARSERS = build_parser()
-_CONFIG_KEYS = frozenset(
-    a.dest for p in _SUBPARSERS.values() for a in p._actions
-) - {"help", "config"}
 
 
 def _apply_config_file(ns, argv) -> argparse.Namespace:
@@ -419,15 +420,10 @@ def cmd_verify(ns) -> int:
     return EXIT_OK if all_passed else EXIT_ERROR
 
 
-_COMMANDS = {
-    "matrix": cmd_matrix,
-    "iterate": cmd_iterate,
-    "chart": cmd_chart,
-    "field": cmd_field,
-    "integrate": cmd_integrate,
-    "lyapunov": cmd_lyapunov,
-    "verify": cmd_verify,
-}
+_PARSER, _SUBPARSERS = build_parser()
+_CONFIG_KEYS = frozenset(
+    a.dest for p in _SUBPARSERS.values() for a in p._actions
+) - {"help", "config"}
 
 
 def main(argv=None) -> int:
@@ -437,7 +433,7 @@ def main(argv=None) -> int:
     try:
         if getattr(ns, "config", None):
             ns = _apply_config_file(ns, argv)
-        return _COMMANDS[ns.command](ns)
+        return ns.run(ns)
     except (MapflowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_ERROR)

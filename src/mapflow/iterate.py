@@ -39,11 +39,13 @@ evaluations honest rather than silently wrong:
 
 Grid evaluation.  :func:`evaluate_chart_grid` and :func:`evaluate_matrix_grid`
 take a list of times and a list of points and work on all of them at once in
-numpy complex arithmetic.  The continued points of a grid take their Newton
-passes together, each at its own waypoint: a pass fills one power matrix
-[w, w^2, ..., w^(n-1)] for the points still on their paths and multiplies it
-by the coefficients of h and h', and a point leaves once it has passed its
-last waypoint or been refused.  Reported values (u, h at lambda^(t-k) u, the
+numpy complex arithmetic.  Both start from one empty grid (:func:`_new_grid`)
+that already refuses every point outside the radius rule below, and fill in
+the values, statuses and tails of the rest in place.  The continued points of
+a grid take their Newton passes together, each at its own waypoint: a pass
+fills one power matrix [w, w^2, ..., w^(n-1)] for the points still on their
+paths and multiplies it by the coefficients of h and h', and a point leaves
+once it has passed its last waypoint or been refused.  Reported values (u, h at lambda^(t-k) u, the
 shifted map, the mode values phi_k) come from Horner's rule over all points,
 and lambda^(t-k), the shift counts and the mode weights from ``np.exp`` and
 ``np.log``.  They agree with the scalar formulas in Python complex
@@ -107,7 +109,8 @@ class SchroederChart:
     the multiplier and Log lambda; ``x_star`` and ``multiplier`` read
     through to it.  ``r_eval`` is the user-facing evaluation radius;
     ``forward_radius``/``inverse_radius`` are derived tail-test radii of the
-    two truncated series.
+    two truncated series, computed on first use: building a chart reads
+    neither, and only chart-route evaluation needs them.
     """
 
     forward: PowerSeries
@@ -115,9 +118,17 @@ class SchroederChart:
     frame: FixedPointFrame
     r_eval: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "forward_radius", tail_radius(self.forward.coeffs))
-        object.__setattr__(self, "inverse_radius", tail_radius(self.inverse.coeffs))
+    @cached_property
+    def forward_radius(self) -> float:
+        """The radius about x* where every trailing term of the forward
+        series is at most 1e-12; u is summed directly only within it."""
+        return tail_radius(self.forward.coeffs)
+
+    @cached_property
+    def inverse_radius(self) -> float:
+        """The 1e-12 tail radius of the inverse series about 0, which the
+        time-shift reduction aims inside."""
+        return tail_radius(self.inverse.coeffs)
 
     @cached_property
     def inverse_pair(self) -> np.ndarray:
@@ -421,13 +432,27 @@ def _outside_reason(dist: float, r_eval: float) -> str:
     return f"|x - x*| = {dist:.4g} exceeds the chart radius {r_eval:.4g}"
 
 
-def _outside_radius(x: np.ndarray, x_star: complex, r_eval: float) -> tuple:
-    """The mask of the x farther than r_eval from x* (or not finite), and the
-    refusal reason by index of each."""
+def _new_grid(ts, xs, x_star: complex, r_eval: float) -> tuple:
+    """The grid that both evaluators fill in: (grid, x, inside).
+
+    ``grid`` holds ``ts`` and ``xs`` as tuples, nan values and tails, and
+    status ``OK``, except that every x farther than r_eval from x* (or not
+    finite) is ``OUTSIDE_RADIUS`` at every t with its refusal text in
+    ``column_errors``.  ``x`` is the points as an array and ``inside`` the
+    indices of the points within the radius.
+    """
+    ts = tuple(float(t) for t in ts)
+    xs = tuple(complex(x) for x in xs)
+    shape = (len(ts), len(xs))
+    x = np.array(xs, dtype=complex)
     dist = np.abs(x - x_star)
     outside = ~_in_radius(dist, r_eval)
-    reasons = {j: _outside_reason(dist[j], r_eval) for j in np.flatnonzero(outside).tolist()}
-    return outside, reasons
+    status = np.full(shape, PointStatus.OK, dtype=np.int8)
+    status[:, outside] = PointStatus.OUTSIDE_RADIUS
+    column_errors = {j: _outside_reason(dist[j], r_eval) for j in np.flatnonzero(outside).tolist()}
+    values = np.full(shape, complex(math.nan, math.nan))
+    grid = IterateGrid(ts, xs, values, status, np.full(shape, math.nan), column_errors)
+    return grid, x, np.flatnonzero(~outside)
 
 
 def _time_shift_steps(chart: SchroederChart, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -451,23 +476,17 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
     per x (:func:`_chart_values`).  The time-shift reduction, the inverse
     chart with its tail test and the shifted map then run on the whole grid.
     """
-    ts = [float(t) for t in ts]
-    xs = [complex(x) for x in xs]
-    nt, nx = len(ts), len(xs)
-    x = np.array(xs, dtype=complex)
-    status = np.full((nt, nx), PointStatus.OK, dtype=np.int8)
-    outside, column_errors = _outside_radius(x, chart.x_star, chart.r_eval)
-    status[:, outside] = PointStatus.OUTSIDE_RADIUS
-    inside = np.flatnonzero(~outside)
-    w = np.zeros(nx, dtype=complex)
+    grid, x, inside = _new_grid(ts, xs, chart.x_star, chart.r_eval)
+    status = grid.status
+    w = np.zeros(len(x), dtype=complex)
     with np.errstate(all="ignore"):
         w[inside], reasons = _chart_values(chart, x[inside])
         for i, why in reasons.items():
             j = int(inside[i])
             status[:, j] = PointStatus.OUT_OF_CHART
-            column_errors[j] = why
+            grid.column_errors[j] = why
         rows, cols = np.nonzero(status == PointStatus.OK)
-        t = np.array(ts)[rows]
+        t = np.array(grid.ts)[rows]
         k = _time_shift_steps(chart, t, w[cols])
         arg = np.exp((t - k) * chart.frame.log_multiplier) * w[cols]
         value = horner(chart.inverse.coeffs, arg)
@@ -483,11 +502,9 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
         tail[overflow] = math.inf
         refused |= overflow
     status[rows[refused], cols[refused]] = PointStatus.OUT_OF_CHART
-    values = np.full((nt, nx), complex(math.nan, math.nan))
-    values[rows[~refused], cols[~refused]] = value[~refused]
-    tails = np.full((nt, nx), math.nan)
-    tails[rows, cols] = tail
-    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
+    grid.values[rows[~refused], cols[~refused]] = value[~refused]
+    grid.tail[rows, cols] = tail
+    return grid
 
 
 def evaluate_iterate_chart(chart: SchroederChart, t: float, x) -> complex:
@@ -528,29 +545,21 @@ def evaluate_matrix_grid(
     t; a point is ``NON_CONVERGENT`` when its last mode's term is not
     negligible against the sum.
     """
-    ts = [float(t) for t in ts]
-    xs = [complex(x) for x in xs]
-    nt, nx = len(ts), len(xs)
-    x = np.array(xs, dtype=complex)
     frame = expansion.frame
-    outside, column_errors = _outside_radius(x, frame.x_star, expansion.r_eval)
-    inside = np.flatnonzero(~outside)
+    grid, x, inside = _new_grid(ts, xs, frame.x_star, expansion.r_eval)
     with np.errstate(all="ignore"):
         phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - frame.x_star)
         k = np.arange(expansion.mode_coeffs.shape[1])
-        weight = np.exp(np.outer(ts, k) * frame.log_multiplier)
+        weight = np.exp(np.outer(grid.ts, k) * frame.log_multiplier)
         total = weight @ phi
         last = np.abs(weight[:, -1:] * phi[-1])
         # A sum that overflowed has no meaningful last-term test.
         finite = np.isfinite(total) & np.isfinite(weight).all(axis=1)[:, np.newaxis]
         refused = ~finite | (last > tail_tol * np.maximum(np.abs(total), 1e-300))
-    values = np.full((nt, nx), complex(math.nan, math.nan))
-    values[:, inside] = np.where(refused, values[:, inside], total)
-    status = np.full((nt, nx), PointStatus.OUTSIDE_RADIUS, dtype=np.int8)
-    status[:, inside] = np.where(refused, PointStatus.NON_CONVERGENT, PointStatus.OK)
-    tails = np.full((nt, nx), math.nan)
-    tails[:, inside] = np.where(finite, last, math.inf)
-    return IterateGrid(tuple(ts), tuple(xs), values, status, tails, column_errors)
+    grid.values[:, inside] = np.where(refused, grid.values[:, inside], total)
+    grid.status[:, inside] = np.where(refused, PointStatus.NON_CONVERGENT, PointStatus.OK)
+    grid.tail[:, inside] = np.where(finite, last, math.inf)
+    return grid
 
 
 def evaluate_iterate_matrix(expansion: IterateExpansion, t: float, x) -> complex:

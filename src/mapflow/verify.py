@@ -16,7 +16,11 @@ default radius is a usage guard, not an accuracy statement; the internal
 tail checks keep the evaluations honest at these sample points).  Every
 check builds through one cached :func:`mapflow.flow.pipeline` per map,
 fixed point, order and radius, and takes the mode expansion and the field
-from it, so a suite run builds each factorization once.
+from it, so a suite run builds each factorization once.  The checks against
+the closed mu=4 iterate (iterate-oracle, truncation-convergence, order-sweep)
+read one table of errors, a row per route and a column per sample
+(:func:`_errors`), and the two order checks its growth from each order to
+the next (:func:`_growth`).
 """
 
 from __future__ import annotations
@@ -98,7 +102,15 @@ def check_matrix_exact() -> CheckResult:
     return _result("matrix-exact", dev, 0.0, "mu=4, dim=8, exact integers")
 
 
-def check_builder_equivalence(dim: int = 16) -> CheckResult:
+def check_builder_equivalence() -> CheckResult:
+    """The coefficient and 256-node quadrature builders agree (row-scaled).
+
+    The dimension is pinned at 16, so ``run_suite``'s ``dim`` does not reach
+    this check: the quadrature's row-scaled deviation grows about 2x per
+    order with |f| on the unit circle (2.6e-12 at dim 16, 6.8e-8 at 30), and
+    past dim 20 no node count meets 1e-10 where both builders are right.
+    """
+    dim = 16
     f = logistic_series(4.0, dim)
     a = build_matrix(f, dim)
     b = build_matrix_quadrature(f, dim, nodes=256)
@@ -121,33 +133,39 @@ _C4_TIMES = (0.25, 0.5, 1.5, 2.0)
 _C4_POINTS = (0.01, 0.05, 0.1)
 
 
-def _oracle_errors(grid, reference=logistic4_iterate) -> dict:
+def _oracle_errors(grid, reference=logistic4_iterate) -> np.ndarray:
     """Absolute error of each grid value against a closed iterate (mu=4 by
-    default)."""
-    return {
-        (t, x): abs(grid.value(i, j) - reference(t, x))
+    default), in (t, x) row-major order; a refused point raises its error."""
+    return np.array([
+        abs(grid.value(i, j) - reference(t, x))
         for i, t in enumerate(grid.ts)
         for j, x in enumerate(grid.xs)
-    }
+    ])
 
 
-def _chart_errors(dim: int) -> dict:
-    """Per-sample absolute errors of the chart route against the closed iterate."""
-    chart = _pipeline(4.0, 0.1, dim, 0.6).chart
-    return _oracle_errors(evaluate_chart_grid(chart, _C4_TIMES, _C4_POINTS))
+def _errors(dim: int, routes) -> np.ndarray:
+    """Absolute errors against the closed mu=4 iterate at the iterate-oracle
+    samples: one row per route in ``routes`` ("chart" or "matrix"), one
+    column per (t, x).  The mode expansion is built only for "matrix"."""
+    p = _pipeline(4.0, 0.1, dim, 0.6)
+    return np.array([
+        _oracle_errors(
+            evaluate_chart_grid(p.chart, _C4_TIMES, _C4_POINTS) if route == "chart"
+            else evaluate_matrix_grid(p.expansion, _C4_TIMES, _C4_POINTS)
+        )
+        for route in routes
+    ])
 
 
-def _iterate_errors(dim: int):
-    """Per-sample absolute errors of both routes against the closed iterate."""
-    expansion = _pipeline(4.0, 0.1, dim, 0.6).expansion
-    by_modes = _oracle_errors(evaluate_matrix_grid(expansion, _C4_TIMES, _C4_POINTS))
-    by_chart = _chart_errors(dim)
-    return {key: (by_chart[key], by_modes[key]) for key in by_chart}
+def _growth(dims, routes) -> float:
+    """The largest growth of any sample's error (:func:`_errors`) from each
+    order in ``dims`` to the next, floored at 0: 0 means no error grows."""
+    growth = np.diff([_errors(dim, routes) for dim in dims], axis=0).max()
+    return max(float(growth), 0.0)
 
 
 def check_iterate_oracle(dim: int = 40) -> CheckResult:
-    errs = _iterate_errors(dim)
-    dev = max(max(pair) for pair in errs.values())
+    dev = _errors(dim, ("chart", "matrix")).max()
     return _result(
         "iterate-oracle", dev, 1e-6, f"mu=4 closed form, both routes, dim={dim}"
     )
@@ -157,7 +175,7 @@ def check_mu2_oracle(dim: int = 40) -> CheckResult:
     chart = _pipeline(2.0, 0.1, dim, 0.3).chart
     times, points = (0.5, 1.5), (0.01, 0.1)
     grid = evaluate_chart_grid(chart, times, points)
-    dev = max(_oracle_errors(grid, logistic2_iterate).values())
+    dev = _oracle_errors(grid, logistic2_iterate).max()
     return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={dim}")
 
 
@@ -289,16 +307,9 @@ def check_truncation_convergence() -> CheckResult:
     so the comparison allows a 1e-12 rounding allowance; anything beyond it
     would mean the method, not the truncation, limits accuracy.
     """
-    coarse = _iterate_errors(20)
-    fine = _iterate_errors(40)
-    dev = 0.0
-    for key, (ec20, em20) in coarse.items():
-        ec40, em40 = fine[key]
-        dev = max(dev, ec40 - ec20, em40 - em20)
-    dev = max(dev, 0.0)
     return _result(
         "truncation-convergence",
-        dev,
+        _growth((20, 40), ("chart", "matrix")),
         1e-12,
         "per-sample error growth from dim=20 to dim=40 (0 means non-increasing)",
     )
@@ -315,13 +326,7 @@ def check_order_sweep() -> CheckResult:
     truncation-convergence; every order-160 chart coefficient must match
     4^k / (2 k^2 binom(2k, k)) to 1e-12 relative.
     """
-    errors = [_chart_errors(dim) for dim in _SWEEP_DIMS]
-    growth = max(
-        fine[key] - coarse[key]
-        for coarse, fine in zip(errors, errors[1:])
-        for key in coarse
-    )
-    growth = max(growth, 0.0)
+    growth = _growth(_SWEEP_DIMS, ("chart",))
     top = _SWEEP_DIMS[-1]
     row = _pipeline(4.0, 0.1, top, 0.6).factorization.chart_row
     coeff_dev = max(

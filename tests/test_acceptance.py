@@ -77,7 +77,6 @@ def test_a_suite_run_builds_each_factorization_once(monkeypatch):
 
 # The checks whose order run_suite's dim overrides.
 TAKES_DIM = {
-    "builder-equivalence",
     "iterate-oracle",
     "mu2-oracle",
     "semigroup",

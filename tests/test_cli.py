@@ -415,12 +415,14 @@ def test_verify_lyapunov_suite(capsys):
 
 
 def test_verify_logistic4_suite_all_pass(capsys):
-    code, out, err = run(["verify", "--suite", "logistic4"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["all_passed"] is True
-    assert len(payload["results"]) == 10
-    assert err.count("PASS") == 10
+    # builder-equivalence is pinned at dim 16, so a --dim past 20 passes too.
+    for dim in ([], ["--dim", "30"]):
+        code, out, err = run(["verify", "--suite", "logistic4", *dim], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert len(payload["results"]) == 10
+        assert err.count("PASS") == 10
 
 
 def test_verify_csv_format(capsys):
@@ -458,10 +460,12 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("preset=logistic:4\nwidth=3\n")
-    code, _, err = run(["chart", "--config", str(cfg)], capsys)
-    assert code == 1
-    assert err.startswith("error: ValueError: unknown config key 'width'")
+    # run is the namespace slot of the command function, not a flag.
+    for key in ("width", "run"):
+        cfg.write_text(f"preset=logistic:4\n{key}=3\n")
+        code, _, err = run(["chart", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: ValueError: unknown config key '{key}'")
 
 
 def test_config_file_fixed_point_overrides_guess(tmp_path, capsys):

@@ -105,9 +105,14 @@ def test_every_evaluator_applies_one_chart_radius(pipe4_origin, field4):
     # x* is exactly 0 and r_eval 0.6 on both; the rule allows a relative 1e-12.
     chart, expansion = pipe4_origin.chart, pipe4_origin.expansion
     inside, outside = 0.6 * (1 + 5e-13), 0.6 * (1 + 2e-12)
-    for grid in (mf.evaluate_chart_grid(chart, (0.5,), (inside, outside)),
-                 mf.evaluate_matrix_grid(expansion, (0.5,), (inside, outside))):
+    grids = (mf.evaluate_chart_grid(chart, (0.5,), (inside, outside)),
+             mf.evaluate_matrix_grid(expansion, (0.5,), (inside, outside)))
+    for grid in grids:
         assert grid.status.tolist() == [[mf.PointStatus.OK, mf.PointStatus.OUTSIDE_RADIUS]]
+    # Both routes refuse the outside point with the same message.
+    chart_error, mode_error = (grid.error(0, 1) for grid in grids)
+    assert type(chart_error) is type(mode_error) is mf.OutOfChart
+    assert str(chart_error) == str(mode_error) == "|x - x*| = 0.6 exceeds the chart radius 0.6"
     mf.evaluate_field(field4, inside)
     with pytest.raises(mf.OutOfChart):
         mf.evaluate_field(field4, outside)

@@ -30,7 +30,7 @@ from mapflow.logistic import (
     logistic4_iterate,
     logistic4_iterate_second,
 )
-from mapflow.series import _horner, evaluate_with_tail, trailing_term
+from mapflow.series import _horner, evaluate_with_tail, tail_radius, trailing_term
 
 DIM = 40
 
@@ -44,6 +44,15 @@ def test_origin_chart_matches_exact_coefficients(pipe4_origin):
         assert abs(chart.forward.coeffs[k] - float(exact[k - 1])) < 1e-12
     assert chart.forward.coeffs[0] == 0
     assert chart.forward.coeffs[1] == 1
+
+
+def test_chart_radii_are_computed_on_first_chart_route_use(logistic4):
+    # A fresh chart: the shared fixture's chart has already been evaluated.
+    chart = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6).chart
+    assert "forward_radius" not in vars(chart) and "inverse_radius" not in vars(chart)
+    mf.evaluate_iterate_chart(chart, 0.5, 0.1)
+    assert vars(chart)["forward_radius"] == tail_radius(chart.forward.coeffs)
+    assert vars(chart)["inverse_radius"] == tail_radius(chart.inverse.coeffs)
 
 
 def test_origin_chart_values_match_closed_form(pipe4_origin):

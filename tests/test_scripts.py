@@ -81,6 +81,7 @@ def test_bench_pairs_summarises_canned_runs():
     assert wall["parent"]["q1"] == pytest.approx(0.215)
     assert wall["parent"]["q3"] == pytest.approx(0.2625)
     assert wall["change_better_pairs"] == 3
+    assert wall["verdict"] == "within_bound"
     assert "median_digits" not in wall
     rate = summary["metrics"]["field_builds_per_s"]
     assert rate["change"]["median"] == pytest.approx(195)
@@ -90,3 +91,31 @@ def test_bench_pairs_summarises_canned_runs():
     assert bench.machine(parent[0]["environment"]) == {
         "cpus": 2, "python": "3.11.7", "numpy": "2.4.6",
         "blas": "scipy-openblas 0.3.31", "gpu": None}
+
+
+# Parent and change values of one lower-is-better and one higher-is-better
+# metric, both with bound 0.25, and the verdict each gets.
+VERDICTS = {
+    # The parent's quartiles span 0.67 of its median: too wide to tell.
+    "unresolved": ([1.0, 2.0, 1.0, 2.0], [1.5, 1.4, 1.5, 1.6]),
+    # As wide, but every change run beats every parent run.
+    "within_bound": ([1.0, 2.0, 1.0, 2.0], [0.9, 0.8, 0.95, 0.9]),
+    # A narrow parent and a change that takes 50 % longer.
+    "worse": ([1.0, 1.01, 0.99, 1.0], [1.5, 1.51, 1.49, 1.5]),
+}
+
+
+@pytest.mark.parametrize("expected", sorted(VERDICTS))
+def test_bench_pairs_gives_each_metric_a_verdict(expected):
+    bench = _bench_pairs()
+    walls = VERDICTS[expected]
+    # The rate is the reciprocal of the time, so it gets the same verdict.
+    parent, change = ([bench.parse_output(_run_output(w, 1 / w, 14.9)) for w in side]
+                      for side in walls)
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "field_builds_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ]
+    summary = bench.summarise_workload(bench._seeds("1-4"), parent, change, metrics)
+    assert {name: m["verdict"] for name, m in summary["metrics"].items()} == {
+        "wall_s": expected, "field_builds_per_s": expected}
