@@ -268,11 +268,12 @@ def _reference_fn(ns, x_star: complex):
 
 
 def _reference_value(reference, t, x) -> complex | None:
-    """The closed form at (t, x), or None where it has no finite value
-    (an x off the real segment of the map escapes to infinity)."""
+    """The closed form at (t, x), or None where it has no finite value (an x
+    off the real segment of the map escapes to infinity) or cannot be
+    evaluated (a logarithm of 0, as at x = 1/2 on the mu=2 map)."""
     try:
         return reference(t, x)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return None
 
 
@@ -365,10 +366,9 @@ def cmd_integrate(ns) -> int:
     field_ = _pipeline(ns).field
     x0 = ns.x0 if ns.x0 is not None else field_.x_star
     trajectory = integrate_flow(field_, x0, ns.t_end, dt=ns.dt)
-    lines = ["t,x_re,x_im"]
-    for t, x in trajectory:
-        lines.append(f"{t:.17g},{x.real:.17g},{x.imag:.17g}")
-    _emit(ns, "\n".join(lines) + "\n")
+    # One % pass over every cell formats the rows as f"{v:.17g}" would.
+    cells = [v for t, x in trajectory for v in (t, x.real, x.imag)]
+    _emit(ns, "t,x_re,x_im\n" + "%.17g,%.17g,%.17g\n" * len(trajectory) % tuple(cells))
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ rounding error Horner's rule makes on the full sum anyway.  Each field builds
 the radius table that picks the number of terms on first use.
 
 Also here: a classical fixed-step RK4 integrator for the extracted ODE
-(complex state; the field of a negative multiplier is genuinely complex), the
+(complex state, as the field of a negative multiplier is genuinely complex;
+a real start on a real field is summed in floats, with the same bits), the
 exact validity window of the single-branch field for the fully chaotic
 logistic map, and a chain-rule Lyapunov-exponent estimator along the discrete
 orbit (the chaotic orbit leaves any fixed-point chart, so differentiating the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +79,14 @@ class FlowField:
         return self.series.base_point
 
     @cached_property
+    def real(self) -> bool:
+        """Whether x* and every coefficient have an imaginary part of exactly
+        +0.0 (not -0.0).  Such a field maps real states to real values, and
+        sums them in floats (see :func:`integrate_flow`)."""
+        imag = np.append(self.series.coeffs.imag, self.x_star.imag)
+        return not (imag.any() or np.signbit(imag).any())
+
+    @cached_property
     def radius_table(self) -> tuple[list[float], list[list[complex]]]:
         """Radii and coefficient prefixes: (radii, prefixes).
 
@@ -88,11 +98,12 @@ class FlowField:
         infinite where M_K = 0.  A longer prefix drops fewer terms, so the
         radii are raised to their running maximum, which makes them
         nondecreasing for ``bisect``.  The last prefix is the whole series.
-        The prefixes are lists of Python complex numbers, which RK4's scalar
-        Horner steps sum faster than numpy scalars.
+        The prefixes are lists of Python scalars, which RK4's scalar Horner
+        steps sum faster than numpy scalars: floats for a :attr:`real`
+        field, complex numbers otherwise.
         """
         mags = np.abs(self.series.coeffs)
-        coeffs = self.series.coeffs.tolist()
+        coeffs = (self.series.coeffs.real if self.real else self.series.coeffs).tolist()
         keep = np.arange(2, len(coeffs))
         suffix = np.maximum.accumulate(mags[:1:-1])[::-1]  # M_K for each K in keep
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -103,13 +114,26 @@ class FlowField:
         radii = np.maximum.accumulate(np.append(radii, math.inf))
         return radii.tolist(), [coeffs[:k] for k in range(2, len(coeffs) + 1)]
 
-    def value(self, x: complex) -> complex:
-        """G(x) by Horner's rule over the shortest prefix of the radius table
-        whose dropped terms stay below one rounding unit of the linear term
-        at |x - x*|.  No domain check: see :func:`evaluate_field`."""
-        z = x - self.series.base_point
+    @cached_property
+    def value(self) -> Callable[[complex], complex]:
+        """G, as a function called ``field.value(x)``: Horner's rule over the
+        shortest prefix of the radius table whose dropped terms stay below
+        one rounding unit of the linear term at |x - x*|.  No domain check:
+        see :func:`evaluate_field`.
+
+        On a :attr:`real` field a float x is summed in floats and gives a
+        float.  A complex x gives the same bits as summing the complex
+        coefficients: each float coefficient and x* act as that number plus
+        +0.0j.
+        """
         radii, prefixes = self.radius_table
-        return _horner(prefixes[bisect_left(radii, abs(z))], z)
+        x_star = self.x_star.real if self.real else self.x_star
+
+        def value(x):
+            z = x - x_star
+            return _horner(prefixes[bisect_left(radii, abs(z))], z)
+
+        return value
 
 
 def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowField:
@@ -170,13 +194,21 @@ MAX_RK4_STEPS = 10**6
 def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     """Classical fixed-step RK4 for dx/dt = G(x) from x0.
 
-    G is summed by :meth:`FlowField.value`, which drops the terms that cannot
+    G is summed by :attr:`FlowField.value`, which drops the terms that cannot
     change it at the current |x - x*|.  Returns the trajectory as a list of
-    (t, x) pairs, complex state included.  A non-finite ``x0``, ``t_end`` or
-    ``dt``, a ``dt`` that is not positive, or more than MAX_RK4_STEPS steps
-    raises ``ValueError`` before anything is allocated.  Leaving
-    the chart (or a state that is no longer finite) raises
-    :class:`ChartEscape` carrying the time reached and the partial trajectory.
+    (t, x) pairs with complex x.  A non-finite ``x0``, ``t_end`` or ``dt``, a
+    ``dt`` that is not positive, or more than MAX_RK4_STEPS steps raises
+    ``ValueError`` before anything is allocated.  Leaving the chart (or a
+    state that is no longer finite) raises :class:`ChartEscape` carrying the
+    time reached and the partial trajectory.
+
+    On a :attr:`FlowField.real` field, an x0 whose imaginary part is exactly
+    +0.0 is integrated in floats.  The states are bit for bit those of
+    complex arithmetic: with +0.0 imaginary parts, the real parts of complex
+    sums and products are the float ones, and the imaginary part of the
+    state stays +0.0.  Only an overflow puts nan into a complex imaginary
+    part; a float run that ends in a non-finite state is therefore run again
+    in complex arithmetic, which gives that state's complex bits.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -185,7 +217,6 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     x = complex(x0)
     if not cmath.isfinite(x):
         raise ValueError(f"x0 must be finite, got {x!r}")
-    x_star, r_eval = field.x_star, field.chart.r_eval
     ratio = abs(t_end) / dt
     if ratio > MAX_RK4_STEPS + 0.5:  # round(ratio) steps would exceed the bound
         raise ValueError(
@@ -194,28 +225,41 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
         )
     steps = max(1, round(ratio))
     h = t_end / steps
-    g = field.value
-    trajectory = [(0.0, x)]
-    for i in range(steps):
+    x_star, r_eval = field.x_star, field.chart.r_eval
+    states = None
+    if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
+        states = _rk4(field.value, x.real, x_star.real, r_eval, h, steps)
+        # After an overflow, redo the run: complex arithmetic ends in other bits.
+        states = list(map(complex, states)) if math.isfinite(states[-1]) else None
+    if states is None:
+        states = _rk4(field.value, x, x_star, r_eval, h, steps)
+    trajectory = list(zip([k * h for k in range(len(states))], states))
+    trajectory[0] = (0.0, states[0])
+    if not _in_radius(abs(states[-1] - x_star), r_eval):
+        t = t_end if len(states) > steps else (len(states) - 1) * h
+        raise ChartEscape(
+            f"trajectory left the chart at t = {t:.6g}",
+            t_reached=t,
+            trajectory=trajectory,
+        )
+    return trajectory
+
+
+def _rk4(g, x, x_star, r_eval: float, h: float, steps: int) -> list:
+    """The states of up to ``steps`` RK4 steps of size h from x, for
+    :func:`integrate_flow`; they stop at the first state outside the chart
+    (or not finite), which is included."""
+    states = [x]
+    for _ in range(steps):
         if not _in_radius(abs(x - x_star), r_eval):
-            raise ChartEscape(
-                f"trajectory left the chart at t = {i * h:.6g}",
-                t_reached=i * h,
-                trajectory=trajectory,
-            )
+            break
         k1 = g(x)
         k2 = g(x + 0.5 * h * k1)
         k3 = g(x + 0.5 * h * k2)
         k4 = g(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trajectory.append(((i + 1) * h, x))
-    if not _in_radius(abs(x - x_star), r_eval):
-        raise ChartEscape(
-            f"trajectory left the chart at t = {t_end:.6g}",
-            t_reached=t_end,
-            trajectory=trajectory,
-        )
-    return trajectory
+        states.append(x)
+    return states
 
 
 def validity_window(x: float) -> float:

@@ -60,10 +60,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Horner's rule in Python complex arithmetic on a list of coefficients,
+    """Horner's rule in Python scalar arithmetic on a list of coefficients,
     for scalar calls (a series' value, Newton, RK4), where numpy scalars
-    would be slower."""
-    acc = 0j
+    would be slower.  A float z starts the sum from 0.0, so float
+    coefficients are summed in floats; otherwise it starts from 0j."""
+    acc = 0.0 if isinstance(z, float) else 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc

@@ -12,10 +12,17 @@ import pytest
 
 import mapflow.flow
 from mapflow import verify
-from mapflow.flow import Pipeline
-from mapflow.iterate import build_chart
+from mapflow.flow import Pipeline, integrate_flow
+from mapflow.iterate import build_chart, evaluate_iterate_chart
 from mapflow.series import FixedPointFrame, PowerSeries
-from mapflow.verify import CRITERIA, SUITES, CheckResult, check_paper_matrix, run_suite
+from mapflow.verify import (
+    CRITERIA,
+    SUITES,
+    CheckResult,
+    check_flow_consistency,
+    check_paper_matrix,
+    run_suite,
+)
 
 ORDERED = [
     "matrix-exact",
@@ -109,6 +116,32 @@ def test_run_suite_passes_dim_and_n_to_the_checks_that_take_them(monkeypatch):
     calls.clear()
     run_suite("all")
     assert all(kwargs == {} for kwargs in calls.values())
+
+
+def test_flow_consistency_reads_both_ends_off_one_run(monkeypatch):
+    # A t = 0.5 run has the step of the t = 1 run, 0.5/500 = 1/1000, so it
+    # is that run's first 501 rows; the check integrates once and still
+    # reports the deviation and detail of two separate runs, bit for bit.
+    field = verify._pipeline(4.0, 0.1, 40, 0.6).field
+    one = integrate_flow(field, 0.01, 1.0, dt=1e-3)
+    half = integrate_flow(field, 0.01, 0.5, dt=1e-3)
+    assert one[:501] == half
+    dev_map = abs(one[-1][1] - 0.0396)
+    dev_chart = abs(half[-1][1] - evaluate_iterate_chart(field.chart, 0.5, 0.01))
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1:])
+        return integrate_flow(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate_flow", counted)
+    result = check_flow_consistency()
+    assert runs == [(0.01, 1.0)]
+    assert result.deviation == max(dev_map, dev_chart)
+    assert result.detail == (
+        f"RK4 endpoint vs f(0.01) ({dev_map:.3e}) and vs chart at t=0.5 "
+        f"({dev_chart:.3e})"
+    )
 
 
 def test_paper_matrix_fails_on_a_scaled_log_row(monkeypatch):

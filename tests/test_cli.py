@@ -194,6 +194,20 @@ def test_iterate_leaves_the_reference_empty_where_the_closed_form_overflows(caps
     assert out.splitlines()[1].split(",")[3:] == ["", "", "chart", "false", "", ""]
 
 
+def test_iterate_leaves_the_reference_empty_where_the_closed_form_has_a_domain_error(capsys):
+    # The mu=2 closed form takes log(1 - 2x), which is log(0) at x = 1/2.
+    code, out, err = run(
+        ["iterate", "--preset", "logistic:2", "--dim", "60", "--r-eval", "0.45",
+         "--route", "both", "--t", "0.5", "--x", "0.5"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "0.5,0.5,0,,,chart,false,,",
+        "0.5,0.5,0,,,matrix,false,,",
+    ]
+
+
 def test_mode_route_refuses_points_outside_r_eval(capsys):
     # 0.48 is past r_eval; the mode sum there once passed its last-term test
     # with a value 6e-4 off the closed form.

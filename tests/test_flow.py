@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import mapflow as mf
 from mapflow.flow import FIELD_DROP_TOL, LYAPUNOV_CHUNK
 from mapflow.logistic import logistic2_field, logistic4_field, logistic4_iterate
+from mapflow.series import _horner
 from mapflow.spectral import fractional_power, matrix_log
 
 from conftest import leading_window
@@ -216,11 +218,12 @@ def test_backward_integration_inverts_forward(field4):
     assert abs(back - 0.01) < 1e-6
 
 
-def _rk4_full_horner(field, x0, t_end, dt):
-    """Reference RK4: the integrate_flow loop with the full series sum."""
+def _rk4_full_horner(field, x0, t_end, dt, g=None):
+    """Reference RK4: the integrate_flow loop in complex arithmetic, with the
+    full series sum or the evaluator ``g``."""
     steps = max(1, round(abs(t_end) / dt))
     h = t_end / steps
-    g = field.series
+    g = field.series if g is None else g
     x = complex(x0)
     trajectory = [(0.0, x)]
     for i in range(steps):
@@ -267,12 +270,88 @@ def test_trajectory_far_from_the_fixed_point_is_within_an_ulp_of_the_full_sum(lo
         assert abs(x - x_ref) <= 1e-14 * max(1.0, abs(x_ref))
 
 
+def _complex_value(field):
+    """G by the radius table's rule, summed in complex arithmetic from the
+    complex coefficients throughout."""
+    radii, prefixes = field.radius_table
+    coeffs = field.series.coeffs.tolist()
+
+    def g(x):
+        z = complex(x) - field.x_star
+        return _horner(coeffs[: len(prefixes[bisect_left(radii, abs(z))])], z)
+
+    return g
+
+
+# (logistic mu or map coefficients, r_eval, x0, t_end, whether the field is
+# real); every chart sits at the fixed point 0.
+FLOAT_PATH_CASES = {
+    "l4_0-backward": (4.0, 0.6, 0.03, -1.0, True),
+    "l2_0-backward": (2.0, 0.45, 0.03, -1.5, True),
+    "l4_0-complex-x0": (4.0, 0.6, 0.03 + 0.01j, 1.0, True),
+    "l4_0-x0-minus-0j": (4.0, 0.6, complex(0.03, -0.0), 1.0, True),
+    "l4_0-x0-minus-0": (4.0, 0.6, -0.0, -1.0, True),
+    "real-cubic": ([0, 1.5, 0.3, -0.2], 0.3, 0.05, 1.0, True),
+    "real-cubic-backward": ([0, 1.5, 0.3, -0.2], 0.3, 0.05, -1.0, True),
+    "negative-multiplier-cubic": ([0, -1.5, 0.3, -0.2], 0.3, 0.05, 1.0, False),
+    "complex-cubic": ([0, 1.2 + 0.5j, 0.3, -0.2j], 0.3, 0.05, 1.0, False),
+}
+
+
+@pytest.mark.parametrize("f, r_eval, x0, t_end, real", FLOAT_PATH_CASES.values(),
+                         ids=FLOAT_PATH_CASES.keys())
+def test_float_path_rows_are_those_of_complex_arithmetic(f, r_eval, x0, t_end, real):
+    # A real field sums a start with imaginary part +0.0 in floats; the rows
+    # must be the bytes that complex arithmetic gives, and the states complex.
+    if isinstance(f, list):
+        dim, series = 30, mf.PowerSeries.from_coefficients(f, order=30)
+    else:
+        dim, series = DIM, mf.logistic_series(f, DIM)
+    field = mf.pipeline(series, 0.0, dim, r_eval=r_eval).field
+    assert field.real is real
+    traj = mf.integrate_flow(field, x0, t_end, 1e-3)
+    assert all(type(x) is complex for _, x in traj)
+    assert _rows(traj) == _rows(_rk4_full_horner(field, x0, t_end, 1e-3, _complex_value(field)))
+    for (t, x), (t_ref, x_ref) in zip(traj, _rk4_full_horner(field, x0, t_end, 1e-3)):
+        assert t == t_ref
+        assert abs(x - x_ref) <= 1e-14 * max(1.0, abs(x_ref))
+
+
+def test_real_field_value_is_a_float_at_a_float_and_complex_at_a_complex(field4):
+    assert type(field4.value(0.03)) is float
+    assert type(field4.value(0.03 + 0j)) is complex
+    assert field4.value(0.03) == field4.value(0.03 + 0j) == _complex_value(field4)(0.03)
+    assert type(mf.evaluate_field(field4, 0.03)) is complex
+
+
+def test_overflow_in_a_float_run_ends_in_the_complex_state(logistic4):
+    # Past the series radius the sum overflows: complex arithmetic makes the
+    # state nan + nan j where floats make it nan, so the float run is redone
+    # in complex arithmetic and ends in the state that arithmetic gives.
+    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=1e9).field
+    with pytest.raises(mf.ChartEscape) as err:
+        mf.integrate_flow(field, 3.0, 1.0, dt=0.1)
+    traj = err.value.trajectory
+    ref = _rk4_full_horner(field, 3.0, 1.0, 0.1, _complex_value(field))
+    assert _rows(traj) == _rows(ref[: len(traj)])
+    assert math.isnan(traj[-1][1].imag)
+    assert err.value.t_reached == traj[-1][0]
+
+
 def test_chart_escape_carries_partial_trajectory(logistic4):
+    # A real field and start: the partial trajectory of the float run holds
+    # the complex states of complex arithmetic, up to the first one outside.
     field = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.05).field
+    assert field.real
     with pytest.raises(mf.ChartEscape) as err:
         mf.integrate_flow(field, 0.03, 2.0, dt=1e-3)
-    assert err.value.trajectory
+    traj = err.value.trajectory
+    assert traj
     assert 0.0 < err.value.t_reached < 2.0
+    assert all(type(x) is complex for _, x in traj)
+    ref = _rk4_full_horner(field, 0.03, 2.0, 1e-3, _complex_value(field))
+    assert _rows(traj) == _rows(ref[: len(traj)])
+    assert abs(traj[-1][1]) > 0.05 >= abs(traj[-2][1])
 
 
 # --- validity window ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The CI workflow file parses, so a YAML slip cannot switch CI off unseen."""
+"""The CI workflow file parses, so a YAML slip cannot switch CI off unseen,
+and every job has a time limit, so a hung step cannot hold a runner."""
 
 from pathlib import Path
 
@@ -16,3 +17,11 @@ def test_every_workflow_step_runs_or_uses_something():
         assert job["steps"], name
         for step in job["steps"]:
             assert "run" in step or "uses" in step, (name, step)
+
+
+def test_every_workflow_job_has_a_time_limit():
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+    for name, job in jobs.items():
+        limit = job.get("timeout-minutes")
+        assert isinstance(limit, int) and 0 < limit <= 60, (name, limit)
