@@ -9,13 +9,19 @@ subcommand accepts only the flags it reads: the chart flags ``--guess``,
 key=value config file (``--config``); explicit flags win over file entries,
 and file values are checked like flags (type and allowed choices).
 
-Each subparser names its command function as the ``run`` default, and
-``main`` calls ``ns.run(ns)``: the parser's table of subcommands is the only
-one.  The parser is built once, when this module is imported (after the
-command functions it names), so ``main(argv)`` may be called many times in
-one process and each call pays only for parsing and its own command.  A
-config file applies to its own call only: it never changes the shared
-parser.
+Each subcommand is made by one helper, ``command`` (``map_command`` adds the
+map and chart flags), which gives it ``--output`` and ``--config`` and names
+its command function as the ``run`` default; ``main`` calls ``ns.run(ns)``:
+the parser's table of subcommands is the only one.  A command function writes
+its output and returns None, or the exit code of a failed verification.  The
+CSV tables of chart, field, integrate and verify come from one writer,
+``_table``; iterate's JSON objects take their keys from its CSV header.  The
+closed forms that fill iterate's reference columns sit in one table of
+(mu, x*, f^t), ``_REFERENCES``.  The parser is built once, when this module
+is imported (after the command functions it names), so ``main(argv)`` may be
+called many times in one process and each call pays only for parsing and its
+own command.  A config file applies to its own call only: it never changes
+the shared parser.
 
 Exit codes: 0 success (verify: all checks passed), 1 generic error or failed
 verification, 2 usage error, 3 restrictive-condition violations (zero /
@@ -27,9 +33,12 @@ line ``error: <Type>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
 import io
 import json
 import sys
+from itertools import chain
 
 from . import verify as verify_mod
 from .carleman import (
@@ -47,8 +56,9 @@ from .errors import (
     RestrictiveConditionViolated,
 )
 from .flow import integrate_flow, lyapunov_logistic, pipeline
-from .iterate import PointStatus, evaluate_chart_grid, evaluate_matrix_grid
+from .iterate import PointStatus
 from .logistic import (
+    LN2,
     logistic2_iterate,
     logistic4_iterate,
     logistic4_iterate_second,
@@ -58,16 +68,13 @@ from .series import PowerSeries
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_USAGE = 2
-EXIT_RESTRICTIVE = 3
-EXIT_OUT_OF_CHART = 4
-EXIT_NONCONVERGENT = 5
 
-# The exit code of each error type, first match wins; other errors exit 1.
+# The exit code of each error type, first match wins; other errors exit 1
+# (argparse exits 2 on a usage error).
 _ERROR_EXITS = (
-    (RestrictiveConditionViolated, EXIT_RESTRICTIVE),
-    ((OutOfChart, ChartEscape), EXIT_OUT_OF_CHART),
-    (NonConvergent, EXIT_NONCONVERGENT),
+    (RestrictiveConditionViolated, 3),
+    ((OutOfChart, ChartEscape), 4),
+    (NonConvergent, 5),
 )
 
 DEFAULT_DIM = 32
@@ -105,11 +112,18 @@ def build_parser() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def map_command(name, summary, run, chart=True):
-        """A subcommand that reads a map and runs ``run``; ``chart`` adds the
-        chart's flags."""
+    def command(name, summary, run):
+        """A subcommand that runs ``run``, with ``--output`` and ``--config``."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--config", default=None,
+                       help="key=value file mirroring these flags")
+        return p
+
+    def map_command(name, summary, run, chart=True):
+        """A subcommand that reads a map; ``chart`` adds the chart's flags."""
+        p = command(name, summary, run)
         p.add_argument("--coeffs", type=_parse_complex_list, default=None,
                        help="map coefficients, lowest degree first, e.g. 0,4,-4")
         p.add_argument("--preset", default=None, help="named map, e.g. logistic:4")
@@ -122,9 +136,6 @@ def build_parser() -> tuple:
                            help="fixed-point residual tolerance override")
             p.add_argument("--r-eval", type=float, default=None, dest="r_eval",
                            help="chart evaluation radius override")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value file mirroring these flags")
         return p
 
     p = map_command("matrix", "dump the embedding matrix", cmd_matrix, chart=False)
@@ -150,21 +161,15 @@ def build_parser() -> tuple:
     p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
 
-    p = sub.add_parser("lyapunov", help="chain-rule Lyapunov estimate (mu=4)")
-    p.set_defaults(run=cmd_lyapunov)
+    p = command("lyapunov", "chain-rule Lyapunov estimate (mu=4)", cmd_lyapunov)
     p.add_argument("--n", type=int, default=DEFAULT_LYAPUNOV_N)
     p.add_argument("--x0", type=complex, default=0.123456)
-    p.add_argument("--output", default=None)
-    p.add_argument("--config", default=None)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.set_defaults(run=cmd_verify)
+    p = command("verify", "run a verification suite", cmd_verify)
     p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--output", default=None)
     p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--config", default=None)
 
     return parser, sub.choices
 
@@ -238,7 +243,7 @@ def _emit(ns, text: str):
         sys.stdout.write(text)
 
 
-def cmd_matrix(ns) -> int:
+def cmd_matrix(ns) -> None:
     if ns.quadrature_nodes is not None and not ns.check_quadrature:
         raise ValueError("--quadrature-nodes needs --check-quadrature")
     f = _map_series(ns)
@@ -250,79 +255,79 @@ def cmd_matrix(ns) -> int:
         Q = build_matrix_quadrature(f, ns.dim, nodes=ns.quadrature_nodes)
         dev = scaled_deviation(M.entries, Q.entries)
         sys.stdout.write(f"quadrature_deviation={dev:.17g}\n")
-    return EXIT_OK
+
+
+# The closed forms of the logistic iterate: (mu, x*, f^t).
+_REFERENCES = (
+    (4.0, 0.0, logistic4_iterate),
+    (4.0, 0.75, logistic4_iterate_second),
+    (2.0, 0.0, logistic2_iterate),
+)
 
 
 def _reference_fn(ns, x_star: complex):
+    """The closed form of ``--preset``'s map at x*, or None."""
     mu = _preset_mu(ns)
     if mu is None or mu.imag != 0:
         return None
-    if abs(mu - 4.0) < 1e-12:
-        if abs(x_star) < 1e-6:
-            return logistic4_iterate
-        if abs(x_star - 0.75) < 1e-6:
-            return logistic4_iterate_second
-    if abs(mu - 2.0) < 1e-12 and abs(x_star) < 1e-6:
-        return logistic2_iterate
-    return None
+    return next((
+        fn for m, x, fn in _REFERENCES if abs(mu - m) < 1e-12 and abs(x_star - x) < 1e-6
+    ), None)
 
 
 def _reference_value(reference, t, x) -> complex | None:
-    """The closed form at (t, x), or None where it has no finite value (an x
-    off the real segment of the map escapes to infinity) or cannot be
-    evaluated (a logarithm of 0, as at x = 1/2 on the mu=2 map)."""
+    """The closed form at (t, x), or None where there is none, where it has no
+    finite value (an x off the real segment of the map escapes to infinity;
+    a t or x that is not finite) or where it cannot be evaluated (a logarithm
+    of 0, as at x = 1/2 on the mu=2 map)."""
+    if reference is None:
+        return None
     try:
-        return reference(t, x)
+        value = reference(t, x)
     except (OverflowError, ValueError):
         return None
+    return value if cmath.isfinite(value) else None
 
 
-def cmd_iterate(ns) -> int:
+# The columns of iterate's CSV header, and the keys of its JSON objects.
+_ITERATE_COLUMNS = ("t", "x_re", "x_im", "ft_re", "ft_im", "route", "converged", "ref_re", "ref_im")
+
+
+def _parts(z) -> tuple:
+    """(re, im) of z, or (None, None) where there is no value."""
+    return (None, None) if z is None else (z.real, z.imag)
+
+
+def cmd_iterate(ns) -> None:
     if not ns.t or not ns.x:
         raise ValueError("iterate needs non-empty --t and --x grids")
     p = _pipeline(ns)
-    grids = []
-    if ns.route in ("chart", "both"):
-        grids.append(("chart", evaluate_chart_grid(p.chart, ns.t, ns.x)))
-    if ns.route in ("matrix", "both"):
-        grids.append(("matrix", evaluate_matrix_grid(p.expansion, ns.t, ns.x)))
-    routes = [
-        (name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist())
-        for name, grid in grids
-    ]
+    routes = []
+    for name in ("chart", "matrix") if ns.route == "both" else (ns.route,):
+        grid = p.grid(name, ns.t, ns.x)
+        routes.append((name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist()))
     reference = _reference_fn(ns, p.chart.x_star)
-
-    def ref_at(t, x):
-        return _reference_value(reference, t, x) if reference is not None else None
 
     if ns.format == "json":
         payload = []
         for i, t in enumerate(ns.t):
             for j, x in enumerate(ns.x):
-                r = ref_at(t, x)
+                r = _reference_value(reference, t, x)
                 for name, values, converged in routes:
                     v = values[i][j] if converged[i][j] else None
-                    payload.append({
-                        "t": t,
-                        "x_re": x.real,
-                        "x_im": x.imag,
-                        "ft_re": None if v is None else v.real,
-                        "ft_im": None if v is None else v.imag,
-                        "route": name,
-                        "converged": converged[i][j],
-                        "ref_re": None if r is None else r.real,
-                        "ref_im": None if r is None else r.imag,
-                    })
+                    payload.append(dict(zip(_ITERATE_COLUMNS, (
+                        t, *_parts(x), *_parts(v), name, converged[i][j], *_parts(r)
+                    ))))
         _emit(ns, json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
+        return
 
     # Each t and x is formatted once; a row joins the cached cells.
     x_cells = [f"{x.real:.17g},{x.imag:.17g}" for x in ns.x]
-    lines = ["t,x_re,x_im,ft_re,ft_im,route,converged,ref_re,ref_im"]
+    lines = [",".join(_ITERATE_COLUMNS)]
     for i, t in enumerate(ns.t):
         t_cell = f"{t:.17g}"
         for j, x in enumerate(ns.x):
-            r = ref_at(t, x)
+            r = _reference_value(reference, t, x)
             ref_cells = "," if r is None else f"{r.real:.17g},{r.imag:.17g}"
             for name, values, converged in routes:
                 if converged[i][j]:
@@ -332,47 +337,48 @@ def cmd_iterate(ns) -> int:
                     cells = f",,{name},false"
                 lines.append(f"{t_cell},{x_cells[j]},{cells},{ref_cells}")
     _emit(ns, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_chart(ns) -> int:
+def _table(header: str, fmt: str, rows) -> str:
+    """``header``, then one ``fmt`` line per row of cells.  One % pass formats
+    every cell; ``%.17g`` gives what f"{v:.17g}" would."""
+    rows = list(rows)
+    return f"{header}\n" + f"{fmt}\n" * len(rows) % tuple(chain.from_iterable(rows))
+
+
+def cmd_chart(ns) -> None:
     chart = _pipeline(ns).chart
-    lines = [
+    _emit(ns, _table(
         f"chart x_star={format_complex(chart.x_star)} "
         f"lambda={format_complex(chart.multiplier)} "
-        f"dim={chart.forward.order} r_eval={chart.r_eval:.17g}",
+        f"dim={chart.forward.order} r_eval={chart.r_eval:.17g}\n"
         "k,u_re,u_im,uinv_re,uinv_im",
-    ]
-    for k, (u, v) in enumerate(zip(chart.forward.coeffs.tolist(), chart.inverse.coeffs.tolist())):
-        lines.append(f"{k},{u.real:.17g},{u.imag:.17g},{v.real:.17g},{v.imag:.17g}")
-    _emit(ns, "\n".join(lines) + "\n")
-    return EXIT_OK
+        "%d,%.17g,%.17g,%.17g,%.17g",
+        ((k, u.real, u.imag, v.real, v.imag) for k, (u, v) in
+         enumerate(zip(chart.forward.coeffs.tolist(), chart.inverse.coeffs.tolist()))),
+    ))
 
 
-def cmd_field(ns) -> int:
+def cmd_field(ns) -> None:
     field_ = _pipeline(ns).field
-    lines = [
+    _emit(ns, _table(
         f"field x_star={format_complex(field_.x_star)} "
-        f"lambda={format_complex(field_.chart.multiplier)} dim={field_.series.order}",
+        f"lambda={format_complex(field_.chart.multiplier)} dim={field_.series.order}\n"
         "k,g_re,g_im",
-    ]
-    for k, c in enumerate(field_.series.coeffs.tolist()):
-        lines.append(f"{k},{c.real:.17g},{c.imag:.17g}")
-    _emit(ns, "\n".join(lines) + "\n")
-    return EXIT_OK
+        "%d,%.17g,%.17g",
+        ((k, c.real, c.imag) for k, c in enumerate(field_.series.coeffs.tolist())),
+    ))
 
 
-def cmd_integrate(ns) -> int:
+def cmd_integrate(ns) -> None:
     field_ = _pipeline(ns).field
     x0 = ns.x0 if ns.x0 is not None else field_.x_star
     trajectory = integrate_flow(field_, x0, ns.t_end, dt=ns.dt)
-    # One % pass over every cell formats the rows as f"{v:.17g}" would.
-    cells = [v for t, x in trajectory for v in (t, x.real, x.imag)]
-    _emit(ns, "t,x_re,x_im\n" + "%.17g,%.17g,%.17g\n" * len(trajectory) % tuple(cells))
-    return EXIT_OK
+    _emit(ns, _table("t,x_re,x_im", "%.17g,%.17g,%.17g",
+                     ((t, x.real, x.imag) for t, x in trajectory)))
 
 
-def cmd_lyapunov(ns) -> int:
+def cmd_lyapunov(ns) -> None:
     if ns.x0.imag != 0:
         raise ValueError(f"lyapunov needs a real --x0, got {ns.x0!r}")
     x0 = ns.x0.real
@@ -381,43 +387,29 @@ def cmd_lyapunov(ns) -> int:
         "n": ns.n,
         "x0": x0,
         "sigma_hat": sigma,
-        "reference": 0.6931471805599453,
+        "reference": LN2,
     }
     _emit(ns, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
 
 
-def cmd_verify(ns) -> int:
-    suite = ns.suite
-    results = verify_mod.run_suite(suite, dim=ns.dim, n=ns.n)
+def cmd_verify(ns) -> int | None:
+    results = verify_mod.run_suite(ns.suite, dim=ns.dim, n=ns.n)
     all_passed = all(r.passed for r in results)
     if ns.format == "csv":
-        lines = ["name,passed,deviation,tolerance"]
-        for r in results:
-            lines.append(
-                f"{r.name},{str(r.passed).lower()},{r.deviation:.17g},"
-                f"{r.tolerance:.17g}"
-            )
-        _emit(ns, "\n".join(lines) + "\n")
+        _emit(ns, _table(
+            "name,passed,deviation,tolerance", "%s,%s,%.17g,%.17g",
+            ((r.name, str(r.passed).lower(), r.deviation, r.tolerance) for r in results),
+        ))
     else:
         payload = {
-            "suite": suite,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "deviation": r.deviation,
-                    "tolerance": r.tolerance,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "suite": ns.suite,
+            "results": [dataclasses.asdict(r) for r in results],
             "all_passed": all_passed,
         }
         _emit(ns, json.dumps(payload, indent=2) + "\n")
     for r in results:
         sys.stderr.write(r.line() + "\n")
-    return EXIT_OK if all_passed else EXIT_ERROR
+    return None if all_passed else EXIT_ERROR
 
 
 _PARSER, _SUBPARSERS = build_parser()
@@ -431,9 +423,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     ns = _PARSER.parse_args(argv)
     try:
-        if getattr(ns, "config", None):
+        if ns.config:
             ns = _apply_config_file(ns, argv)
-        return ns.run(ns)
+        return ns.run(ns) or EXIT_OK
     except (MapflowError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_ERROR)

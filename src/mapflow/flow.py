@@ -42,14 +42,18 @@ from .carleman import CarlemanMatrix, scaled_deviation
 from .errors import BranchMismatch, ChartEscape, OutOfChart
 from .iterate import (
     IterateExpansion,
+    IterateGrid,
     SchroederChart,
     _in_radius,
     _outside_reason,
     build_chart,
     build_expansion,
+    evaluate_chart_grid,
+    evaluate_matrix_grid,
 )
+from .logistic import LN2
 from .series import TOL_FIX, PowerSeries, _horner, _trunc_div, find_fixed_point
-from .spectral import SpectralFactorization, factor_from_series, log_row
+from .spectral import SpectralFactorization, _refuse_non_finite, factor_from_series, log_row
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
 TOL_FIELD_XCHECK = 1e-7
@@ -59,8 +63,6 @@ TOL_ODE = 1e-6
 FIELD_DROP_TOL = 2.0**-53
 # Orbit iterates per chunk of the Lyapunov estimate (a 64 KB float buffer).
 LYAPUNOV_CHUNK = 8192
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +153,7 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
             f"log expanded about {g.base_point!r} but chart sits at "
             f"{chart.x_star!r}"
         )
-    bad = np.flatnonzero(~np.isfinite(g.coeffs))
-    if bad.size:
-        raise BranchMismatch(
-            f"{bad.size} field coefficients are not finite, the first at k = "
-            f"{bad[0]}: the chart series are too large to sum at this order"
-        )
+    _refuse_non_finite(g.coeffs, "field", BranchMismatch)
     n = min(g.order, chart.forward.order)
     u = chart.forward.truncated(n)
     du = np.append(u.derivative().coeffs, 0)
@@ -173,16 +170,27 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
     return FlowField(series=g, chart=chart)
 
 
+def _sums_in_floats(field: FlowField, x: complex) -> bool:
+    """Whether G is summed in floats from x: the field is :attr:`FlowField.real`
+    and the imaginary part of x is exactly +0.0 (not -0.0)."""
+    return field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0
+
+
 def evaluate_field(field: FlowField, x) -> complex:
     """G(x) by :meth:`FlowField.value`; domain-guarded by the chart radius.
 
     A point farther than ``r_eval`` from x*, or not finite, raises
-    :class:`OutOfChart`.
+    :class:`OutOfChart`.  Where :func:`_sums_in_floats` holds, the sum is
+    taken in floats, which give the real part of the complex-arithmetic sum
+    bit for bit and an imaginary part of +0.0; a sum that is not finite is
+    taken again in complex arithmetic, whose imaginary part may then differ.
     """
     x = complex(x)
     dist = abs(x - field.x_star)
     if not _in_radius(dist, field.chart.r_eval):
         raise OutOfChart(_outside_reason(dist, field.chart.r_eval))
+    if _sums_in_floats(field, x) and math.isfinite(value := field.value(x.real)):
+        return complex(value)
     return field.value(x)
 
 
@@ -227,7 +235,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     h = t_end / steps
     x_star, r_eval = field.x_star, field.chart.r_eval
     states = None
-    if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
+    if _sums_in_floats(field, x):
         states = _rk4(field.value, x.real, x_star.real, r_eval, h, steps)
         # After an overflow, redo the run: complex arithmetic ends in other bits.
         states = list(map(complex, states)) if math.isfinite(states[-1]) else None
@@ -345,6 +353,13 @@ class Pipeline:
     def field(self) -> FlowField:
         """The flow field, summed from the factorization's field row."""
         return build_field(log_row(self.factorization), self.chart)
+
+    def grid(self, route: str, ts, xs) -> IterateGrid:
+        """f^t over the (t, x) grid on ``route``: "chart" evaluates the chart,
+        "matrix" the mode expansion, which only this route builds."""
+        if route == "chart":
+            return evaluate_chart_grid(self.chart, ts, xs)
+        return evaluate_matrix_grid(self.expansion, ts, xs)
 
 
 def pipeline(

@@ -117,11 +117,14 @@ def _diagonal(lam: complex, n: int) -> np.ndarray:
     """
     if abs(lam) <= TOL_RES:
         raise Superattracting(f"multiplier {lam!r} is numerically zero")
-    powers = lam ** np.arange(n)
-    # hypot on the parts is the scalar abs().
-    diff = 1.0 - powers[1:]
-    gap = np.hypot(diff.real, diff.imag)
-    size = np.hypot(powers.real[1:], powers.imag[1:])
+    # Powers past the float range leave inf or nan, which collide with
+    # nothing; factor_from_series refuses the rows they spoil.
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = lam ** np.arange(n)
+        # hypot on the parts is the scalar abs().
+        diff = 1.0 - powers[1:]
+        gap = np.hypot(diff.real, diff.imag)
+        size = np.hypot(powers.real[1:], powers.imag[1:])
     close = np.flatnonzero(gap < TOL_RES * np.maximum(1.0, size))
     if close.size:
         d = int(close[0]) + 1
@@ -186,6 +189,17 @@ def _chart_row(h: np.ndarray) -> np.ndarray:
     return u
 
 
+def _refuse_non_finite(coeffs: np.ndarray, what: str, error=ValueError) -> None:
+    """Raise ``error`` if a coefficient is not finite, naming how many are
+    and the first: the chart series' sums overflowed at this order."""
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise error(
+            f"{bad.size} {what} coefficients are not finite, the first at k = "
+            f"{bad[0]}: the chart series are too large to sum at this order"
+        )
+
+
 def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorization:
     """Factorization of the shifted map's dim x dim embedding matrix.
 
@@ -193,11 +207,20 @@ def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorizatio
     Lagrange inversion (see the module notes); no matrix is built.  Raises
     :class:`Superattracting` and :class:`ResonantEigenvalues` exactly where
     :func:`diagonalize` does, at the fixed resonance tolerance TOL_RES.
+
+    At a high enough order lambda^k or the coefficients of u leave the float
+    range, and inf or nan spreads through the rows; such a ``dim`` raises
+    ``ValueError`` naming the first coefficient that is not finite.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    h = _inverse_chart_row(frame.shifted_map, _diagonal(complex(frame.multiplier), dim))
-    return SpectralFactorization(frame=frame, chart_row=_chart_row(h), inverse_row=h)
+    # A row that overflows is refused below; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _inverse_chart_row(frame.shifted_map, _diagonal(complex(frame.multiplier), dim))
+        u = _chart_row(h)
+    # u is summed from 1/h, so it is finite only where h is.
+    _refuse_non_finite(u, "chart")
+    return SpectralFactorization(frame=frame, chart_row=u, inverse_row=h)
 
 
 def diagonalize(Mg: CarlemanMatrix, frame: FixedPointFrame) -> SpectralFactorization:

@@ -16,17 +16,20 @@ default radius is a usage guard, not an accuracy statement; the internal
 tail checks keep the evaluations honest at these sample points).  Every
 check builds through one cached :func:`mapflow.flow.pipeline` per map,
 fixed point, order and radius, and takes the mode expansion and the field
-from it, so a suite run builds each factorization once.  The checks against
-the closed mu=4 iterate (iterate-oracle, truncation-convergence, order-sweep)
-read one table of errors, a row per route and a column per sample
-(:func:`_errors`), and the two order checks its growth from each order to
-the next (:func:`_growth`).
+from it, so a suite run builds each factorization once; every iterate grid
+comes from its route helper, :meth:`mapflow.flow.Pipeline.grid`.  The checks
+against the closed mu=4 iterate (iterate-oracle, truncation-convergence,
+order-sweep) read one table of errors, a row per route and a column per
+sample (:func:`_errors`), and the two order checks its growth from each
+order to the next (:func:`_growth`); chart-coefficients and order-sweep measure the chart
+against its exact expansion by one function (:func:`_chart_coefficient_dev`).
+A check states each tolerance once: :func:`_result` passes it when the
+deviation is within its tolerance and its other criteria (``also``) hold.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,8 +44,9 @@ from .flow import (
     pipeline,
     validity_window,
 )
-from .iterate import evaluate_chart_grid, evaluate_iterate_chart, evaluate_matrix_grid
+from .iterate import evaluate_iterate_chart
 from .logistic import (
+    LN2,
     logistic2_iterate,
     logistic4_chart_coefficients,
     logistic4_field,
@@ -51,8 +55,6 @@ from .logistic import (
     logistic_series,
 )
 from .spectral import diagonalize, fractional_power, log_row, matrix_log
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,12 @@ def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
     return pipeline(logistic_series(mu, dim), guess, dim, r_eval=r_eval)
 
 
-def _result(name, deviation, tolerance, detail="", passed=None) -> CheckResult:
-    """A check's result; it passes when ``deviation <= tolerance`` unless
-    ``passed`` says otherwise (a check with more than one criterion)."""
+def _result(name, deviation, tolerance, detail="", also=True) -> CheckResult:
+    """A check's result; it passes when ``deviation <= tolerance`` and
+    ``also``, the check's other criteria, holds."""
     return CheckResult(
         name=name,
-        passed=bool(deviation <= tolerance if passed is None else passed),
+        passed=bool(deviation <= tolerance and also),
         deviation=float(deviation),
         tolerance=float(tolerance),
         detail=detail,
@@ -118,14 +120,20 @@ def check_builder_equivalence() -> CheckResult:
     return _result("builder-equivalence", dev, 1e-10, f"dim={dim}, nodes=256, row-scaled")
 
 
+def _chart_coefficient_dev(dim: int, count: int) -> float:
+    """The largest relative deviation of coefficients 1 .. ``count`` of the
+    order-``dim`` mu=4 chart at 0 from the exact expansion
+    4^k / (2 k^2 binom(2k, k))."""
+    row = _pipeline(4.0, 0.1, dim, 0.6).factorization.chart_row
+    return max(
+        abs(row[k] - float(c)) / float(c)
+        for k, c in enumerate(logistic4_chart_coefficients(count), start=1)
+    )
+
+
 def check_chart_coefficients() -> CheckResult:
     """First 8 chart coefficients at the origin match the exact expansion."""
-    row = _pipeline(4.0, 0.1, 16, 0.6).factorization.chart_row
-    exact = logistic4_chart_coefficients(8)
-    dev = 0.0
-    for k in range(1, 9):
-        ref = float(exact[k - 1])
-        dev = max(dev, abs(row[k] - ref) / abs(ref))
+    dev = _chart_coefficient_dev(16, 8)
     return _result("chart-coefficients", dev, 1e-10, "mu=4 at 0, relative")
 
 
@@ -134,8 +142,9 @@ _C4_POINTS = (0.01, 0.05, 0.1)
 
 
 def _oracle_errors(grid, reference=logistic4_iterate) -> np.ndarray:
-    """Absolute error of each grid value against a closed iterate (mu=4 by
-    default), in (t, x) row-major order; a refused point raises its error."""
+    """Absolute error of each grid value against a reference f^t(x) (the
+    closed mu=4 iterate by default), in (t, x) row-major order; a refused
+    point raises its error."""
     return np.array([
         abs(grid.value(i, j) - reference(t, x))
         for i, t in enumerate(grid.ts)
@@ -145,16 +154,10 @@ def _oracle_errors(grid, reference=logistic4_iterate) -> np.ndarray:
 
 def _errors(dim: int, routes) -> np.ndarray:
     """Absolute errors against the closed mu=4 iterate at the iterate-oracle
-    samples: one row per route in ``routes`` ("chart" or "matrix"), one
-    column per (t, x).  The mode expansion is built only for "matrix"."""
+    samples: one row per route in ``routes`` (:meth:`Pipeline.grid`), one
+    column per (t, x)."""
     p = _pipeline(4.0, 0.1, dim, 0.6)
-    return np.array([
-        _oracle_errors(
-            evaluate_chart_grid(p.chart, _C4_TIMES, _C4_POINTS) if route == "chart"
-            else evaluate_matrix_grid(p.expansion, _C4_TIMES, _C4_POINTS)
-        )
-        for route in routes
-    ])
+    return np.array([_oracle_errors(p.grid(route, _C4_TIMES, _C4_POINTS)) for route in routes])
 
 
 def _growth(dims, routes) -> float:
@@ -172,26 +175,20 @@ def check_iterate_oracle(dim: int = 40) -> CheckResult:
 
 
 def check_mu2_oracle(dim: int = 40) -> CheckResult:
-    chart = _pipeline(2.0, 0.1, dim, 0.3).chart
-    times, points = (0.5, 1.5), (0.01, 0.1)
-    grid = evaluate_chart_grid(chart, times, points)
+    grid = _pipeline(2.0, 0.1, dim, 0.3).grid("chart", (0.5, 1.5), (0.01, 0.1))
     dev = _oracle_errors(grid, logistic2_iterate).max()
     return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={dim}")
 
 
 def check_semigroup(dim: int = 40) -> CheckResult:
     p = _pipeline(4.0, 0.1, dim, 0.6)
-    routes = (
-        lambda ts, xs: evaluate_chart_grid(p.chart, ts, xs),
-        lambda ts, xs: evaluate_matrix_grid(p.expansion, ts, xs),
-    )
     times, points = (0.25, 0.5, 1.0), (0.005, 0.01, 0.02)
     per_pair = {}
-    for evaluate in routes:
-        inner = evaluate(times, points)  # f^t(x)
+    for route in ("chart", "matrix"):
+        inner = p.grid(route, times, points)  # f^t(x)
         # f^s(f^t(x)): row s, column (t, x) in row-major order
-        outer = evaluate(times, [inner.value(i, j) for i in range(3) for j in range(3)])
-        whole = evaluate([s + t for s in times for t in times], points)  # f^(s+t)(x)
+        outer = p.grid(route, times, [inner.value(i, j) for i in range(3) for j in range(3)])
+        whole = p.grid(route, [s + t for s in times for t in times], points)  # f^(s+t)(x)
         for a, s in enumerate(times):
             for b, t in enumerate(times):
                 for j in range(3):
@@ -213,14 +210,11 @@ def check_semigroup(dim: int = 40) -> CheckResult:
 def check_nonuniqueness(dim: int = 40) -> CheckResult:
     """Charts at the two fixed points coincide at integer times and split
     at half-integer time with a genuinely complex branch."""
-    chart0 = _pipeline(4.0, 0.1, dim, 0.6).chart
-    chart1 = _pipeline(4.0, 0.7, dim, 0.6).chart
-    times, x = (1.0, 2.0, 3.0, 0.5), 0.3
-    grid0 = evaluate_chart_grid(chart0, times, (x,))
-    grid1 = evaluate_chart_grid(chart1, times, (x,))
-    worst_int = 0.0
-    for i in range(3):
-        worst_int = max(worst_int, abs(grid0.value(i, 0) - grid1.value(i, 0)))
+    grid0, grid1 = (
+        _pipeline(4.0, guess, dim, 0.6).grid("chart", (1.0, 2.0, 3.0, 0.5), (0.3,))
+        for guess in (0.1, 0.7)
+    )
+    worst_int = max(abs(grid0.value(i, 0) - grid1.value(i, 0)) for i in range(3))
     v0 = grid0.value(3, 0)
     v1 = grid1.value(3, 0)
     split = abs(v0 - v1)
@@ -231,14 +225,12 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
     )
     # The reported deviation is the binding integer-time agreement.
     return _result("non-uniqueness", worst_int, 1e-6, detail,
-                   passed=worst_int <= 1e-6 and split >= 1e-3 and imag >= 1e-3)
+                   also=split >= 1e-3 and imag >= 1e-3)
 
 
 def check_field(dim: int = 40) -> CheckResult:
     field = _pipeline(4.0, 0.1, dim, 0.6).field
-    dev = 0.0
-    for x in (0.01, 0.05, 0.1):
-        dev = max(dev, abs(evaluate_field(field, x) - logistic4_field(x)))
+    dev = max(abs(evaluate_field(field, x) - logistic4_field(x)) for x in (0.01, 0.05, 0.1))
     coeffs = field.series.coeffs
     coeff_dev = max(
         abs(coeffs[1] - 2.0 * LN2), abs(coeffs[2] - (-2.0 / 3.0 * LN2))
@@ -247,7 +239,7 @@ def check_field(dim: int = 40) -> CheckResult:
         "field-extraction", dev, 1e-6,
         f"values vs closed field; coefficient check dev {coeff_dev:.3e} "
         "(<=1e-9) for ln4 and -(2/3)ln2",
-        passed=dev <= 1e-6 and coeff_dev <= 1e-9,
+        also=coeff_dev <= 1e-9,
     )
 
 
@@ -275,27 +267,24 @@ def check_validity_window() -> CheckResult:
     dev_tmax = abs(t_max - 1.0)
     h = 1e-5
 
-    def dfdt(t, x):
-        return (logistic4_iterate(t + h, x) - logistic4_iterate(t - h, x)).real / (
-            2.0 * h
-        )
+    def dfdt(t):  # central difference of f^t(0.5) in t
+        return (logistic4_iterate(t + h, 0.5) - logistic4_iterate(t - h, 0.5)).real / (2.0 * h)
 
-    inside = abs(dfdt(0.9, 0.5) - logistic4_field(logistic4_iterate(0.9, 0.5)).real)
-    d_after = dfdt(1.1, 0.5)
-    g_after = logistic4_field(logistic4_iterate(1.1, 0.5)).real
+    def field_at(t):  # the closed field at f^t(0.5)
+        return logistic4_field(logistic4_iterate(t, 0.5)).real
+
+    inside = abs(dfdt(0.9) - field_at(0.9))
+    d_after, g_after = dfdt(1.1), field_at(1.1)
     return _result(
         "validity-window", inside, 1e-4,
         f"t_max(0.5) = {t_max!r}; derivative match {inside:.3e} at "
         f"t=0.9; signs at t=1.1: d/dt {d_after:+.3f} vs field {g_after:+.3f}",
-        passed=dev_tmax <= 1e-12 and inside <= 1e-4 and d_after * g_after < 0,
+        also=dev_tmax <= 1e-12 and d_after * g_after < 0,
     )
 
 
 def check_lyapunov(n: int = 100_000) -> CheckResult:
-    dev = 0.0
-    for seed in (0.123456, 0.654321):
-        sigma = lyapunov_logistic(n, seed)
-        dev = max(dev, abs(sigma - LN2) / LN2)
+    dev = max(abs(lyapunov_logistic(n, seed) - LN2) / LN2 for seed in (0.123456, 0.654321))
     return _result(
         "lyapunov", dev, 0.02, f"chain rule over {n} iterates, relative to ln 2"
     )
@@ -329,17 +318,13 @@ def check_order_sweep() -> CheckResult:
     """
     growth = _growth(_SWEEP_DIMS, ("chart",))
     top = _SWEEP_DIMS[-1]
-    row = _pipeline(4.0, 0.1, top, 0.6).factorization.chart_row
-    coeff_dev = max(
-        abs(row[k] - float(c)) / float(c)
-        for k, c in enumerate(logistic4_chart_coefficients(top - 1), start=1)
-    )
+    coeff_dev = _chart_coefficient_dev(top, top - 1)
     return _result(
         "order-sweep", growth, 1e-12,
         f"chart-route error growth over dims {_SWEEP_DIMS} (0 means "
         f"non-increasing); dim-{top} chart coefficients relative dev "
         f"{coeff_dev:.3e} (<=1e-12)",
-        passed=growth <= 1e-12 and coeff_dev <= 1e-12,
+        also=coeff_dev <= 1e-12,
     )
 
 
@@ -362,13 +347,11 @@ def check_paper_matrix() -> CheckResult:
         # The paper's matrices take the factorization's own frame, never the chart's.
         frame = p.factorization.frame
         paper = diagonalize(build_matrix(frame.shifted_map, dim), frame)
-        points = [frame.x_star + d for d in _C4_POINTS]
-        grid = evaluate_chart_grid(p.chart, times, points)
-        for i, t in enumerate(times):
-            row = fractional_power(paper, t).source_map
-            for j, x in enumerate(points):
-                value = frame.x_star + row(x)
-                value_dev = max(value_dev, abs(value - grid.value(i, j)))
+        grid = p.grid("chart", times, [frame.x_star + d for d in _C4_POINTS])
+        # Row 1 of M^t is f^t - x* as a series about x*.
+        rows = {t: fractional_power(paper, t).source_map for t in times}
+        errors = _oracle_errors(grid, lambda t, x: frame.x_star + rows[t](x))
+        value_dev = max(value_dev, errors.max())
         log_dev = max(
             log_dev,
             scaled_deviation(matrix_log(paper).entries[1], log_row(p.factorization).coeffs),
@@ -378,7 +361,7 @@ def check_paper_matrix() -> CheckResult:
         f"mu=4 at 0 and 3/4, dim={dim}: row 1 of M^t vs chart "
         f"route at t={times}; row 1 of log M vs log_row dev {log_dev:.3e} "
         "(<=1e-9, row-scaled)",
-        passed=value_dev <= 1e-10 and log_dev <= 1e-9,
+        also=log_dev <= 1e-9,
     )
 
 

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from mapflow.cli import main
-from mapflow.logistic import logistic2_chart_coefficients, logistic4_chart_coefficients
+from mapflow.logistic import (
+    logistic2_chart_coefficients,
+    logistic2_iterate,
+    logistic4_chart_coefficients,
+    logistic4_iterate,
+    logistic4_iterate_second,
+)
 
 
 def run(args, capsys):
@@ -208,6 +214,62 @@ def test_iterate_leaves_the_reference_empty_where_the_closed_form_has_a_domain_e
     ]
 
 
+@pytest.mark.parametrize("args, bad_row", [
+    (["--t", "0.5", "--x", "0.1,inf"], "0.5,inf,0,,,chart,false,,"),
+    (["--t", "0.5", "--x", "0.1,nan"], "0.5,nan,0,,,chart,false,,"),
+    (["--t", "inf,0.5", "--x", "0.1"], "inf,0.10000000000000001,0,,,chart,false,,"),
+], ids=["x-inf", "x-nan", "t-inf"])
+def test_iterate_leaves_the_reference_empty_where_t_or_x_is_not_finite(args, bad_row, capsys):
+    # The closed form is nan there; README promises empty cells, not nan.
+    argv = ["iterate", "--preset", "logistic:4", "--route", "chart", *args]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert bad_row in out.splitlines()
+    code, out, err = run([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    refs = [(row["ref_re"], row["ref_im"]) for row in json.loads(out)]
+    assert refs.count((None, None)) == 1
+    assert all(math.isfinite(part) for ref in refs if ref != (None, None) for part in ref)
+
+
+@pytest.mark.parametrize("argv, reference, x", [
+    (["--preset", "logistic:4", "--fixed-point", "0"], logistic4_iterate, 0.3),
+    (["--preset", "logistic:4", "--fixed-point", "0.75"], logistic4_iterate_second, 0.7),
+    (["--preset", "logistic:2", "--fixed-point", "0"], logistic2_iterate, 0.1),
+], ids=["mu4-at-0", "mu4-at-3/4", "mu2-at-0"])
+def test_iterate_takes_the_reference_from_the_closed_form_of_its_map_and_fixed_point(
+    argv, reference, x, capsys
+):
+    times = (0.5, 1.5, -0.5)
+    grid = ["--t", ",".join(map(str, times)), "--x", str(x), "--route", "chart"]
+    code, out, _ = run(["iterate", *argv, *grid, "--format", "json"], capsys)
+    assert code == 0
+    expected = [reference(t, complex(x)) for t in times]
+    assert [complex(row["ref_re"], row["ref_im"]) for row in json.loads(out)] == expected
+    code, out, _ = run(["iterate", *argv, *grid], capsys)
+    assert code == 0
+    assert [line.split(",")[7:] for line in out.splitlines()[1:]] == [
+        [f"{r.real:.17g}", f"{r.imag:.17g}"] for r in expected
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "logistic:3.7"],
+    ["--preset", "logistic:4+0.5j"],
+    ["--coeffs", "0,4,-4"],
+], ids=["mu3.7", "complex-mu", "coeffs"])
+def test_iterate_leaves_the_reference_empty_where_no_closed_form_is_known(argv, capsys):
+    grid = ["--fixed-point", "0", "--t", "0.5,1", "--x", "0.01", "--route", "both"]
+    code, out, _ = run(["iterate", *argv, *grid], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",,") for row in rows)
+    code, out, _ = run(["iterate", *argv, *grid, "--format", "json"], capsys)
+    assert code == 0
+    assert all(row["ref_re"] is row["ref_im"] is None for row in json.loads(out))
+
+
 def test_mode_route_refuses_points_outside_r_eval(capsys):
     # 0.48 is past r_eval; the mode sum there once passed its last-term test
     # with a value 6e-4 off the closed form.
@@ -317,6 +379,25 @@ def test_a_field_that_fails_its_cross_check_is_refused(argv, message, capsys):
     assert err == f"error: BranchMismatch: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # lambda^k overflows past k ~ 1024 and spoils h, whose reciprocal spreads
+    # nan through the block products of Lagrange inversion down to k = 33.
+    (["--preset", "logistic:4", "--guess", "0.7", "--dim", "1100"],
+     "1067 chart coefficients are not finite, the first at k = 33"),
+    (["--coeffs=0,1.8+0.9j,0.5-0.4j,0.2+0.1j", "--dim", "1200"],
+     "1166 chart coefficients are not finite, the first at k = 34"),
+], ids=["mu4-at-3/4-dim1100", "complex-cubic-dim1200"])
+def test_a_chart_past_the_float_range_is_refused(argv, message, capsys):
+    # Outside pytest a numpy warning would print to stderr beside the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["chart", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: ValueError: {message}: the chart series are too large to sum at this order\n"
+    )
+
+
 def test_chart_builds_neither_the_expansion_nor_the_field(monkeypatch, capsys):
     import mapflow.flow
 
@@ -343,13 +424,8 @@ def _exact_chart(mu: int, n: int) -> tuple:
     return u, h
 
 
-@pytest.mark.parametrize("dim", [80, 160])
-@pytest.mark.parametrize("mu", [4, 2])
-def test_high_order_chart_matches_the_exact_series(mu, dim, capsys):
-    code, out, _ = run(
-        ["chart", "--preset", f"logistic:{mu}", "--guess", "0", "--dim", str(dim)], capsys
-    )
-    assert code == 0
+def _assert_chart_is_exact(out: str, mu: int, dim: int):
+    """The chart rows 1 .. dim-1 of ``out`` match the exact series."""
     rows = [line.split(",") for line in out.splitlines()[3:]]
     assert len(rows) == dim - 1
     for row, *exact in zip(rows, *_exact_chart(mu, dim)):
@@ -360,6 +436,26 @@ def test_high_order_chart_matches_the_exact_series(mu, dim, capsys):
                 assert abs(got) < 1e-290, row[0]
             else:
                 assert abs(got - ref) <= 1e-12 * abs(ref), row[0]
+
+
+@pytest.mark.parametrize("dim", [80, 160])
+@pytest.mark.parametrize("mu", [4, 2])
+def test_high_order_chart_matches_the_exact_series(mu, dim, capsys):
+    code, out, _ = run(
+        ["chart", "--preset", f"logistic:{mu}", "--guess", "0", "--dim", str(dim)], capsys
+    )
+    assert code == 0
+    _assert_chart_is_exact(out, mu, dim)
+
+
+def test_chart_whose_multiplier_powers_overflow_is_right_and_quiet(capsys):
+    # 4^k leaves the float range at k = 512; the recursion divides by it,
+    # which only sends the tiny h_k there to 0, and must not warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["chart", "--preset", "logistic:4", "--dim", "600"], capsys)
+    assert (code, err) == (0, "")
+    _assert_chart_is_exact(out, 4, 600)
 
 
 def test_cli_paths_build_no_matrix(monkeypatch, tmp_path):
@@ -437,6 +533,25 @@ def test_verify_logistic4_suite_all_pass(capsys):
         assert payload["all_passed"] is True
         assert len(payload["results"]) == 10
         assert err.count("PASS") == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "semigroup", "--dim", "24"],
+    ["--suite", "lyapunov", "--n", "5000"],
+], ids=["semigroup", "lyapunov"])
+def test_verify_csv_and_json_report_the_same_checks(argv, capsys):
+    code, out, err = run(["verify", *argv, "--format", "csv"], capsys)
+    assert code == 0
+    csv_rows = [line.split(",") for line in out.splitlines()[1:]]
+    code, out, json_err = run(["verify", *argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json_err == err
+    results = json.loads(out)["results"]
+    assert set(results[0]) == {"name", "passed", "deviation", "tolerance", "detail"}
+    assert csv_rows == [
+        [r["name"], str(r["passed"]).lower(), f"{r['deviation']:.17g}", f"{r['tolerance']:.17g}"]
+        for r in results
+    ]
 
 
 def test_verify_csv_format(capsys):

@@ -103,6 +103,22 @@ def test_pipeline_objects_share_one_frame(logistic4):
     assert (p.chart.x_star, p.chart.multiplier) == (frame.x_star, frame.multiplier)
 
 
+def test_pipeline_grid_is_the_route_evaluator_and_builds_the_expansion_only_for_matrix(
+    logistic4,
+):
+    p = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    ts, xs = [0.5, -0.5, 2.0], [0.05, 0.3, 0.7]
+    chart = p.grid("chart", ts, xs)
+    assert "expansion" not in vars(p)
+    want = mf.evaluate_chart_grid(p.chart, ts, xs)
+    np.testing.assert_array_equal(chart.values, want.values)
+    np.testing.assert_array_equal(chart.status, want.status)
+    matrix = p.grid("matrix", ts, xs)
+    want = mf.evaluate_matrix_grid(p.expansion, ts, xs)
+    np.testing.assert_array_equal(matrix.values, want.values)
+    np.testing.assert_array_equal(matrix.status, want.status)
+
+
 def test_every_evaluator_applies_one_chart_radius(pipe4_origin, field4):
     # x* is exactly 0 and r_eval 0.6 on both; the rule allows a relative 1e-12.
     chart, expansion = pipe4_origin.chart, pipe4_origin.expansion
@@ -322,6 +338,39 @@ def test_real_field_value_is_a_float_at_a_float_and_complex_at_a_complex(field4)
     assert type(field4.value(0.03 + 0j)) is complex
     assert field4.value(0.03) == field4.value(0.03 + 0j) == _complex_value(field4)(0.03)
     assert type(mf.evaluate_field(field4, 0.03)) is complex
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_evaluate_field_sums_a_real_point_in_floats_with_the_bits_of_complex_arithmetic(
+    logistic4, field4, field2, pipe4_second, monkeypatch
+):
+    rng = np.random.default_rng(19)
+    far = mf.pipeline(logistic4, 0.0, DIM, r_eval=1e9).field
+    # (field, points, whether a point is summed in floats first).  The sums
+    # of ``far`` overflow; at 5e8 complex arithmetic gives nan + nan j where
+    # floats give -inf, so that sum is taken again in complex arithmetic.
+    cases = [
+        (field4, rng.uniform(-0.6, 0.6, 1000).tolist() + [0.0, -0.0], True),
+        (field2, rng.uniform(-0.3, 0.3, 1000).tolist(), True),
+        (far, [1e8, -1e8, 5e8, -5e8], True),
+        (field4, [0.03 + 0.01j, complex(0.03, -0.0)], False),
+        (pipe4_second.field, [0.7, 0.76], False),
+    ]
+    for field, points, in_floats in cases:
+        value = field.value  # the cached closure, which the spy calls
+        summed = []
+        monkeypatch.setitem(vars(field), "value", lambda x: summed.append(x) or value(x))
+        for x in points:
+            summed.clear()
+            got = mf.evaluate_field(field, x)
+            assert type(got) is complex
+            assert _bits(got) == _bits(_complex_value(field)(x)), x
+            assert (type(summed[0]) is float) is in_floats, x
+        monkeypatch.undo()
+    assert math.isnan(mf.evaluate_field(far, 5e8).imag)
 
 
 def test_overflow_in_a_float_run_ends_in_the_complex_state(logistic4):

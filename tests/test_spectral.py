@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,20 @@ def test_diagonal_matches_pairwise_reference(dim):
             assert got == want, lam
         verdicts[want[0]] += 1
     assert min(verdicts.values()) > 0
+
+
+def test_rows_past_the_float_range_are_refused_without_a_warning():
+    # mu=2: u_k = 2^(k-1)/k stays finite to k = 1024, but the block products
+    # of Lagrange inversion overflow from k = 868 at dim 1000.
+    frame = find_fixed_point(logistic_series(2.0, 1000), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^132 chart coefficients are not finite, "
+                                             "the first at k = 868: "):
+            factor_from_series(frame, 1000)
+        powers = _diagonal(4.0, 600)
+    # 4^512 = 2^1024 is past the float range.
+    assert np.isfinite(powers[:512]).all() and np.isinf(powers[512:]).all()
 
 
 # --- fractional powers ----------------------------------------------------------
