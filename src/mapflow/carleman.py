@@ -102,10 +102,9 @@ def build_matrix_quadrature(
     fz = horner(f.coeffs, z)
     entries = np.zeros((dim, dim), dtype=complex)
     power = np.ones(nodes, dtype=complex)
-    entries[0] = np.fft.ifft(power)[:dim]
-    for j in range(1, dim):
-        power = power * fz
+    for j in range(dim):
         entries[j] = np.fft.ifft(power)[:dim]
+        power = power * fz
     return CarlemanMatrix(entries=entries, source_map=f, quadrature_exact=exact)
 
 
@@ -119,8 +118,7 @@ def scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:
     flag pure representation rounding of the large ones.  Accepts 1-D arrays
     (treated as a single row).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    b = np.atleast_2d(np.asarray(b, dtype=complex))
+    a, b = (np.atleast_2d(np.asarray(m, dtype=complex)) for m in (a, b))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = np.abs(a - b).max(axis=1)
@@ -139,7 +137,6 @@ def _parse_complex(text: str) -> complex:
     text = text.strip()
     if text.endswith("i"):
         text = text[:-1] + "j"
-        return complex(text)
     return complex(text)
 
 

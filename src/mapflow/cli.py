@@ -15,13 +15,14 @@ its command function as the ``run`` default; ``main`` calls ``ns.run(ns)``:
 the parser's table of subcommands is the only one.  A command function writes
 its output and returns None, or the exit code of a failed verification.  The
 CSV tables of chart, field, integrate and verify come from one writer,
-``_table``; iterate's JSON objects take their keys from its CSV header.  The
-closed forms that fill iterate's reference columns sit in one table of
-(mu, x*, f^t), ``_REFERENCES``.  The parser is built once, when this module
-is imported (after the command functions it names), so ``main(argv)`` may be
-called many times in one process and each call pays only for parsing and its
-own command.  A config file applies to its own call only: it never changes
-the shared parser.
+``_table``, and every JSON output from ``_emit_json``; iterate's JSON
+objects take their keys from its CSV header.  The closed forms that fill
+iterate's reference columns sit in one table of (mu, x*, f^t),
+``_REFERENCES``.  The parser is built once, when this module is imported
+(after the command functions it names), so ``main(argv)`` may be called many
+times in one process and each call pays only for parsing and its own
+command.  A config file applies to its own call only: it never changes the
+shared parser.
 
 Exit codes: 0 success (verify: all checks passed), 1 generic error or failed
 verification, 2 usage error, 3 restrictive-condition violations (zero /
@@ -243,6 +244,10 @@ def _emit(ns, text: str):
         sys.stdout.write(text)
 
 
+def _emit_json(ns, payload):
+    _emit(ns, json.dumps(payload, indent=2) + "\n")
+
+
 def cmd_matrix(ns) -> None:
     if ns.quadrature_nodes is not None and not ns.check_quadrature:
         raise ValueError("--quadrature-nodes needs --check-quadrature")
@@ -290,7 +295,9 @@ def _reference_value(reference, t, x) -> complex | None:
 
 
 # The columns of iterate's CSV header, and the keys of its JSON objects.
-_ITERATE_COLUMNS = ("t", "x_re", "x_im", "ft_re", "ft_im", "route", "converged", "ref_re", "ref_im")
+_ITERATE_COLUMNS = (
+    "t", "x_re", "x_im", "ft_re", "ft_im", "route", "converged", "ref_re", "ref_im",
+)
 
 
 def _parts(z) -> tuple:
@@ -318,7 +325,7 @@ def cmd_iterate(ns) -> None:
                     payload.append(dict(zip(_ITERATE_COLUMNS, (
                         t, *_parts(x), *_parts(v), name, converged[i][j], *_parts(r)
                     ))))
-        _emit(ns, json.dumps(payload, indent=2) + "\n")
+        _emit_json(ns, payload)
         return
 
     # Each t and x is formatted once; a row joins the cached cells.
@@ -383,13 +390,12 @@ def cmd_lyapunov(ns) -> None:
         raise ValueError(f"lyapunov needs a real --x0, got {ns.x0!r}")
     x0 = ns.x0.real
     sigma = lyapunov_logistic(ns.n, x0)
-    payload = {
+    _emit_json(ns, {
         "n": ns.n,
         "x0": x0,
         "sigma_hat": sigma,
         "reference": LN2,
-    }
-    _emit(ns, json.dumps(payload, indent=2) + "\n")
+    })
 
 
 def cmd_verify(ns) -> int | None:
@@ -401,12 +407,11 @@ def cmd_verify(ns) -> int | None:
             ((r.name, str(r.passed).lower(), r.deviation, r.tolerance) for r in results),
         ))
     else:
-        payload = {
+        _emit_json(ns, {
             "suite": ns.suite,
             "results": [dataclasses.asdict(r) for r in results],
             "all_passed": all_passed,
-        }
-        _emit(ns, json.dumps(payload, indent=2) + "\n")
+        })
     for r in results:
         sys.stderr.write(r.line() + "\n")
     return None if all_passed else EXIT_ERROR

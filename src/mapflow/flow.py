@@ -170,27 +170,16 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
     return FlowField(series=g, chart=chart)
 
 
-def _sums_in_floats(field: FlowField, x: complex) -> bool:
-    """Whether G is summed in floats from x: the field is :attr:`FlowField.real`
-    and the imaginary part of x is exactly +0.0 (not -0.0)."""
-    return field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0
-
-
 def evaluate_field(field: FlowField, x) -> complex:
     """G(x) by :meth:`FlowField.value`; domain-guarded by the chart radius.
 
     A point farther than ``r_eval`` from x*, or not finite, raises
-    :class:`OutOfChart`.  Where :func:`_sums_in_floats` holds, the sum is
-    taken in floats, which give the real part of the complex-arithmetic sum
-    bit for bit and an imaginary part of +0.0; a sum that is not finite is
-    taken again in complex arithmetic, whose imaginary part may then differ.
+    :class:`OutOfChart`.
     """
     x = complex(x)
     dist = abs(x - field.x_star)
     if not _in_radius(dist, field.chart.r_eval):
         raise OutOfChart(_outside_reason(dist, field.chart.r_eval))
-    if _sums_in_floats(field, x) and math.isfinite(value := field.value(x.real)):
-        return complex(value)
     return field.value(x)
 
 
@@ -235,7 +224,7 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     h = t_end / steps
     x_star, r_eval = field.x_star, field.chart.r_eval
     states = None
-    if _sums_in_floats(field, x):
+    if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
         states = _rk4(field.value, x.real, x_star.real, r_eval, h, steps)
         # After an overflow, redo the run: complex arithmetic ends in other bits.
         states = list(map(complex, states)) if math.isfinite(states[-1]) else None

@@ -112,8 +112,6 @@ def logistic4_matrix_entry(j: int, k: int) -> float:
     """Closed-form embedding-matrix entry of the mu=4 logistic map:
     (-1)^(k-j) * binom(j, k-j) * 4^j for 0 <= k-j <= j, else 0 (row 0 is
     the unit row)."""
-    if j == 0:
-        return 1.0 if k == 0 else 0.0
     m = k - j
     if m < 0 or m > j:
         return 0.0

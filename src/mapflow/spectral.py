@@ -117,14 +117,11 @@ def _diagonal(lam: complex, n: int) -> np.ndarray:
     """
     if abs(lam) <= TOL_RES:
         raise Superattracting(f"multiplier {lam!r} is numerically zero")
-    # Powers past the float range leave inf or nan, which collide with
-    # nothing; factor_from_series refuses the rows they spoil.
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = lam ** np.arange(n)
-        # hypot on the parts is the scalar abs().
-        diff = 1.0 - powers[1:]
-        gap = np.hypot(diff.real, diff.imag)
-        size = np.hypot(powers.real[1:], powers.imag[1:])
+    powers = lam ** np.arange(n)
+    # hypot on the parts is the scalar abs().
+    diff = 1.0 - powers[1:]
+    gap = np.hypot(diff.real, diff.imag)
+    size = np.hypot(powers.real[1:], powers.imag[1:])
     close = np.flatnonzero(gap < TOL_RES * np.maximum(1.0, size))
     if close.size:
         d = int(close[0]) + 1

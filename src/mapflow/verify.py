@@ -157,7 +157,9 @@ def _errors(dim: int, routes) -> np.ndarray:
     samples: one row per route in ``routes`` (:meth:`Pipeline.grid`), one
     column per (t, x)."""
     p = _pipeline(4.0, 0.1, dim, 0.6)
-    return np.array([_oracle_errors(p.grid(route, _C4_TIMES, _C4_POINTS)) for route in routes])
+    return np.array([
+        _oracle_errors(p.grid(route, _C4_TIMES, _C4_POINTS)) for route in routes
+    ])
 
 
 def _growth(dims, routes) -> float:
@@ -268,13 +270,16 @@ def check_validity_window() -> CheckResult:
     h = 1e-5
 
     def dfdt(t):  # central difference of f^t(0.5) in t
-        return (logistic4_iterate(t + h, 0.5) - logistic4_iterate(t - h, 0.5)).real / (2.0 * h)
+        return (logistic4_iterate(t + h, 0.5) - logistic4_iterate(t - h, 0.5)).real / (
+            2.0 * h
+        )
 
     def field_at(t):  # the closed field at f^t(0.5)
         return logistic4_field(logistic4_iterate(t, 0.5)).real
 
     inside = abs(dfdt(0.9) - field_at(0.9))
-    d_after, g_after = dfdt(1.1), field_at(1.1)
+    d_after = dfdt(1.1)
+    g_after = field_at(1.1)
     return _result(
         "validity-window", inside, 1e-4,
         f"t_max(0.5) = {t_max!r}; derivative match {inside:.3e} at "

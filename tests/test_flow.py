@@ -340,39 +340,6 @@ def test_real_field_value_is_a_float_at_a_float_and_complex_at_a_complex(field4)
     assert type(mf.evaluate_field(field4, 0.03)) is complex
 
 
-def _bits(z: complex) -> tuple:
-    return z.real.hex(), z.imag.hex()
-
-
-def test_evaluate_field_sums_a_real_point_in_floats_with_the_bits_of_complex_arithmetic(
-    logistic4, field4, field2, pipe4_second, monkeypatch
-):
-    rng = np.random.default_rng(19)
-    far = mf.pipeline(logistic4, 0.0, DIM, r_eval=1e9).field
-    # (field, points, whether a point is summed in floats first).  The sums
-    # of ``far`` overflow; at 5e8 complex arithmetic gives nan + nan j where
-    # floats give -inf, so that sum is taken again in complex arithmetic.
-    cases = [
-        (field4, rng.uniform(-0.6, 0.6, 1000).tolist() + [0.0, -0.0], True),
-        (field2, rng.uniform(-0.3, 0.3, 1000).tolist(), True),
-        (far, [1e8, -1e8, 5e8, -5e8], True),
-        (field4, [0.03 + 0.01j, complex(0.03, -0.0)], False),
-        (pipe4_second.field, [0.7, 0.76], False),
-    ]
-    for field, points, in_floats in cases:
-        value = field.value  # the cached closure, which the spy calls
-        summed = []
-        monkeypatch.setitem(vars(field), "value", lambda x: summed.append(x) or value(x))
-        for x in points:
-            summed.clear()
-            got = mf.evaluate_field(field, x)
-            assert type(got) is complex
-            assert _bits(got) == _bits(_complex_value(field)(x)), x
-            assert (type(summed[0]) is float) is in_floats, x
-        monkeypatch.undo()
-    assert math.isnan(mf.evaluate_field(far, 5e8).imag)
-
-
 def test_overflow_in_a_float_run_ends_in_the_complex_state(logistic4):
     # Past the series radius the sum overflows: complex arithmetic makes the
     # state nan + nan j where floats make it nan, so the float run is redone

@@ -362,9 +362,11 @@ def test_rows_past_the_float_range_are_refused_without_a_warning():
         with pytest.raises(ValueError, match="^132 chart coefficients are not finite, "
                                              "the first at k = 868: "):
             factor_from_series(frame, 1000)
-        powers = _diagonal(4.0, 600)
-    # 4^512 = 2^1024 is past the float range.
-    assert np.isfinite(powers[:512]).all() and np.isinf(powers[512:]).all()
+        # mu=4: the powers 4^k leave the float range from k = 512 (4^512 =
+        # 2^1024), where h_k becomes 0; the order-599 chart is still right.
+        row = factor_from_series(find_fixed_point(logistic_series(4.0, 600), 0.0), 600).chart_row
+    exact = logistic4_chart_coefficients(599)
+    assert max(abs(row[k] - float(c)) / float(c) for k, c in enumerate(exact, start=1)) < 1e-14
 
 
 # --- fractional powers ----------------------------------------------------------
