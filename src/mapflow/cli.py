@@ -15,8 +15,9 @@ its command function as the ``run`` default; ``main`` calls ``ns.run(ns)``:
 the parser's table of subcommands is the only one.  A command function writes
 its output and returns None, or the exit code of a failed verification.  The
 CSV tables of chart, field, integrate and verify come from one writer,
-``_table``, and every JSON output from ``_emit_json``; iterate's JSON
-objects take their keys from its CSV header.  The closed forms that fill
+``_table``, and every JSON output from ``_emit_json``.  iterate makes one
+pass over its grid, forming CSV rows; its JSON is those same rows, keyed by
+the CSV header and each cell typed.  The closed forms that fill
 iterate's reference columns sit in one table of (mu, x*, f^t),
 ``_REFERENCES``.  The parser is built once, when this module is imported
 (after the command functions it names), so ``main(argv)`` may be called many
@@ -82,12 +83,15 @@ DEFAULT_DIM = 32
 DEFAULT_LYAPUNOV_N = 100_000
 
 
-def _parse_complex_list(text: str) -> list:
-    return [complex(item) for item in text.split(",") if item.strip()]
-
-
-def _parse_float_list(text: str) -> list:
-    return [float(item) for item in text.split(",") if item.strip()]
+def _comma_list(kind, noun: str):
+    """The argparse type of a comma list of ``kind`` items; blank items are
+    skipped.  argparse's usage error names the flag and the bad item."""
+    def item(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+    return lambda text: [item(s) for s in text.split(",") if s.strip()]
 
 
 def load_config_file(path: str) -> dict:
@@ -125,7 +129,8 @@ def build_parser() -> tuple:
     def map_command(name, summary, run, chart=True):
         """A subcommand that reads a map; ``chart`` adds the chart's flags."""
         p = command(name, summary, run)
-        p.add_argument("--coeffs", type=_parse_complex_list, default=None,
+        p.add_argument("--coeffs", type=_comma_list(complex, "a complex number"),
+                       default=None,
                        help="map coefficients, lowest degree first, e.g. 0,4,-4")
         p.add_argument("--preset", default=None, help="named map, e.g. logistic:4")
         p.add_argument("--dim", type=int, default=DEFAULT_DIM,
@@ -147,9 +152,9 @@ def build_parser() -> tuple:
     p = map_command("iterate", "evaluate f^t over a (t, x) grid", cmd_iterate)
     p.add_argument("--format", default=None, choices=("csv", "json"),
                    help="output format (default csv)")
-    p.add_argument("--t", type=_parse_float_list, default=None,
+    p.add_argument("--t", type=_comma_list(float, "a number"), default=None,
                    help="comma list of times")
-    p.add_argument("--x", type=_parse_complex_list, default=None,
+    p.add_argument("--x", type=_comma_list(complex, "a complex number"), default=None,
                    help="comma list of evaluation points")
     p.add_argument("--route", default="both", choices=("chart", "matrix", "both"))
     p.add_argument("--fixed-point", type=complex, default=None, dest="fixed_point",
@@ -198,7 +203,10 @@ def _apply_config_file(ns, argv) -> argparse.Namespace:
         if action.nargs == 0:
             value = text.lower() in {"1", "true", "yes"}
         else:
-            value = text if action.type is None else action.type(text)
+            try:
+                value = text if action.type is None else action.type(text)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         if action.choices is not None and value not in action.choices:
             allowed = ", ".join(map(repr, action.choices))
             raise ValueError(f"config key {key!r}: {value!r} is not one of {allowed}")
@@ -298,11 +306,14 @@ def _reference_value(reference, t, x) -> complex | None:
 _ITERATE_COLUMNS = (
     "t", "x_re", "x_im", "ft_re", "ft_im", "route", "converged", "ref_re", "ref_im",
 )
+# iterate's JSON value of each CSV cell that is not a %.17g number.
+_JSON_WORDS = {"": None, "true": True, "false": False, "chart": "chart", "matrix": "matrix"}
 
 
-def _parts(z) -> tuple:
-    """(re, im) of z, or (None, None) where there is no value."""
-    return (None, None) if z is None else (z.real, z.imag)
+def _json_cell(cell: str):
+    """iterate's JSON value of a CSV cell; a %.17g number reads back as the
+    very float it was formatted from."""
+    return _JSON_WORDS[cell] if cell in _JSON_WORDS else float(cell)
 
 
 def cmd_iterate(ns) -> None:
@@ -314,19 +325,6 @@ def cmd_iterate(ns) -> None:
         grid = p.grid(name, ns.t, ns.x)
         routes.append((name, grid.values.tolist(), (grid.status == PointStatus.OK).tolist()))
     reference = _reference_fn(ns, p.chart.x_star)
-
-    if ns.format == "json":
-        payload = []
-        for i, t in enumerate(ns.t):
-            for j, x in enumerate(ns.x):
-                r = _reference_value(reference, t, x)
-                for name, values, converged in routes:
-                    v = values[i][j] if converged[i][j] else None
-                    payload.append(dict(zip(_ITERATE_COLUMNS, (
-                        t, *_parts(x), *_parts(v), name, converged[i][j], *_parts(r)
-                    ))))
-        _emit_json(ns, payload)
-        return
 
     # Each t and x is formatted once; a row joins the cached cells.
     x_cells = [f"{x.real:.17g},{x.imag:.17g}" for x in ns.x]
@@ -343,7 +341,11 @@ def cmd_iterate(ns) -> None:
                 else:
                     cells = f",,{name},false"
                 lines.append(f"{t_cell},{x_cells[j]},{cells},{ref_cells}")
-    _emit(ns, "\n".join(lines) + "\n")
+    if ns.format == "json":
+        _emit_json(ns, [dict(zip(_ITERATE_COLUMNS, map(_json_cell, line.split(","))))
+                        for line in lines[1:]])
+    else:
+        _emit(ns, "\n".join(lines) + "\n")
 
 
 def _table(header: str, fmt: str, rows) -> str:

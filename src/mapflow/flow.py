@@ -20,7 +20,8 @@ the radius table that picks the number of terms on first use.
 
 Also here: a classical fixed-step RK4 integrator for the extracted ODE
 (complex state, as the field of a negative multiplier is genuinely complex;
-a real start on a real field is summed in floats, with the same bits), the
+a real start on a real field is summed in floats, in one run whose finite
+states have the bits of complex arithmetic), the
 exact validity window of the single-branch field for the fully chaotic
 logistic map, and a chain-rule Lyapunov-exponent estimator along the discrete
 orbit (the chaotic orbit leaves any fixed-point chart, so differentiating the
@@ -70,7 +71,8 @@ class FlowField:
     """Vector field of the continuous iteration, as a series about x*.
 
     ``chart`` is the chart it was built with; its frame holds x*, the
-    multiplier and the Log lambda of the field.
+    multiplier and the Log lambda of the field, and :attr:`x_star` reads x*
+    from it.
     """
 
     series: PowerSeries
@@ -78,7 +80,7 @@ class FlowField:
 
     @property
     def x_star(self) -> complex:
-        return self.series.base_point
+        return self.chart.x_star
 
     @cached_property
     def real(self) -> bool:
@@ -200,12 +202,15 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     time reached and the partial trajectory.
 
     On a :attr:`FlowField.real` field, an x0 whose imaginary part is exactly
-    +0.0 is integrated in floats.  The states are bit for bit those of
-    complex arithmetic: with +0.0 imaginary parts, the real parts of complex
-    sums and products are the float ones, and the imaginary part of the
-    state stays +0.0.  Only an overflow puts nan into a complex imaginary
-    part; a float run that ends in a non-finite state is therefore run again
-    in complex arithmetic, which gives that state's complex bits.
+    +0.0 is integrated in floats, and every other start in complex
+    arithmetic; either way RK4 runs once.  The finite states of a float run
+    are bit for bit those of complex arithmetic: with +0.0 imaginary parts,
+    the real parts of complex sums and products are the float ones, and the
+    imaginary part of the state stays +0.0.  Only an overflow puts nan into
+    a complex imaginary part, so a float run that overflows escapes at the
+    same step, and only its last, non-finite state has other bits (an
+    imaginary part of +0.0, as in ``nan+0j``, where complex arithmetic may
+    give ``nan+nanj``).
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -223,12 +228,9 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     steps = max(1, round(ratio))
     h = t_end / steps
     x_star, r_eval = field.x_star, field.chart.r_eval
-    states = None
     if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
-        states = _rk4(field.value, x.real, x_star.real, r_eval, h, steps)
-        # After an overflow, redo the run: complex arithmetic ends in other bits.
-        states = list(map(complex, states)) if math.isfinite(states[-1]) else None
-    if states is None:
+        states = list(map(complex, _rk4(field.value, x.real, x_star.real, r_eval, h, steps)))
+    else:
         states = _rk4(field.value, x, x_star, r_eval, h, steps)
     trajectory = list(zip([k * h for k in range(len(states))], states))
     trajectory[0] = (0.0, states[0])

@@ -112,6 +112,41 @@ def test_iterate_json_format(capsys):
     assert abs(payload[0]["ft_re"] - payload[0]["ref_re"]) < 1e-7
 
 
+def _csv_cell(value) -> str:
+    """The CSV cell a value of iterate's JSON stands for."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, str)):
+        return str(value).lower()
+    assert type(value) is float, value
+    return f"{value:.17g}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "logistic:4", "--guess", "0", "--dim", "40", "--r-eval", "0.95",
+     "--t", "0.25,0.5,1.5,-0.5,4,1000", "--x", "0.01,0.3,0.9,-0.4,1.2,0.5+0.1j,inf,nan"],
+    ["--preset", "logistic:4", "--fixed-point", "0.75", "--dim", "40", "--r-eval", "0.6",
+     "--t", "0.25,3.9,nan", "--x", "0.3,1.2,0.7,0.9"],
+    ["--preset", "logistic:2", "--guess", "0", "--dim", "40", "--r-eval", "0.45",
+     "--t", "0.5,1,inf", "--x", "0.5,0.1,-0.3,-0.0"],
+    ["--coeffs", "0,1.5,0.3,-0.2", "--dim", "40", "--t", "0.5,1,2,-0.0",
+     "--x", "0.01,0.1+0.1j,-0.2,-0.0-0.0j"],
+    ["--preset", "logistic:4+0.5j", "--dim", "40", "--t", "0.5", "--x", "0.01",
+     "--route", "matrix"],
+], ids=["mu4-at-0", "mu4-at-3/4", "mu2-at-0", "coeffs", "complex-mu"])
+def test_iterate_json_objects_are_its_csv_rows_cell_for_cell(argv, capsys):
+    code, out, err = run(["iterate", *argv], capsys)
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    code, out, err = run(["iterate", *argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    objects = json.loads(out)
+    assert len(objects) == len(rows) > 0
+    for row, obj in zip(rows, objects):
+        assert ",".join(obj) == header
+        assert ",".join(map(_csv_cell, obj.values())) == row
+
+
 def test_iterate_fixed_point_flag_overrides_guess(capsys):
     code, out, _ = run(
         ["iterate", "--preset", "logistic:4", "--guess", "0",
@@ -784,6 +819,38 @@ def test_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: mapflow ")
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--t", "a", "'a' is not a number"),
+    ("--t", "0.5, 2x", "' 2x' is not a number"),
+    ("--x", "0.1,1+", "'1+' is not a complex number"),
+    ("--coeffs", "0,4,-4j4", "'-4j4' is not a complex number"),
+], ids=["t", "t-second-item", "x", "coeffs"])
+def test_a_bad_list_item_is_a_usage_error_naming_the_flag_and_the_item(
+    flag, text, message, capsys
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["iterate", "--t", "0.5", "--x", "0.1", flag, text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mapflow iterate ")
+    assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("t=a", "config key 't': 'a' is not a number"),
+    ("x=0.1,1+", "config key 'x': '1+' is not a complex number"),
+], ids=["t", "x"])
+def test_a_bad_list_item_in_a_config_file_is_one_error_line_naming_the_item(
+    entry, message, tmp_path, capsys
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset=logistic:4\nt=0.5\nx=0.1\n{entry}\n")
+    code, out, err = run(["iterate", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: {message}\n"
 
 
 def test_map_spec_required(capsys):

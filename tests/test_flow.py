@@ -340,18 +340,26 @@ def test_real_field_value_is_a_float_at_a_float_and_complex_at_a_complex(field4)
     assert type(mf.evaluate_field(field4, 0.03)) is complex
 
 
-def test_overflow_in_a_float_run_ends_in_the_complex_state(logistic4):
-    # Past the series radius the sum overflows: complex arithmetic makes the
-    # state nan + nan j where floats make it nan, so the float run is redone
-    # in complex arithmetic and ends in the state that arithmetic gives.
-    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=1e9).field
+@pytest.mark.parametrize("r_eval, x0", [(1e9, 3.0), (math.inf, -1.25)])
+def test_a_float_run_that_overflows_escapes_as_complex_arithmetic_does(logistic4, r_eval, x0):
+    # Past the series radius the sum overflows.  The float run is not redone:
+    # its states before the escape have the bits of complex arithmetic, the
+    # escaped state is not finite, and the escape time is that of the complex
+    # run (a -0.0 imaginary part makes the start complex).
+    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=r_eval).field
+    assert field.real
     with pytest.raises(mf.ChartEscape) as err:
-        mf.integrate_flow(field, 3.0, 1.0, dt=0.1)
+        mf.integrate_flow(field, x0, 1.0, dt=0.1)
     traj = err.value.trajectory
-    ref = _rk4_full_horner(field, 3.0, 1.0, 0.1, _complex_value(field))
-    assert _rows(traj) == _rows(ref[: len(traj)])
-    assert math.isnan(traj[-1][1].imag)
-    assert err.value.t_reached == traj[-1][0]
+    assert len(traj) >= 2
+    ref = _rk4_full_horner(field, x0, 1.0, 0.1, _complex_value(field))
+    assert _rows(traj[:-1]) == _rows(ref[: len(traj) - 1])
+    assert all(math.isfinite(abs(x)) for _, x in traj[:-1])
+    assert not math.isfinite(abs(traj[-1][1]))
+    with pytest.raises(mf.ChartEscape) as complex_err:
+        mf.integrate_flow(field, complex(x0, -0.0), 1.0, dt=0.1)
+    assert err.value.t_reached == complex_err.value.t_reached == traj[-1][0]
+    assert len(complex_err.value.trajectory) == len(traj)
 
 
 def test_chart_escape_carries_partial_trajectory(logistic4):

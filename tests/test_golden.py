@@ -24,8 +24,11 @@ field_cubic 4.75e-15 -> 5.53e-15.  No coefficient moved by more than
 The iterate grids cover chart continuation at 3/4, time-shift steps,
 refusals by the evaluation radius and by the tail test, negative times, a
 complex cubic given by coefficients, both routes side by side and JSON
-output.  Command lines that reproduce known wrong mode-route values are
-left out.  The chart, field and integrate files pin the fixed point 3/4
+output.  The two ``json_*`` files hold every kind of JSON cell: converged
+and refused values, filled and empty references, a time or point that is
+not finite, -0.0 and complex points; they were written before iterate's
+JSON came to be read from its CSV rows.  Command lines that reproduce known
+wrong mode-route values are left out.  The chart, field and integrate files pin the fixed point 3/4
 (a negative multiplier, so a complex field) at two orders and the complex
 cubic's field.
 """
@@ -62,6 +65,10 @@ COMMANDS = {
                            "--t=0.5,4,6", "--x=-0.5,0.25,0.6"],
     "second_chart.json": ["iterate", *L4_34, "--route", "both", "--format", "json",
                           "--t=0.25,1.5", "--x=0.7,0.85"],
+    "json_cells.json": ["iterate", *L4_0, "--route", "both", "--format", "json",
+                        "--t=0.5,1.5,inf,-0.0", "--x=-0.0,0.25,0.5+0.1j,1.2,nan"],
+    "json_cubic.json": ["iterate", *CUBIC, "--route", "both", "--format", "json",
+                        "--t=0.5,2,nan", "--x=0.1+0.05j,-0.0,0.9,inf"],
     "chart_34_d40.csv": ["chart", *L4_GUESS_34, "--dim", "40"],
     "chart_34_d80.csv": ["chart", *L4_GUESS_34, "--dim", "80"],
     "field_34_d40.csv": ["field", *L4_GUESS_34, "--dim", "40"],

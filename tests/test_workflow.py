@@ -36,3 +36,15 @@ def test_verification_step_fails_on_a_numpy_warning():
              if step.get("name") == "Verification suite"]
     assert len(steps) == 1
     assert "python3 -W error::RuntimeWarning -m mapflow verify --suite all" in steps[0]["run"]
+
+
+def test_benchmark_steps_fail_on_a_numpy_warning():
+    # The five perfbench/run.py steps run the CLI and the library in-process,
+    # so a RuntimeWarning there fails CI as it does in the verification step.
+    yaml = pytest.importorskip("yaml")
+    jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+    runs = [step["run"] for job in jobs.values() for step in job["steps"]
+            if "perfbench/run.py" in step.get("run", "")]
+    assert len(runs) == 5
+    for run in runs:
+        assert run.strip().startswith("python3 -W error::RuntimeWarning perfbench/run.py "), run
