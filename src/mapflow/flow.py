@@ -197,9 +197,11 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
     change it at the current |x - x*|.  Returns the trajectory as a list of
     (t, x) pairs with complex x.  A non-finite ``x0``, ``t_end`` or ``dt``, a
     ``dt`` that is not positive, or more than MAX_RK4_STEPS steps raises
-    ``ValueError`` before anything is allocated.  Leaving the chart (or a
-    state that is no longer finite) raises :class:`ChartEscape` carrying the
-    time reached and the partial trajectory.
+    ``ValueError`` before anything is allocated.  Leaving the chart, or a
+    state that is no longer finite because the field sum overflowed, raises
+    :class:`ChartEscape` carrying the time reached and the partial
+    trajectory; its message names which of the two happened, with
+    |x - x*| and ``r_eval`` for the first.
 
     On a :attr:`FlowField.real` field, an x0 whose imaginary part is exactly
     +0.0 is integrated in floats, and every other start in complex
@@ -234,13 +236,13 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
         states = _rk4(field.value, x, x_star, r_eval, h, steps)
     trajectory = list(zip([k * h for k in range(len(states))], states))
     trajectory[0] = (0.0, states[0])
-    if not _in_radius(abs(states[-1] - x_star), r_eval):
+    dist = abs(states[-1] - x_star)
+    if not _in_radius(dist, r_eval):
         t = t_end if len(states) > steps else (len(states) - 1) * h
-        raise ChartEscape(
-            f"trajectory left the chart at t = {t:.6g}",
-            t_reached=t,
-            trajectory=trajectory,
-        )
+        why = (f"trajectory left the chart at t = {t:.6g}: {_outside_reason(dist, r_eval)}"
+               if cmath.isfinite(states[-1])
+               else f"the field sum overflowed at t = {t:.6g}: the state is not finite")
+        raise ChartEscape(why, t_reached=t, trajectory=trajectory)
     return trajectory
 
 

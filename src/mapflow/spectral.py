@@ -29,12 +29,19 @@ summed the same way by Paterson and Stockmeyer, 1973) follow from the same
 two series.
 
 :func:`diagonalize` is the paper's construction: it factors a given
-triangular matrix by an entrywise O(n^3) recursion.  :func:`fractional_power`
-and :func:`matrix_log` form the n x n matrices V^-1 diag V of a
-factorization.  No CLI path runs them; the ``paper-matrix`` verify check
-does, at order 40, and compares them with the series core.  That check is
-why they stay.  Cancellation in the forward recursion of ``diagonalize``
-spoils the chart from order ~80 on.
+triangular matrix by an entrywise O(n^3) recursion, and the paper's
+matrices are V^-1 diag V of its factors.  Here they are built from their
+row-1 series instead, as every Carleman matrix is (Kowalski and Steeb,
+1991).  :func:`matrix_log` is the derivation matrix of the field G: row j
+holds the coefficients of d(y^j)/dt = j y^(j-1) G(y).
+:func:`fractional_power` is the embedding matrix of the iterate, row j the
+j-th power of sum_k lambda^(kt) h_k u^k.  Both row-1 series are the
+composition with u that gives :func:`log_row`, so no function here
+multiplies two n x n arrays.  No CLI path runs these three; the
+``paper-matrix`` verify check forms V^-1 diag V from the factors of
+``diagonalize`` at order 40 and holds the series core's matrices to it.
+That check is why they stay.  Cancellation in the forward recursion of
+``diagonalize`` spoils the chart from order ~80 on.
 
 Everything here lives in the fixed-point frame: the powers and the logarithm
 are matrices of g's iterates and of g's generator, and their row-1 series
@@ -52,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .carleman import CarlemanMatrix
+from .carleman import CarlemanMatrix, build_matrix
 from .errors import ResonantEigenvalues, ShiftInconsistent, Superattracting
 from .series import (
     FixedPointFrame,
@@ -272,58 +279,64 @@ def diagonalize(Mg: CarlemanMatrix, frame: FixedPointFrame) -> SpectralFactoriza
     return S
 
 
-def _function_of_core(S: SpectralFactorization, diag: np.ndarray) -> CarlemanMatrix:
-    """V^-1 diag V, a function of the shifted map's matrix; row 1 about x*."""
-    core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
-    return CarlemanMatrix(
-        entries=core, source_map=PowerSeries.from_coefficients(core[1], S.frame.x_star)
-    )
+def _sum_of_chart_powers(S: SpectralFactorization, coeffs: np.ndarray) -> PowerSeries:
+    """The series sum_k c_k u^k about x*, for ``coeffs`` c_0 .. c_(n-1).
 
-
-def fractional_power(S: SpectralFactorization, t: float) -> CarlemanMatrix:
-    """The real power M(g)^t of the factored matrix of the shifted map g.
-
-    The diagonal is raised entrywise as exp(j * t * Log multiplier) on the
-    principal branch, so powers form a semigroup in t and integer t
-    reproduces integer matrix powers on the leading window.  Row 1 of the
-    result holds the coefficients of g^t, so as a series about x* it is
-    f^t(x) - x*.
+    The sum is the composition (sum_k c_k w^k) o u by Paterson and Stockmeyer
+    (1973): with m = isqrt(n), one matrix product of the coefficients, in
+    blocks of m, with the baby powers u^0 .. u^(m-1) forms every block
+    polynomial, and Horner's rule in u^m combines them, about 2 sqrt(n)
+    convolutions in all.
     """
-    j = np.arange(S.dim)
-    return _function_of_core(S, np.exp(j * (t * S.frame.log_multiplier)))
-
-
-def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
-    """Principal logarithm V^-1 diag(j Log lambda) V of the shifted map's matrix.
-
-    Row 1, as a series about x*, holds the coefficients of the
-    continuous-time vector field generating the iteration; the flow module
-    consumes it.
-    """
-    return _function_of_core(S, np.arange(S.dim) * S.frame.log_multiplier)
+    n = S.dim
+    m = math.isqrt(n)
+    blocks = -(-n // m)
+    padded = np.concatenate([coeffs, np.zeros(blocks * m - n)])
+    baby = convolution_powers(S.chart_row, m + 1)
+    # A sum that overflows leaves non-finite coefficients, which build_field
+    # refuses in a field row; numpy's warnings about it would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = padded.reshape(blocks, m) @ baby[:m]
+        acc = parts[-1]
+        for part in parts[-2::-1]:
+            acc = np.convolve(acc, baby[m])[:n] + part
+    return PowerSeries.from_coefficients(acc, S.frame.x_star)
 
 
 def log_row(S: SpectralFactorization) -> PowerSeries:
     """Row 1 of the logarithm, Log(lambda) * sum_k k h_k u^k, about x*.
 
-    These are the coefficients of the flow field, the same row as that of
-    :func:`matrix_log`, with no matrix.  The sum is the composition
-    (Log(lambda) w h'(w)) o u by Paterson and Stockmeyer (1973): with
-    m = isqrt(n), one matrix product of the coefficients, in blocks of m,
-    with the baby powers u^0 .. u^(m-1) forms every block polynomial, and
-    Horner's rule in u^m combines them, about 2 sqrt(n) convolutions in all.
+    These are the coefficients of the flow field G, the t-derivative of
+    f^t = h(lambda^t u) at t = 0: G = Log(lambda) u h'(u).  They fix the
+    whole logarithm (:func:`matrix_log`).  No matrix is formed; the sum is
+    the composition of :func:`_sum_of_chart_powers`.
     """
-    n = S.dim
-    m = math.isqrt(n)
-    blocks = -(-n // m)
-    coeffs = np.zeros(blocks * m, dtype=complex)
-    coeffs[:n] = S.inverse_row * (np.arange(n) * S.frame.log_multiplier)
-    baby = convolution_powers(S.chart_row, m + 1)
-    # A sum that overflows leaves non-finite coefficients, which build_field
-    # refuses; numpy's warnings about it would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = coeffs.reshape(blocks, m) @ baby[:m]
-        acc = parts[-1]
-        for part in parts[-2::-1]:
-            acc = np.convolve(acc, baby[m])[:n] + part
-    return PowerSeries.from_coefficients(acc, S.frame.x_star)
+    return _sum_of_chart_powers(S, S.inverse_row * (np.arange(S.dim) * S.frame.log_multiplier))
+
+
+def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
+    """Principal logarithm L of the shifted map's matrix: the derivation of G.
+
+    Row j holds the coefficients of d(y^j)/dt = j y^(j-1) G(y), with G the
+    field :func:`log_row`, so L_jk = j G_(k-j+1) and row 1 is G itself, the
+    ``source_map`` as a series about x*.  Row 0 is zero.
+    """
+    G = log_row(S)
+    entries = np.zeros((S.dim, S.dim), dtype=complex)
+    for j in range(1, S.dim):
+        entries[j, j - 1 :] = j * G.coeffs[: S.dim - j + 1]
+    return CarlemanMatrix(entries=entries, source_map=G)
+
+
+def fractional_power(S: SpectralFactorization, t: float) -> CarlemanMatrix:
+    """The real power M(g)^t: the Carleman matrix of the iterate g^t.
+
+    Its row-1 series about x* is f^t(x) - x* = h(lambda^t u) - x*, that is
+    sum_k lambda^(kt) h_k u^k, with lambda^(kt) = exp(k t Log lambda) on the
+    principal branch, so powers form a semigroup in t and integer t
+    reproduces integer matrix powers on the leading window.  Row j is the
+    j-th power of that series, as for every embedding matrix
+    (:func:`mapflow.carleman.build_matrix`).
+    """
+    powers = np.exp(np.arange(S.dim) * (t * S.frame.log_multiplier))
+    return build_matrix(_sum_of_chart_powers(S, S.inverse_row * powers), S.dim)

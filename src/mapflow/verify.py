@@ -54,6 +54,7 @@ from .logistic import (
     logistic4_matrix_entry,
     logistic_series,
 )
+from .series import PowerSeries
 from .spectral import diagonalize, fractional_power, log_row, matrix_log
 
 
@@ -337,36 +338,48 @@ def check_paper_matrix() -> CheckResult:
     """The paper's n x n construction agrees with what the CLI computes.
 
     For logistic mu=4 at both fixed points, 0 and 3/4, the embedding matrix
-    of the shifted map is factored by :func:`diagonalize`.  Row 1 of its
-    power M^t, a series about x*, must give the chart route's f^t at the
-    iterate-oracle offsets from x* for t = 0.5 and 1.5 (absolute, 1e-10);
-    row 1 of its logarithm must match :func:`log_row` of the series core
+    of the shifted map is factored by :func:`diagonalize`, and the check
+    forms the paper's matrices V^-1 diag V from its two factors: M^t with
+    diag lambda^(jt) and log M with diag j Log lambda.  Row 1 of M^t, a
+    series about x*, must give the chart route's f^t at the iterate-oracle
+    offsets from x* for t = 0.5 and 1.5 (absolute, 1e-10); row 1 of log M
+    must match :func:`log_row` of the series core (row-scaled, 1e-9).  The
+    library builds both matrices from their row-1 series instead:
+    :func:`matrix_log` as the derivation matrix of the field and
+    :func:`fractional_power` as the Carleman matrix of f^t.  Those of the
+    series core must match the paper's on the leading half window
     (row-scaled, 1e-9).  The dimension is pinned at 40, where the entrywise
     recursion of ``diagonalize`` is still exact, so ``run_suite``'s ``dim``
     does not reach this check.
     """
     dim, times = 40, (0.5, 1.5)
-    value_dev = log_dev = 0.0
+    w, j = dim // 2 + 1, np.arange(dim)
+    value_dev = log_dev = generator_dev = 0.0
     for guess in (0.1, 0.7):
         p = _pipeline(4.0, guess, dim, 0.6)
         # The paper's matrices take the factorization's own frame, never the chart's.
-        frame = p.factorization.frame
+        S, frame = p.factorization, p.factorization.frame
         paper = diagonalize(build_matrix(frame.shifted_map, dim), frame)
+        log_m = (paper.chart_matrix_inv * (j * frame.log_multiplier)) @ paper.chart_matrix
+        powers = {t: (paper.chart_matrix_inv * np.exp(j * (t * frame.log_multiplier)))
+                  @ paper.chart_matrix for t in times}
         grid = p.grid("chart", times, [frame.x_star + d for d in _C4_POINTS])
         # Row 1 of M^t is f^t - x* as a series about x*.
-        rows = {t: fractional_power(paper, t).source_map for t in times}
+        rows = {t: PowerSeries.from_coefficients(m[1], frame.x_star) for t, m in powers.items()}
         errors = _oracle_errors(grid, lambda t, x: frame.x_star + rows[t](x))
         value_dev = max(value_dev, errors.max())
-        log_dev = max(
-            log_dev,
-            scaled_deviation(matrix_log(paper).entries[1], log_row(p.factorization).coeffs),
-        )
+        log_dev = max(log_dev, scaled_deviation(log_m[1], log_row(S).coeffs))
+        pairs = [(matrix_log(S), log_m)] + [(fractional_power(S, t), powers[t]) for t in times]
+        generator_dev = max([generator_dev] + [
+            scaled_deviation(ours.entries[:w, :w], theirs[:w, :w]) for ours, theirs in pairs])
     return _result(
         "paper-matrix", value_dev, 1e-10,
         f"mu=4 at 0 and 3/4, dim={dim}: row 1 of M^t vs chart "
         f"route at t={times}; row 1 of log M vs log_row dev {log_dev:.3e} "
+        f"(<=1e-9, row-scaled); matrix_log and fractional_power vs log M and "
+        f"M^t on the leading {w}x{w} window dev {generator_dev:.3e} "
         "(<=1e-9, row-scaled)",
-        also=log_dev <= 1e-9,
+        also=log_dev <= 1e-9 and generator_dev <= 1e-9,
     )
 
 

@@ -743,7 +743,21 @@ def test_chart_escape_exit_code(capsys):
         capsys,
     )
     assert code == 4
-    assert err.startswith("error: ChartEscape")
+    assert err == ("error: ChartEscape: trajectory left the chart at t = 0: "
+                   "|x - x*| = 0.2 exceeds the chart radius 0.075\n")
+
+
+@pytest.mark.parametrize("x0", ["3", "3-0j"])
+def test_an_overflow_escape_names_the_overflow(capsys, x0):
+    # A float run (x0 = 3) and a complex one (3-0j) end on the same line.
+    code, _, err = run(
+        ["integrate", "--preset", "logistic:4", "--guess", "0", "--r-eval", "1e9",
+         f"--x0={x0}", "--t-end", "1", "--dt", "0.1"],
+        capsys,
+    )
+    assert code == 4
+    assert err == ("error: ChartEscape: the field sum overflowed at t = 0.1: "
+                   "the state is not finite\n")
 
 
 @pytest.mark.parametrize("flags, message", [

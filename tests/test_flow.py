@@ -360,6 +360,9 @@ def test_a_float_run_that_overflows_escapes_as_complex_arithmetic_does(logistic4
         mf.integrate_flow(field, complex(x0, -0.0), 1.0, dt=0.1)
     assert err.value.t_reached == complex_err.value.t_reached == traj[-1][0]
     assert len(complex_err.value.trajectory) == len(traj)
+    # The escape names the overflow, not the chart radius.
+    message = f"the field sum overflowed at t = {traj[-1][0]:.6g}: the state is not finite"
+    assert str(err.value) == str(complex_err.value) == message
 
 
 def test_chart_escape_carries_partial_trajectory(logistic4):
@@ -376,6 +379,10 @@ def test_chart_escape_carries_partial_trajectory(logistic4):
     ref = _rk4_full_horner(field, 0.03, 2.0, 1e-3, _complex_value(field))
     assert _rows(traj) == _rows(ref[: len(traj)])
     assert abs(traj[-1][1]) > 0.05 >= abs(traj[-2][1])
+    assert str(err.value) == (
+        f"trajectory left the chart at t = {err.value.t_reached:.6g}: "
+        f"|x - x*| = {abs(traj[-1][1]):.4g} exceeds the chart radius 0.05"
+    )
 
 
 # --- validity window ---------------------------------------------------------------

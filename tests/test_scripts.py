@@ -1,6 +1,7 @@
 """Smoke test of the experiment scripts: each runs to completion on small
 arguments and writes its CSV.  The benchmark-pairs script, which runs
-perfbench for minutes, is tested through its summariser on canned runs."""
+perfbench for minutes, is tested through its summariser on canned runs, and
+the code-line counter on two small modules."""
 
 import importlib.util
 import json
@@ -119,3 +120,38 @@ def test_bench_pairs_gives_each_metric_a_verdict(expected):
     summary = bench.summarise_workload(bench._seeds("1-4"), parent, change, metrics)
     assert {name: m["verdict"] for name, m in summary["metrics"].items()} == {
         "wall_s": expected, "field_builds_per_s": expected}
+
+
+# The lines marked "code" count: docstrings, comments and blank lines do
+# not, but a string that only looks like a docstring does.
+CODE_LINES_MODULE = '''"""Module docstring,
+
+over three lines."""
+import math  # code
+
+# a comment line
+class A:  # code
+    """Class docstring."""
+
+    def f(self, x):  # code
+        """Function
+        docstring."""
+        y = """not a
+        docstring"""  # code, two lines
+        return (x +
+
+                y)  # code, two lines: the one between them is blank
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(CODE_LINES_MODULE)
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"7 {tmp_path / 'a.py'}", f"1 {tmp_path / 'sub' / 'b.py'}", "8 total"]

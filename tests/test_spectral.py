@@ -174,13 +174,30 @@ def test_series_core_agrees_with_diagonalize(coeffs, guess, dim):
     assert S.frame is frame and ref.frame is frame
 
 
+def _paper_function(S, diag):
+    """The paper's V^-1 diag V, from the factors that ``S`` holds."""
+    return (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
+
+
 @pytest.mark.parametrize("coeffs, guess", CORE_MAPS)
 def test_log_row_is_row_one_of_the_matrix_log(coeffs, guess):
-    frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=20), guess)
-    S = factor_from_series(frame, 20)
-    row = log_row(S)
-    assert row.base_point == frame.x_star
-    assert scaled_deviation(row.coeffs, matrix_log(S).entries[1]) < 1e-12
+    # The series core's log M and M^t against the paper's, formed from
+    # diagonalize's factors, on the leading half window.
+    dim = 20
+    frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
+    S = factor_from_series(frame, dim)
+    ref = diagonalize(build_matrix(frame.shifted_map, dim), frame)
+    w = leading_window(dim, 2, 1)
+    j = np.arange(dim)
+    L = matrix_log(S)
+    assert L.source_map.base_point == frame.x_star
+    assert np.array_equal(L.source_map.coeffs, log_row(S).coeffs)
+    paper = _paper_function(ref, j * frame.log_multiplier)
+    assert scaled_deviation(L.entries[:w, :w], paper[:w, :w]) < 1e-11
+    for t in (0.5, 1.5):
+        P = fractional_power(S, t).entries
+        paper = _paper_function(ref, np.exp(j * (t * frame.log_multiplier)))
+        assert scaled_deviation(P[:w, :w], paper[:w, :w]) < 1e-11
 
 
 def test_series_core_rejects_what_diagonalize_rejects():
@@ -478,11 +495,51 @@ def test_log_at_second_fixed_point_is_the_shifted_maps_generator():
 
 def test_log_at_origin_is_the_chart_core():
     _, _, S = factor(4.0, 0.1, 12)
-    diag = np.arange(12) * S.frame.log_multiplier
-    core = (S.chart_matrix_inv * diag[np.newaxis, :]) @ S.chart_matrix
+    core = _paper_function(S, np.arange(12) * S.frame.log_multiplier)
     L = matrix_log(S)
-    assert np.array_equal(L.entries, core)
-    assert np.array_equal(L.source_map.coeffs, core[1])
+    assert scaled_deviation(L.entries, core) < 1e-12
+    assert np.array_equal(L.source_map.coeffs, L.entries[1])
+
+
+def _exact_field(mu, x_star, n):
+    """The closed-form field about x*, Log(lambda) u/u', to n terms at 40 digits.
+
+    At 0, u is the exact chart; at 3/4 (mu=4), u' = (4x(1 - x))^(-1/2) up to a
+    scale, which u/u' does not see, expanded by J. C. P. Miller's recurrence.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if x_star:
+            a, alpha = [mp.mpf(3) / 4, -2, -4], mp.mpf(-1) / 2
+            du = [a[0] ** alpha]
+            for k in range(1, n):
+                du.append(mp.fsum(((alpha + 1) * i - k) * a[i] * du[k - i]
+                                  for i in range(1, min(k, 2) + 1)) / (k * a[0]))
+            log_lambda = mp.mpc(mp.log(2), mp.pi)
+        else:
+            closed = logistic4_chart_coefficients if mu == 4 else logistic2_chart_coefficients
+            du = [k * mp.mpf(c.numerator) / c.denominator
+                  for k, c in enumerate(closed(n), start=1)]
+            log_lambda = mp.log(mu)
+        u = [mp.mpf(0)] + [du[k - 1] / k for k in range(1, n)]
+        q = []
+        for k in range(n):
+            q.append((u[k] - mp.fsum(q[i] * du[k - i] for i in range(k))) / du[0])
+        return np.array([complex(log_lambda * c) for c in q])
+
+
+@pytest.mark.parametrize("dim", [20, 40, 80, 160])
+@pytest.mark.parametrize("mu, guess, x_star", [(4.0, 0.1, 0), (4.0, 0.7, 0.75), (2.0, 0.1, 0)])
+def test_matrix_log_is_the_derivation_matrix_of_the_exact_field(mu, guess, x_star, dim):
+    # Row j of log M holds d(y^j)/dt = j y^(j-1) G(y); a higher order must
+    # not lose digits on the leading half window.
+    L = matrix_log(mf.pipeline(logistic_series(mu, dim), guess, dim).factorization)
+    G = _exact_field(mu, x_star, dim)
+    exact = np.zeros((dim, dim), dtype=complex)
+    for j in range(1, dim):
+        exact[j, j - 1 :] = j * G[: dim - j + 1]
+    w = leading_window(dim, 2, 1)
+    assert scaled_deviation(L.entries[:w, :w], exact[:w, :w]) < 1e-11
 
 
 def test_principal_branch_for_negative_multiplier():
