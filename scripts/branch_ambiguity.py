@@ -27,8 +27,8 @@ def main():
     args = ap.parse_args()
 
     f = mf.logistic_series(4.0, args.dim)
-    chart0 = mf.pipeline(f, 0.1, args.dim, r_eval=0.6).chart
-    chart1 = mf.pipeline(f, 0.7, args.dim, r_eval=0.6).chart
+    chart0 = mf.pipeline(f, 0.1, r_eval=0.6).chart
+    chart1 = mf.pipeline(f, 0.7, r_eval=0.6).chart
 
     ts = np.linspace(0.0, args.t_max, args.steps)
     grid0 = mf.evaluate_chart_grid(chart0, ts, [args.x])

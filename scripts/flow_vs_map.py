@@ -22,7 +22,7 @@ def main():
     args = ap.parse_args()
 
     f = mf.logistic_series(args.mu, args.dim)
-    p = mf.pipeline(f, 0.1, args.dim, r_eval=0.6)
+    p = mf.pipeline(f, 0.1, r_eval=0.6)
     trajectory = mf.integrate_flow(p.field, args.x0, args.t_end, dt=args.dt)
 
     rows = ["t,x_re,x_im,chart_re,chart_im,gap"]

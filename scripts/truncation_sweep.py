@@ -26,7 +26,7 @@ def _worst(grid):
 
 def worst_error(dim):
     f = mf.logistic_series(4.0, dim)
-    p = mf.pipeline(f, 0.1, dim, r_eval=0.6)
+    p = mf.pipeline(f, 0.1, r_eval=0.6)
     by_chart = mf.evaluate_chart_grid(p.chart, TIMES, POINTS)
     # loose tail flag: at low orders we *want* the best-effort value
     by_modes = mf.evaluate_matrix_grid(p.expansion, TIMES, POINTS, tail_tol=1e-3)

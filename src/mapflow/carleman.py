@@ -35,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, _read_only, convolution_powers, horner
+from .series import PowerSeries, _read_only, _refuse_non_finite, convolution_powers, horner
+
+# Why a matrix with entries that are not finite is refused.
+_TOO_LARGE = "the powers of the map are too large for floats at this order"
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +66,16 @@ class CarlemanMatrix:
 
 
 def build_matrix(f: PowerSeries, dim: int) -> CarlemanMatrix:
-    """Embedding matrix by iterated truncated convolution of the map's row."""
+    """Embedding matrix by iterated truncated convolution of the map's row.
+
+    Entries that are not finite, from a map whose powers overflow, raise
+    ``ValueError`` naming how many there are and the first.
+    """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    return CarlemanMatrix(entries=convolution_powers(f.truncated(dim).coeffs), source_map=f)
+    entries = convolution_powers(f.truncated(dim).coeffs)
+    _refuse_non_finite(entries, "matrix", _TOO_LARGE)
+    return CarlemanMatrix(entries=entries, source_map=f)
 
 
 def build_matrix_quadrature(
@@ -80,7 +89,8 @@ def build_matrix_quadrature(
     map of degree d the rule is exact (up to rounding) once
     nodes >= dim*d + dim + 1; below that bound the result carries
     ``quadrature_exact=False`` and a warning is emitted.  Fewer than one
-    node raises ``ValueError`` before that.
+    node raises ``ValueError`` before that, and entries that are not finite,
+    from samples of f^j that overflow, raise it after.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
@@ -102,9 +112,12 @@ def build_matrix_quadrature(
     fz = horner(f.coeffs, z)
     entries = np.zeros((dim, dim), dtype=complex)
     power = np.ones(nodes, dtype=complex)
-    for j in range(dim):
-        entries[j] = np.fft.ifft(power)[:dim]
-        power = power * fz
+    # An overflow is refused below; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(dim):
+            entries[j] = np.fft.ifft(power)[:dim]
+            power = power * fz
+    _refuse_non_finite(entries, "quadrature matrix", _TOO_LARGE)
     return CarlemanMatrix(entries=entries, source_map=f, quadrature_exact=exact)
 
 

@@ -3,9 +3,9 @@
 Subcommands: matrix, iterate, chart, field, integrate, lyapunov, verify.
 Outputs are deterministic CSV (or JSON where noted) intended for plotting;
 complex values in CSV grids are always split into re/im columns.  A
-subcommand accepts only the flags it reads: the chart flags ``--guess``,
-``--tol`` and ``--r-eval`` belong to iterate, chart, field and integrate, and
-``--format`` to iterate and verify.  Every flag can also be given in a
+subcommand accepts only the flags it reads: the chart flags ``--guess`` and
+``--r-eval`` belong to iterate, chart, field and integrate, and ``--format``
+to iterate and verify.  Every flag can also be given in a
 key=value config file (``--config``); explicit flags win over file entries,
 and file values are checked like flags (type and allowed choices).
 
@@ -138,8 +138,6 @@ def build_parser() -> tuple:
         if chart:
             p.add_argument("--guess", type=complex, default=0j,
                            help="fixed-point search start (default 0)")
-            p.add_argument("--tol", type=float, default=None,
-                           help="fixed-point residual tolerance override")
             p.add_argument("--r-eval", type=float, default=None, dest="r_eval",
                            help="chart evaluation radius override")
         return p
@@ -241,7 +239,7 @@ def _pipeline(ns):
     overrides ``--guess``."""
     fixed_point = getattr(ns, "fixed_point", None)
     guess = ns.guess if fixed_point is None else fixed_point
-    return pipeline(_map_series(ns), guess, ns.dim, r_eval=ns.r_eval, tol_fix=ns.tol)
+    return pipeline(_map_series(ns), guess, r_eval=ns.r_eval)
 
 
 def _emit(ns, text: str):
@@ -260,12 +258,14 @@ def cmd_matrix(ns) -> None:
     if ns.quadrature_nodes is not None and not ns.check_quadrature:
         raise ValueError("--quadrature-nodes needs --check-quadrature")
     f = _map_series(ns)
+    # Both matrices are built, and refused if not finite, before any output.
     M = build_matrix(f, ns.dim)
+    if ns.check_quadrature:
+        Q = build_matrix_quadrature(f, ns.dim, nodes=ns.quadrature_nodes)
     buf = io.StringIO()
     write_matrix_csv(M, buf)
     _emit(ns, buf.getvalue())
     if ns.check_quadrature:
-        Q = build_matrix_quadrature(f, ns.dim, nodes=ns.quadrature_nodes)
         dev = scaled_deviation(M.entries, Q.entries)
         sys.stdout.write(f"quadrature_deviation={dev:.17g}\n")
 

@@ -53,8 +53,8 @@ from .iterate import (
     evaluate_matrix_grid,
 )
 from .logistic import LN2
-from .series import TOL_FIX, PowerSeries, _horner, _trunc_div, find_fixed_point
-from .spectral import SpectralFactorization, _refuse_non_finite, factor_from_series, log_row
+from .series import PowerSeries, _horner, _refuse_non_finite, _trunc_div, find_fixed_point
+from .spectral import SpectralFactorization, factor_from_series, log_row
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
 TOL_FIELD_XCHECK = 1e-7
@@ -155,7 +155,7 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
             f"log expanded about {g.base_point!r} but chart sits at "
             f"{chart.x_star!r}"
         )
-    _refuse_non_finite(g.coeffs, "field", BranchMismatch)
+    _refuse_non_finite(g.coeffs, "field", error=BranchMismatch)
     n = min(g.order, chart.forward.order)
     u = chart.forward.truncated(n)
     du = np.append(u.derivative().coeffs, 0)
@@ -195,12 +195,13 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
 
     G is summed by :attr:`FlowField.value`, which drops the terms that cannot
     change it at the current |x - x*|.  Returns the trajectory as a list of
-    (t, x) pairs with complex x.  A non-finite ``x0``, ``t_end`` or ``dt``, a
-    ``dt`` that is not positive, or more than MAX_RK4_STEPS steps raises
-    ``ValueError`` before anything is allocated.  Leaving the chart, or a
-    state that is no longer finite because the field sum overflowed, raises
-    :class:`ChartEscape` carrying the time reached and the partial
-    trajectory; its message names which of the two happened, with
+    (t, x) pairs with complex x: the start alone for ``t_end == 0``, and at
+    least one step for any other ``t_end``.  A non-finite ``x0``, ``t_end``
+    or ``dt``, a ``dt`` that is not positive, or more than MAX_RK4_STEPS
+    steps raises ``ValueError`` before anything is allocated.  Leaving the
+    chart, or a state that is no longer finite because the field sum
+    overflowed, raises :class:`ChartEscape` carrying the time reached and the
+    partial trajectory; its message names which of the two happened, with
     |x - x*| and ``r_eval`` for the first.
 
     On a :attr:`FlowField.real` field, an x0 whose imaginary part is exactly
@@ -227,8 +228,8 @@ def integrate_flow(field: FlowField, x0, t_end: float, dt: float = 1e-3):
             f"|t_end|/dt asks for {ratio:.10g} RK4 steps, more than the "
             f"{MAX_RK4_STEPS} a trajectory may hold; raise dt or shorten t_end"
         )
-    steps = max(1, round(ratio))
-    h = t_end / steps
+    steps = max(1, round(ratio)) if t_end else 0
+    h = t_end / max(1, steps)
     x_star, r_eval = field.x_star, field.chart.r_eval
     if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
         states = list(map(complex, _rk4(field.value, x.real, x_star.real, r_eval, h, steps)))
@@ -355,20 +356,14 @@ class Pipeline:
         return evaluate_matrix_grid(self.expansion, ts, xs)
 
 
-def pipeline(
-    f: PowerSeries,
-    guess,
-    dim: int,
-    r_eval: float | None = None,
-    tol_fix: float | None = None,
-) -> Pipeline:
+def pipeline(f: PowerSeries, guess, *, r_eval: float | None = None) -> Pipeline:
     """Locate the fixed point near ``guess``, factor, and build the chart.
 
     The factorization comes from the shifted map's two chart series
-    (:func:`mapflow.spectral.factor_from_series`); no matrix is built.
-    ``r_eval`` overrides the chart's default radius and ``tol_fix`` the
-    fixed point's Newton residual tolerance.
+    (:func:`mapflow.spectral.factor_from_series`), to the map's own
+    truncation order ``f.order``; no matrix is built.  ``r_eval`` overrides
+    the chart's default radius.
     """
-    frame = find_fixed_point(f, guess, tol_fix=TOL_FIX if tol_fix is None else tol_fix)
-    fact = factor_from_series(frame, dim)
+    frame = find_fixed_point(f, guess)
+    fact = factor_from_series(frame)
     return Pipeline(fact, build_chart(fact, frame, r_eval=r_eval))

@@ -59,6 +59,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refuse_non_finite(
+    values: np.ndarray,
+    what: str,
+    why: str = "the chart series are too large to sum at this order",
+    error=ValueError,
+) -> None:
+    """Raise ``error`` if an entry of ``values`` is not finite, naming how
+    many are, the first (its k in a series' coefficients, its (row, column)
+    in a matrix's entries) and ``why``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if not bad.size:
+        return
+    if values.ndim == 1:
+        noun, at = "coefficients", f"k = {bad[0]}"
+    else:
+        noun, at = "entries", tuple(map(int, np.unravel_index(bad[0], values.shape)))
+    raise error(f"{bad.size} {what} {noun} are not finite, the first at {at}: {why}")
+
+
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     """Horner's rule in Python scalar arithmetic on a list of coefficients,
     for scalar calls (a series' value, Newton, RK4), where numpy scalars
@@ -290,9 +309,9 @@ def _check_multiplier(lam: complex) -> None:
                 )
 
 
-def find_fixed_point(f: PowerSeries, guess, tol_fix: float = TOL_FIX) -> FixedPointFrame:
+def find_fixed_point(f: PowerSeries, guess) -> FixedPointFrame:
     """Locate a fixed point of ``f`` by Newton iteration from ``guess``, in at
-    most MAX_NEWTON_ITER steps.
+    most MAX_NEWTON_ITER steps, to a residual of at most TOL_FIX.
 
     Raises :class:`FixedPointNotFound` (carrying the last iterate) on
     non-convergence and :class:`RestrictiveConditionViolated` when the
@@ -307,7 +326,7 @@ def find_fixed_point(f: PowerSeries, guess, tol_fix: float = TOL_FIX) -> FixedPo
     residual = poly(x) - x
     converged = False
     for _ in range(MAX_NEWTON_ITER):
-        if abs(residual) <= tol_fix:
+        if abs(residual) <= TOL_FIX:
             converged = True
             break
         slope = fprime(x) - 1.0
@@ -330,7 +349,7 @@ def find_fixed_point(f: PowerSeries, guess, tol_fix: float = TOL_FIX) -> FixedPo
                 x, residual = candidate, cand_residual
             else:
                 break
-    if abs(residual) > tol_fix:
+    if abs(residual) > TOL_FIX:
         raise FixedPointNotFound(
             f"no fixed point within {MAX_NEWTON_ITER} iterations from {guess!r}; "
             f"last iterate {x!r} has residual {abs(residual):.3e}",
@@ -339,7 +358,7 @@ def find_fixed_point(f: PowerSeries, guess, tol_fix: float = TOL_FIX) -> FixedPo
     shift = PowerSeries.from_coefficients([x, 1.0], 0j, order=f.order)
     g = compose(poly, shift).truncated(f.order).coeffs.copy()
     g[0] -= x
-    if abs(g[0]) > tol_fix:
+    if abs(g[0]) > TOL_FIX:
         raise FixedPointNotFound(
             f"shifted map has residual {abs(g[0]):.3e} at 0", last_iterate=x
         )

@@ -66,6 +66,7 @@ from .series import (
     PowerSeries,
     TOL_RES,
     _read_only,
+    _refuse_non_finite,
     _trunc_div,
     convolution_powers,
 )
@@ -193,19 +194,9 @@ def _chart_row(h: np.ndarray) -> np.ndarray:
     return u
 
 
-def _refuse_non_finite(coeffs: np.ndarray, what: str, error=ValueError) -> None:
-    """Raise ``error`` if a coefficient is not finite, naming how many are
-    and the first: the chart series' sums overflowed at this order."""
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise error(
-            f"{bad.size} {what} coefficients are not finite, the first at k = "
-            f"{bad[0]}: the chart series are too large to sum at this order"
-        )
-
-
-def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorization:
-    """Factorization of the shifted map's dim x dim embedding matrix.
+def factor_from_series(frame: FixedPointFrame) -> SpectralFactorization:
+    """Factorization of the shifted map's embedding matrix, of dimension the
+    shifted map's truncation order.
 
     Computes the inverse chart h by the Poincare recursion and the chart u by
     Lagrange inversion (see the module notes); no matrix is built.  Raises
@@ -213,9 +204,10 @@ def factor_from_series(frame: FixedPointFrame, dim: int) -> SpectralFactorizatio
     :func:`diagonalize` does, at the fixed resonance tolerance TOL_RES.
 
     At a high enough order lambda^k or the coefficients of u leave the float
-    range, and inf or nan spreads through the rows; such a ``dim`` raises
-    ``ValueError`` naming the first coefficient that is not finite.
+    range, and inf or nan spreads through the rows; a map of such an order
+    raises ``ValueError`` naming the first coefficient that is not finite.
     """
+    dim = frame.shifted_map.order
     if dim < 2:
         raise ValueError("dim must be at least 2")
     # A row that overflows is refused below; numpy's warnings would repeat it.

@@ -78,7 +78,7 @@ class CheckResult:
 def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
     """The pipeline of the logistic map ``mu`` at the fixed point nearest
     ``guess``; the checks share it, its expansion and its field."""
-    return pipeline(logistic_series(mu, dim), guess, dim, r_eval=r_eval)
+    return pipeline(logistic_series(mu, dim), guess, r_eval=r_eval)
 
 
 def _result(name, deviation, tolerance, detail="", also=True) -> CheckResult:

@@ -29,18 +29,18 @@ def logistic2():
 @pytest.fixture(scope="session")
 def pipe4_origin(logistic4):
     """The pipeline of mu=4 at the fixed point 0."""
-    return mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    return mf.pipeline(logistic4, 0.1, r_eval=0.6)
 
 
 @pytest.fixture(scope="session")
 def pipe4_second(logistic4):
     """The pipeline of mu=4 at the fixed point 3/4."""
-    return mf.pipeline(logistic4, 0.7, DIM, r_eval=0.6)
+    return mf.pipeline(logistic4, 0.7, r_eval=0.6)
 
 
 @pytest.fixture(scope="session")
 def pipe2_origin(logistic2):
-    return mf.pipeline(logistic2, 0.1, DIM, r_eval=0.3)
+    return mf.pipeline(logistic2, 0.1, r_eval=0.3)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +79,22 @@ def test_zero_constant_term_gives_exact_triangularity():
 
 
 # --- quadrature builder ---------------------------------------------------------
+
+def test_matrices_past_the_float_range_are_refused_without_a_warning():
+    too_large = "the powers of the map are too large for floats at this order"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e200 squared overflows at (2, 2); inf times 0 is nan in row 3.
+        with pytest.raises(ValueError, match=re.escape(
+                f"3 matrix entries are not finite, the first at (2, 2): {too_large}")):
+            build_matrix(PowerSeries.from_coefficients([0, 1e200]), 4)
+        # The truncated powers stay finite; the samples of f^4 reach 1e400.
+        f = PowerSeries.from_coefficients([0.5, 0, 0, 1e100])
+        assert np.isfinite(build_matrix(f, 5).entries).all()
+        with pytest.raises(ValueError, match=re.escape(
+                f"5 quadrature matrix entries are not finite, the first at (4, 0): {too_large}")):
+            build_matrix_quadrature(f, 5)
+
 
 def test_quadrature_matches_coefficients_for_logistic():
     dim = 16

@@ -47,6 +47,24 @@ def test_matrix_identity_map(capsys):
     assert rows[2].split(",")[2] == "1+0i"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 1e200 squared overflows to inf at (2, 2), and inf times 0 is nan in row 3.
+    (["--coeffs", "0,1e200", "--dim", "4"], "3 matrix entries are not finite, the first at (2, 2)"),
+    (["--coeffs", "0,1e200", "--dim", "4", "--check-quadrature"],
+     "3 matrix entries are not finite, the first at (2, 2)"),
+    # The truncated powers stay finite, but the quadrature samples f^4 ~ 1e400.
+    (["--coeffs", "0.5,0,0,1e100", "--dim", "5", "--check-quadrature"],
+     "5 quadrature matrix entries are not finite, the first at (4, 0)"),
+])
+def test_a_matrix_past_the_float_range_is_refused(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["matrix", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ValueError: {message}: the powers of the map are too "
+                   "large for floats at this order\n")
+
+
 def test_matrix_check_quadrature(capsys):
     code, out, _ = run(
         ["matrix", "--preset", "logistic:4", "--dim", "8", "--check-quadrature"],
@@ -383,6 +401,12 @@ def test_integrate_endpoint(capsys):
     assert abs(float(last[1]) - 0.0396) < 1e-6
 
 
+def test_integrate_to_time_zero_prints_the_start_once(capsys):
+    code, out, _ = run(["integrate", "--preset", "logistic:4", "--guess", "0",
+                        "--r-eval", "0.6", "--x0", "0.01", "--t-end", "0"], capsys)
+    assert (code, out) == (0, "t,x_re,x_im\n0,0.01,0\n")
+
+
 def test_field_at_order_160_is_built(capsys):
     # The matrix recursion's cancellation once failed this with BranchMismatch.
     code, out, _ = run(["field", "--preset", "logistic:4", "--dim", "160"], capsys)
@@ -624,8 +648,9 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    # run is the namespace slot of the command function, not a flag.
-    for key in ("width", "run"):
+    # run is the namespace slot of the command function, not a flag, and no
+    # subcommand takes a fixed-point tolerance.
+    for key in ("width", "run", "tol"):
         cfg.write_text(f"preset=logistic:4\n{key}=3\n")
         code, _, err = run(["chart", "--config", str(cfg)], capsys)
         assert code == 1
@@ -824,6 +849,11 @@ def test_infinite_r_eval_is_accepted(capsys):
     ["chart", "--format", "json"],
     ["field", "--format", "csv"],
     ["integrate", "--format", "json"],
+    # No subcommand takes a fixed-point tolerance.
+    ["iterate", "--tol", "1e-9"],
+    ["chart", "--tol", "1e-9"],
+    ["field", "--tol", "1e-9"],
+    ["integrate", "--tol", "1e-9"],
 ])
 def test_flag_the_subcommand_does_not_take_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

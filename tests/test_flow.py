@@ -38,7 +38,7 @@ def test_field_coefficients_mu2(field2):
 
 def test_field_of_linear_map_is_exact():
     f = mf.PowerSeries.from_coefficients([0, 3.0], order=8)
-    field = mf.pipeline(f, 0.0, 8).field
+    field = mf.pipeline(f, 0.0).field
     assert abs(field.series.coeffs[1] - math.log(3.0)) < 1e-14
     assert all(abs(c) < 1e-14 for k, c in enumerate(field.series.coeffs) if k != 1)
 
@@ -49,12 +49,12 @@ def test_field_vanishes_at_fixed_point(field4, field2):
 
 
 def test_field_second_fixed_point_is_complex(logistic4):
-    field = mf.pipeline(logistic4, 0.7, DIM, r_eval=0.3).field
+    field = mf.pipeline(logistic4, 0.7, r_eval=0.3).field
     assert abs(field.series.coeffs[1] - complex(LN2, math.pi)) < 1e-12
 
 
 def test_branch_mismatch_detected(logistic4, pipe2_origin):
-    fact = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6).factorization
+    fact = mf.pipeline(logistic4, 0.1, r_eval=0.6).factorization
     log = matrix_log(fact)
     wrong_chart = pipe2_origin.chart
     with pytest.raises(mf.BranchMismatch):
@@ -70,13 +70,13 @@ def test_field_values_match_closed_form(field4, field2):
 
 
 def test_field_at_half_is_pi_ln2_over_4(logistic4):
-    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=1.0).field
+    field = mf.pipeline(logistic4, 0.1, r_eval=1.0).field
     v = mf.evaluate_field(field, 0.5)
     assert abs(v - math.pi * LN2 / 4) < 1e-6
 
 
 def test_field_positive_inside_unit_interval(logistic4):
-    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=1.0).field
+    field = mf.pipeline(logistic4, 0.1, r_eval=1.0).field
     for x in np.linspace(0.05, 0.95, 19):
         v = mf.evaluate_field(field, x)
         assert v.real > 0
@@ -91,7 +91,7 @@ def test_field_out_of_radius_raises(field4):
 
 def test_pipeline_objects_share_one_frame(logistic4):
     # A fresh pipeline: the shared fixture may already hold its expansion and field.
-    p = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    p = mf.pipeline(logistic4, 0.1, r_eval=0.6)
     assert "expansion" not in vars(p) and "field" not in vars(p)
     frame = p.factorization.frame
     # Each is built once, on first use; a second access gives the same object.
@@ -103,10 +103,17 @@ def test_pipeline_objects_share_one_frame(logistic4):
     assert (p.chart.x_star, p.chart.multiplier) == (frame.x_star, frame.multiplier)
 
 
+def test_pipeline_takes_the_order_from_the_map_and_the_radius_by_keyword(logistic4):
+    assert mf.pipeline(logistic4, 0.1).factorization.dim == logistic4.order
+    # A third positional argument once was the order; it is not the radius.
+    with pytest.raises(TypeError):
+        mf.pipeline(logistic4, 0.1, 40)
+
+
 def test_pipeline_grid_is_the_route_evaluator_and_builds_the_expansion_only_for_matrix(
     logistic4,
 ):
-    p = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6)
+    p = mf.pipeline(logistic4, 0.1, r_eval=0.6)
     ts, xs = [0.5, -0.5, 2.0], [0.05, 0.3, 0.7]
     chart = p.grid("chart", ts, xs)
     assert "expansion" not in vars(p)
@@ -148,7 +155,7 @@ CHARTS = [(4.0, 0.0, 0.6), (4.0, 0.75, 0.3), (2.0, 0.0, 0.45)]
 @pytest.fixture(scope="module")
 def fields():
     return [
-        mf.pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r).field
+        mf.pipeline(mf.logistic_series(mu, dim), x_star, r_eval=r).field
         for mu, x_star, r in CHARTS
         for dim in (40, 160)
     ]
@@ -222,7 +229,7 @@ def test_flow_property_of_endpoints(field4):
 
 
 def test_complex_trajectory_from_second_fixed_point(logistic4):
-    field = mf.pipeline(logistic4, 0.7, DIM, r_eval=0.3).field
+    field = mf.pipeline(logistic4, 0.7, r_eval=0.3).field
     traj = mf.integrate_flow(field, 0.7, 1.0, dt=1e-3)
     assert any(abs(x.imag) > 1e-3 for _, x in traj)
     assert abs(traj[-1][1] - 0.84) < 1e-5
@@ -232,6 +239,17 @@ def test_backward_integration_inverts_forward(field4):
     forward = mf.integrate_flow(field4, 0.01, 1.0, dt=1e-3)[-1][1]
     back = mf.integrate_flow(field4, forward, -1.0, dt=1e-3)[-1][1]
     assert abs(back - 0.01) < 1e-6
+
+
+def test_integration_to_time_zero_is_the_start_alone(field4):
+    # No RK4 step: a step of size 0 used to write the start twice.
+    assert mf.integrate_flow(field4, 0.01, 0.0) == [(0.0, 0.01 + 0j)]
+    # Any other t_end takes a step, however small.
+    assert [t for t, _ in mf.integrate_flow(field4, 0.01, 1e-300)] == [0.0, 1e-300]
+    with pytest.raises(mf.ChartEscape) as err:
+        mf.integrate_flow(field4, 0.7, 0.0)
+    assert err.value.t_reached == 0.0
+    assert err.value.trajectory == [(0.0, 0.7 + 0j)]
 
 
 def _rk4_full_horner(field, x0, t_end, dt, g=None):
@@ -266,7 +284,7 @@ def test_trajectory_is_byte_identical_to_the_full_sum(mu, x_star, r_eval, ranges
     # guaranteed: on l4_0 about one start in four gets a row that is an ulp
     # off, and the flow then carries that difference (up to 3 ulps by t = 1.5).
     # The next test bounds the difference where many terms are dropped.
-    field = mf.pipeline(mf.logistic_series(mu, DIM), x_star, DIM, r_eval=r_eval).field
+    field = mf.pipeline(mf.logistic_series(mu, DIM), x_star, r_eval=r_eval).field
     rng = np.random.default_rng(3)
     for lo, hi in ranges:
         for offset in rng.uniform(lo, hi, 2):
@@ -277,7 +295,7 @@ def test_trajectory_is_byte_identical_to_the_full_sum(mu, x_star, r_eval, ranges
 
 
 def test_trajectory_far_from_the_fixed_point_is_within_an_ulp_of_the_full_sum(logistic4):
-    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=0.95).field
+    field = mf.pipeline(logistic4, 0.0, r_eval=0.95).field
     traj = mf.integrate_flow(field, 0.3, 0.4, 1e-3)
     ref = _rk4_full_horner(field, 0.3, 0.4, 1e-3)
     assert len(traj) == len(ref) == 401
@@ -323,7 +341,7 @@ def test_float_path_rows_are_those_of_complex_arithmetic(f, r_eval, x0, t_end, r
         dim, series = 30, mf.PowerSeries.from_coefficients(f, order=30)
     else:
         dim, series = DIM, mf.logistic_series(f, DIM)
-    field = mf.pipeline(series, 0.0, dim, r_eval=r_eval).field
+    field = mf.pipeline(series, 0.0, r_eval=r_eval).field
     assert field.real is real
     traj = mf.integrate_flow(field, x0, t_end, 1e-3)
     assert all(type(x) is complex for _, x in traj)
@@ -346,7 +364,7 @@ def test_a_float_run_that_overflows_escapes_as_complex_arithmetic_does(logistic4
     # its states before the escape have the bits of complex arithmetic, the
     # escaped state is not finite, and the escape time is that of the complex
     # run (a -0.0 imaginary part makes the start complex).
-    field = mf.pipeline(logistic4, 0.0, DIM, r_eval=r_eval).field
+    field = mf.pipeline(logistic4, 0.0, r_eval=r_eval).field
     assert field.real
     with pytest.raises(mf.ChartEscape) as err:
         mf.integrate_flow(field, x0, 1.0, dt=0.1)
@@ -368,7 +386,7 @@ def test_a_float_run_that_overflows_escapes_as_complex_arithmetic_does(logistic4
 def test_chart_escape_carries_partial_trajectory(logistic4):
     # A real field and start: the partial trajectory of the float run holds
     # the complex states of complex arithmetic, up to the first one outside.
-    field = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.05).field
+    field = mf.pipeline(logistic4, 0.1, r_eval=0.05).field
     assert field.real
     with pytest.raises(mf.ChartEscape) as err:
         mf.integrate_flow(field, 0.03, 2.0, dt=1e-3)
@@ -492,7 +510,7 @@ def test_lyapunov_memory_is_bounded():
 
 def test_log_row_equals_power_derivative(logistic4):
     dim = 16
-    fact = mf.pipeline(logistic4.truncated(dim), 0.1, dim).factorization
+    fact = mf.pipeline(logistic4.truncated(dim), 0.1).factorization
     L = matrix_log(fact)
     h = 1e-4
     fd = (

@@ -48,7 +48,7 @@ def test_origin_chart_matches_exact_coefficients(pipe4_origin):
 
 def test_chart_radii_are_computed_on_first_chart_route_use(logistic4):
     # A fresh chart: the shared fixture's chart has already been evaluated.
-    chart = mf.pipeline(logistic4, 0.1, DIM, r_eval=0.6).chart
+    chart = mf.pipeline(logistic4, 0.1, r_eval=0.6).chart
     assert "forward_radius" not in vars(chart) and "inverse_radius" not in vars(chart)
     mf.evaluate_iterate_chart(chart, 0.5, 0.1)
     assert vars(chart)["forward_radius"] == tail_radius(chart.forward.coeffs)
@@ -106,7 +106,7 @@ def test_chart_inverse_roundtrip(pipe4_origin):
 
 def test_chart_inverse_matches_series_reversion(logistic4):
     # The inverse series composed with the chart is the identity to order 12.
-    chart = mf.pipeline(logistic4.truncated(12), 0.1, 12).chart
+    chart = mf.pipeline(logistic4.truncated(12), 0.1).chart
     ident = np.zeros(12)
     ident[1] = 1.0
     h_of_u = mf.compose(chart.inverse, chart.forward)
@@ -177,7 +177,7 @@ def test_semigroup_property_both_routes(pipe4_origin):
 def test_linear_map_iterates_exactly():
     # chart of a pure scaling map is the identity; f^t(x) = 3^t x
     f = mf.PowerSeries.from_coefficients([0, 3.0], order=8)
-    chart = mf.pipeline(f, 0.0, 8).chart
+    chart = mf.pipeline(f, 0.0).chart
     for t in (0.5, 1.0, 2.3):
         for x in (0.1, -0.4, 0.2j):
             assert abs(mf.evaluate_iterate_chart(chart, t, x) - 3.0**t * x) < 1e-12
@@ -307,7 +307,7 @@ def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin)
 def test_complex_multiplier_pipeline():
     lam = 1.5 + 0.5j
     f = mf.PowerSeries.from_coefficients([0, lam, 0.3 - 0.2j], order=20)
-    chart = mf.pipeline(f, 0.0, 20, r_eval=0.3).chart
+    chart = mf.pipeline(f, 0.0, r_eval=0.3).chart
     assert abs(chart.multiplier - lam) < 1e-12
     for delta in (0.01, 0.004 - 0.006j):
         resid = abs(chart.forward(f(delta)) - lam * chart.forward(delta))
@@ -328,7 +328,7 @@ def test_pipeline_linearizes_random_repelling_maps(a1, a2, a3):
     # maps fixing 0 with a real repelling multiplier: the chart must satisfy
     # its defining equation and invert cleanly near the fixed point
     f = mf.PowerSeries.from_coefficients([0.0, a1, a2, a3], order=16)
-    chart = mf.pipeline(f, 0.0, 16, r_eval=0.5).chart
+    chart = mf.pipeline(f, 0.0, r_eval=0.5).chart
     lam = chart.multiplier
     for delta in (0.004, -0.006, 0.003j):
         resid = abs(chart.forward(f(delta)) - lam * chart.forward(delta))
@@ -502,7 +502,7 @@ def test_chart_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
 
 def test_complex_chart_grid_matches_the_scalar_formulas():
     f = mf.PowerSeries.from_coefficients([0, 1.8 + 0.9j, 0.5 - 0.4j, 0.2 + 0.1j], order=24)
-    chart = mf.pipeline(f, 0.0, 24, r_eval=0.65).chart
+    chart = mf.pipeline(f, 0.0, r_eval=0.65).chart
     rng = np.random.default_rng(11)
     xs = list(0.2 * rng.uniform(-1, 1, 8) + 0.2j * rng.uniform(-1, 1, 8)) + [0.7]
     assert _assert_grid_matches_reference(
@@ -532,7 +532,7 @@ def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
     # 600 seeded real and complex points out to r_eval: the batched
     # continuation refuses the same points as the scalar one, and the
     # values agree to rounding.
-    chart = mf.pipeline(mf.logistic_series(mu, dim), guess, dim).chart
+    chart = mf.pipeline(mf.logistic_series(mu, dim), guess).chart
     reach = 9 * iterate.default_chart_radius(chart.frame)  # 0.9 of the fixed-point gap
     rng = np.random.default_rng(dim)
     radius = reach * np.sqrt(rng.uniform(0, 1, 600))
@@ -593,7 +593,7 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
 def test_overflowing_times_are_refused_with_the_route_status(pipe4_origin):
     fact, chart = pipe4_origin.factorization, pipe4_origin.chart
     expansion = mf.build_expansion(fact, fact.frame)
-    contracting = mf.pipeline(mf.logistic_series(0.5, 40), 0.0, 40, r_eval=0.3).chart
+    contracting = mf.pipeline(mf.logistic_series(0.5, 40), 0.0, r_eval=0.3).chart
     for grid, status in (
         (mf.evaluate_chart_grid(chart, [1000.0, 1e6], [0.3, 0.0, 0.1j]),
          mf.PointStatus.OUT_OF_CHART),
@@ -616,7 +616,7 @@ def _seeded_cubic_charts():
         f = mf.PowerSeries.from_coefficients([0, lam, a2, a3], order=40)
         frame = mf.find_fixed_point(f, 0.0)
         reach = 9 * iterate.default_chart_radius(frame)  # 0.9 of the fixed-point gap
-        charts.append((mf.pipeline(f, 0.0, 40, r_eval=reach).chart, reach))
+        charts.append((mf.pipeline(f, 0.0, r_eval=reach).chart, reach))
     return charts
 
 
@@ -628,7 +628,7 @@ def test_capped_continuation_matches_the_uncapped_newton():
     rng = np.random.default_rng(10)
     cases = []
     for dim in (40, 80, 160):
-        chart = mf.pipeline(mf.logistic_series(4.0, dim), 0.7, dim, r_eval=0.6).chart
+        chart = mf.pipeline(mf.logistic_series(4.0, dim), 0.7, r_eval=0.6).chart
         cases.append((chart, 0.6))
     cases += _seeded_cubic_charts()
     counts = {"same value": 0, "same continued value": 0, "both refuse": 0, "capped": 0}
@@ -660,7 +660,7 @@ def test_points_reached_only_after_many_newton_passes_are_refused():
     # these points took more than 16 passes, and a 40x finer path refuses
     # them all.
     f = mf.logistic_series(3.7, 160)
-    chart = mf.pipeline(f, 0.7, 160, r_eval=0.66).chart
+    chart = mf.pipeline(f, 0.7, r_eval=0.66).chart
     xs = [0.08610810810810798, 1.0646756756756757, 0.9595945945945946]
     for x in xs:
         expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
@@ -708,7 +708,7 @@ def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, mon
     (3.7, 0.7, 160), (2.5 + 0.5j, 0.0, 80),
 ])
 def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim):
-    chart = mf.pipeline(mf.logistic_series(mu, dim), guess, dim).chart
+    chart = mf.pipeline(mf.logistic_series(mu, dim), guess).chart
     rho = chart.inverse_trust_radius
     assert 0 < rho < math.inf
     rng = np.random.default_rng(dim)
@@ -774,7 +774,7 @@ def test_converged_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_e
     scale = np.maximum(1.0, np.abs(ref))
     errors = {}
     for dim in (40, 80, 160):
-        p = mf.pipeline(mf.logistic_series(mu, dim), x_star, dim, r_eval=r_eval)
+        p = mf.pipeline(mf.logistic_series(mu, dim), x_star, r_eval=r_eval)
         fact, chart = p.factorization, p.chart
         bound = min(chart.r_eval, chart.forward_radius)
         expansion = mf.build_expansion(fact, fact.frame, r_eval=bound)

@@ -167,7 +167,7 @@ CORE_MAPS = [
 @pytest.mark.parametrize("coeffs, guess", CORE_MAPS)
 def test_series_core_agrees_with_diagonalize(coeffs, guess, dim):
     frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
-    S = factor_from_series(frame, dim)
+    S = factor_from_series(frame)
     ref = diagonalize(build_matrix(frame.shifted_map, dim), frame)
     assert scaled_deviation(S.chart_matrix, ref.chart_matrix) < 1e-9
     assert scaled_deviation(S.chart_matrix_inv, ref.chart_matrix_inv) < 1e-9
@@ -185,7 +185,7 @@ def test_log_row_is_row_one_of_the_matrix_log(coeffs, guess):
     # diagonalize's factors, on the leading half window.
     dim = 20
     frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
-    S = factor_from_series(frame, dim)
+    S = factor_from_series(frame)
     ref = diagonalize(build_matrix(frame.shifted_map, dim), frame)
     w = leading_window(dim, 2, 1)
     j = np.arange(dim)
@@ -200,6 +200,13 @@ def test_log_row_is_row_one_of_the_matrix_log(coeffs, guess):
         assert scaled_deviation(P[:w, :w], paper[:w, :w]) < 1e-11
 
 
+def test_series_core_factors_to_the_order_of_the_shifted_map():
+    frame = find_fixed_point(logistic_series(4.0, 8), 0.1)
+    assert frame.shifted_map.order == 8
+    S = factor_from_series(frame)
+    assert S.dim == len(S.chart_row) == len(S.inverse_row) == 8
+
+
 def test_series_core_rejects_what_diagonalize_rejects():
     resonant = FixedPointFrame(
         x_star=0.0,
@@ -207,7 +214,7 @@ def test_series_core_rejects_what_diagonalize_rejects():
         shifted_map=PowerSeries.from_coefficients([0, 1j, 0.5], order=8),
     )
     with pytest.raises(mf.ResonantEigenvalues) as err:
-        factor_from_series(resonant, 8)
+        factor_from_series(resonant)
     assert err.value.pair == (0, 4)
     flat = FixedPointFrame(
         x_star=0.0,
@@ -215,7 +222,7 @@ def test_series_core_rejects_what_diagonalize_rejects():
         shifted_map=PowerSeries.from_coefficients([0, 0, 1], order=6),
     )
     with pytest.raises(mf.Superattracting):
-        factor_from_series(flat, 6)
+        factor_from_series(flat)
 
 
 # --- shared powers: Lagrange inversion and the field row ------------------------
@@ -255,7 +262,7 @@ def test_shared_powers_agree_with_sequential_construction(name, dim):
     # taken over the absolute values of its terms.
     coeffs, guess = SHARED_POWER_MAPS[name]
     frame = find_fixed_point(PowerSeries.from_coefficients(coeffs, order=dim), guess)
-    S = factor_from_series(frame, dim)
+    S = factor_from_series(frame)
     eps = dim * np.finfo(float).eps
     one = np.zeros(dim - 1, dtype=complex)
     one[0] = 1.0
@@ -274,7 +281,7 @@ def test_shared_powers_agree_with_sequential_construction(name, dim):
 )
 def test_chart_and_field_rows_match_closed_forms(mu, closed_form, dim):
     mp = pytest.importorskip("mpmath")
-    S = factor_from_series(find_fixed_point(logistic_series(mu, dim), 0.1), dim)
+    S = factor_from_series(find_fixed_point(logistic_series(mu, dim), 0.1))
     exact = closed_form(dim - 1)
     u = np.array([0.0] + [float(c) for c in exact])
     assert np.all(np.abs(S.chart_row[1:] - u[1:]) <= 1e-10 * u[1:])
@@ -302,7 +309,7 @@ def test_construction_shares_powers(monkeypatch):
         return convolve(*args, **kwargs)
 
     monkeypatch.setattr(np, "convolve", counted)
-    log_row(factor_from_series(frame, dim))
+    log_row(factor_from_series(frame))
     assert len(calls) <= 4 * (math.isqrt(dim) + 1)
 
 
@@ -378,10 +385,10 @@ def test_rows_past_the_float_range_are_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^132 chart coefficients are not finite, "
                                              "the first at k = 868: "):
-            factor_from_series(frame, 1000)
+            factor_from_series(frame)
         # mu=4: the powers 4^k leave the float range from k = 512 (4^512 =
         # 2^1024), where h_k becomes 0; the order-599 chart is still right.
-        row = factor_from_series(find_fixed_point(logistic_series(4.0, 600), 0.0), 600).chart_row
+        row = factor_from_series(find_fixed_point(logistic_series(4.0, 600), 0.0)).chart_row
     exact = logistic4_chart_coefficients(599)
     assert max(abs(row[k] - float(c)) / float(c) for k, c in enumerate(exact, start=1)) < 1e-14
 
@@ -533,7 +540,7 @@ def _exact_field(mu, x_star, n):
 def test_matrix_log_is_the_derivation_matrix_of_the_exact_field(mu, guess, x_star, dim):
     # Row j of log M holds d(y^j)/dt = j y^(j-1) G(y); a higher order must
     # not lose digits on the leading half window.
-    L = matrix_log(mf.pipeline(logistic_series(mu, dim), guess, dim).factorization)
+    L = matrix_log(mf.pipeline(logistic_series(mu, dim), guess).factorization)
     G = _exact_field(mu, x_star, dim)
     exact = np.zeros((dim, dim), dtype=complex)
     for j in range(1, dim):

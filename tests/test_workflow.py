@@ -1,11 +1,14 @@
 """The CI workflow file parses, so a YAML slip cannot switch CI off unseen,
-and every job has a time limit, so a hung step cannot hold a runner."""
+every job has a time limit, so a hung step cannot hold a runner, and CI
+installs every test dependency, so no test is skipped there unseen."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_every_workflow_step_runs_or_uses_something():
@@ -48,3 +51,19 @@ def test_benchmark_steps_fail_on_a_numpy_warning():
     assert len(runs) == 5
     for run in runs:
         assert run.strip().startswith("python3 -W error::RuntimeWarning perfbench/run.py "), run
+
+
+def test_ci_installs_every_package_of_the_test_extra():
+    # A package the tests import with importorskip must not be missing in CI.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    yaml = pytest.importorskip("yaml")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+             for req in project["optional-dependencies"]["test"]]
+    assert {"pytest", "hypothesis", "mpmath", "pyyaml"} <= set(extra)
+    jobs = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+    steps = [step for job in jobs.values() for step in job["steps"]
+             if step.get("name") == "Install dependencies"]
+    assert len(steps) == 1
+    installed = steps[0]["run"].lower().split()
+    assert [name for name in extra if name not in installed] == []
