@@ -5,9 +5,11 @@ Outputs are deterministic CSV (or JSON where noted) intended for plotting;
 complex values in CSV grids are always split into re/im columns.  A
 subcommand accepts only the flags it reads: the chart flags ``--guess`` and
 ``--r-eval`` belong to iterate, chart, field and integrate, and ``--format``
-to iterate and verify.  Every flag can also be given in a
-key=value config file (``--config``); explicit flags win over file entries,
-and file values are checked like flags (type and allowed choices).
+to iterate and verify.  verify takes no order or sample count: each check
+runs at the settings its tolerance was pinned for.
+Every flag can also be given in a key=value config file (``--config``);
+explicit flags win over file entries, and file values are checked like
+flags (type and allowed choices).
 
 Each subcommand is made by one helper, ``command`` (``map_command`` adds the
 map and chart flags), which gives it ``--output`` and ``--config`` and names
@@ -145,7 +147,6 @@ def build_parser() -> tuple:
     p = map_command("matrix", "dump the embedding matrix", cmd_matrix, chart=False)
     p.add_argument("--check-quadrature", action="store_true",
                    help="also report the builder-agreement deviation")
-    p.add_argument("--quadrature-nodes", type=int, default=None)
 
     p = map_command("iterate", "evaluate f^t over a (t, x) grid", cmd_iterate)
     p.add_argument("--format", default=None, choices=("csv", "json"),
@@ -171,8 +172,6 @@ def build_parser() -> tuple:
 
     p = command("verify", "run a verification suite", cmd_verify)
     p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--format", default=None, choices=("csv", "json"))
 
     return parser, sub.choices
@@ -255,13 +254,11 @@ def _emit_json(ns, payload):
 
 
 def cmd_matrix(ns) -> None:
-    if ns.quadrature_nodes is not None and not ns.check_quadrature:
-        raise ValueError("--quadrature-nodes needs --check-quadrature")
     f = _map_series(ns)
     # Both matrices are built, and refused if not finite, before any output.
     M = build_matrix(f, ns.dim)
     if ns.check_quadrature:
-        Q = build_matrix_quadrature(f, ns.dim, nodes=ns.quadrature_nodes)
+        Q = build_matrix_quadrature(f, ns.dim)
     buf = io.StringIO()
     write_matrix_csv(M, buf)
     _emit(ns, buf.getvalue())
@@ -401,7 +398,7 @@ def cmd_lyapunov(ns) -> None:
 
 
 def cmd_verify(ns) -> int | None:
-    results = verify_mod.run_suite(ns.suite, dim=ns.dim, n=ns.n)
+    results = verify_mod.run_suite(ns.suite)
     all_passed = all(r.passed for r in results)
     if ns.format == "csv":
         _emit(ns, _table(
@@ -433,7 +430,7 @@ def main(argv=None) -> int:
         if ns.config:
             ns = _apply_config_file(ns, argv)
         return ns.run(ns) or EXIT_OK
-    except (MapflowError, ValueError, OSError) as exc:
+    except (MapflowError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), EXIT_ERROR)
 

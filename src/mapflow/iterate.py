@@ -383,13 +383,6 @@ def _chart_values(chart: SchroederChart, xs: np.ndarray) -> tuple:
     r = chart.forward_radius
     far = np.flatnonzero(~(dist <= r))
     reasons = {}
-    if not 0 < r < math.inf:
-        for j in far.tolist():
-            reasons[j] = (
-                f"forward chart series is unreliable at {complex(xs[j])!r} and "
-                "offers no continuation seed"
-            )
-        far = far[:0]
     # The direct points and the path seeds, in one Horner call.
     z = d.copy()
     z[far] *= PATH_START_FRACTION * r / dist[far]

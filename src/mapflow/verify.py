@@ -29,7 +29,6 @@ deviation is within its tolerance and its other criteria (``also``) hold.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,10 +107,10 @@ def check_matrix_exact() -> CheckResult:
 def check_builder_equivalence() -> CheckResult:
     """The coefficient and 256-node quadrature builders agree (row-scaled).
 
-    The dimension is pinned at 16, so ``run_suite``'s ``dim`` does not reach
-    this check: the quadrature's row-scaled deviation grows about 2x per
-    order with |f| on the unit circle (2.6e-12 at dim 16, 6.8e-8 at 30), and
-    past dim 20 no node count meets 1e-10 where both builders are right.
+    The dimension is 16: the quadrature's row-scaled deviation grows about
+    2x per order with |f| on the unit circle (2.6e-12 at dim 16, 6.8e-8 at
+    30), and past dim 20 no node count meets 1e-10 where both builders are
+    right.
     """
     dim = 16
     f = logistic_series(4.0, dim)
@@ -137,6 +136,11 @@ def check_chart_coefficients() -> CheckResult:
     dev = _chart_coefficient_dev(16, 8)
     return _result("chart-coefficients", dev, 1e-10, "mu=4 at 0, relative")
 
+
+# The order of the checks that share the order-40 pipelines, and the orbit
+# length of the Lyapunov check: the settings their tolerances were pinned at.
+_DIM = 40
+_LYAPUNOV_N = 100_000
 
 _C4_TIMES = (0.25, 0.5, 1.5, 2.0)
 _C4_POINTS = (0.01, 0.05, 0.1)
@@ -170,21 +174,21 @@ def _growth(dims, routes) -> float:
     return max(float(growth), 0.0)
 
 
-def check_iterate_oracle(dim: int = 40) -> CheckResult:
-    dev = _errors(dim, ("chart", "matrix")).max()
+def check_iterate_oracle() -> CheckResult:
+    dev = _errors(_DIM, ("chart", "matrix")).max()
     return _result(
-        "iterate-oracle", dev, 1e-6, f"mu=4 closed form, both routes, dim={dim}"
+        "iterate-oracle", dev, 1e-6, f"mu=4 closed form, both routes, dim={_DIM}"
     )
 
 
-def check_mu2_oracle(dim: int = 40) -> CheckResult:
-    grid = _pipeline(2.0, 0.1, dim, 0.3).grid("chart", (0.5, 1.5), (0.01, 0.1))
+def check_mu2_oracle() -> CheckResult:
+    grid = _pipeline(2.0, 0.1, _DIM, 0.3).grid("chart", (0.5, 1.5), (0.01, 0.1))
     dev = _oracle_errors(grid, logistic2_iterate).max()
-    return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={dim}")
+    return _result("mu2-oracle", dev, 1e-7, f"chart route vs exact mu=2, dim={_DIM}")
 
 
-def check_semigroup(dim: int = 40) -> CheckResult:
-    p = _pipeline(4.0, 0.1, dim, 0.6)
+def check_semigroup() -> CheckResult:
+    p = _pipeline(4.0, 0.1, _DIM, 0.6)
     times, points = (0.25, 0.5, 1.0), (0.005, 0.01, 0.02)
     per_pair = {}
     for route in ("chart", "matrix"):
@@ -210,11 +214,11 @@ def check_semigroup(dim: int = 40) -> CheckResult:
     )
 
 
-def check_nonuniqueness(dim: int = 40) -> CheckResult:
+def check_nonuniqueness() -> CheckResult:
     """Charts at the two fixed points coincide at integer times and split
     at half-integer time with a genuinely complex branch."""
     grid0, grid1 = (
-        _pipeline(4.0, guess, dim, 0.6).grid("chart", (1.0, 2.0, 3.0, 0.5), (0.3,))
+        _pipeline(4.0, guess, _DIM, 0.6).grid("chart", (1.0, 2.0, 3.0, 0.5), (0.3,))
         for guess in (0.1, 0.7)
     )
     worst_int = max(abs(grid0.value(i, 0) - grid1.value(i, 0)) for i in range(3))
@@ -231,8 +235,8 @@ def check_nonuniqueness(dim: int = 40) -> CheckResult:
                    also=split >= 1e-3 and imag >= 1e-3)
 
 
-def check_field(dim: int = 40) -> CheckResult:
-    field = _pipeline(4.0, 0.1, dim, 0.6).field
+def check_field() -> CheckResult:
+    field = _pipeline(4.0, 0.1, _DIM, 0.6).field
     dev = max(abs(evaluate_field(field, x) - logistic4_field(x)) for x in (0.01, 0.05, 0.1))
     coeffs = field.series.coeffs
     coeff_dev = max(
@@ -246,8 +250,8 @@ def check_field(dim: int = 40) -> CheckResult:
     )
 
 
-def check_flow_consistency(dim: int = 40) -> CheckResult:
-    field = _pipeline(4.0, 0.1, dim, 0.6).field
+def check_flow_consistency() -> CheckResult:
+    field = _pipeline(4.0, 0.1, _DIM, 0.6).field
     # One run: its step is 1/1000 = 0.5/500, so row 500 is the t = 0.5 run's end.
     trajectory = integrate_flow(field, 0.01, 1.0, dt=1e-3)
     dev_map = abs(trajectory[-1][1] - 0.0396)
@@ -289,10 +293,11 @@ def check_validity_window() -> CheckResult:
     )
 
 
-def check_lyapunov(n: int = 100_000) -> CheckResult:
-    dev = max(abs(lyapunov_logistic(n, seed) - LN2) / LN2 for seed in (0.123456, 0.654321))
+def check_lyapunov() -> CheckResult:
+    dev = max(abs(lyapunov_logistic(_LYAPUNOV_N, seed) - LN2) / LN2
+              for seed in (0.123456, 0.654321))
     return _result(
-        "lyapunov", dev, 0.02, f"chain rule over {n} iterates, relative to ln 2"
+        "lyapunov", dev, 0.02, f"chain rule over {_LYAPUNOV_N} iterates, relative to ln 2"
     )
 
 
@@ -348,9 +353,8 @@ def check_paper_matrix() -> CheckResult:
     :func:`matrix_log` as the derivation matrix of the field and
     :func:`fractional_power` as the Carleman matrix of f^t.  Those of the
     series core must match the paper's on the leading half window
-    (row-scaled, 1e-9).  The dimension is pinned at 40, where the entrywise
-    recursion of ``diagonalize`` is still exact, so ``run_suite``'s ``dim``
-    does not reach this check.
+    (row-scaled, 1e-9).  The dimension is 40, where the entrywise recursion
+    of ``diagonalize`` is still exact.
     """
     dim, times = 40, (0.5, 1.5)
     w, j = dim // 2 + 1, np.arange(dim)
@@ -419,15 +423,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, dim: int | None = None, n: int | None = None):
-    """Run a named suite; dim/n override the defaults of the checks whose
-    signature has them.  An override that no check of the suite takes
-    raises ``ValueError`` before any check runs."""
+def run_suite(name: str):
+    """Run a named suite: each of its checks, in ``SUITES`` order."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    given = {key: value for key, value in (("dim", dim), ("n", n)) if value is not None}
-    checks = [(CRITERIA[key], inspect.signature(CRITERIA[key]).parameters) for key in SUITES[name]]
-    for key in given:
-        if not any(key in takes for _, takes in checks):
-            raise ValueError(f"suite {name!r} has no check that takes {key}")
-    return [fn(**{k: v for k, v in given.items() if k in takes}) for fn, takes in checks]
+    return [CRITERIA[key]() for key in SUITES[name]]

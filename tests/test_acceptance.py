@@ -82,40 +82,27 @@ def test_a_suite_run_builds_each_factorization_once(monkeypatch):
     assert calls and len(calls) == verify._pipeline.cache_info().currsize
 
 
-# The checks whose order run_suite's dim overrides.
-TAKES_DIM = {
-    "iterate-oracle",
-    "mu2-oracle",
-    "semigroup",
-    "non-uniqueness",
-    "field-extraction",
-    "flow-consistency",
-}
+def test_run_suite_calls_each_check_of_the_suite_with_no_argument(monkeypatch):
+    # Each check runs at the settings its tolerance was pinned for: no check
+    # takes a parameter, and run_suite has none to pass on.
+    assert all(not inspect.signature(check).parameters for check in CRITERIA.values())
+    calls = []
 
-
-def test_run_suite_passes_dim_and_n_to_the_checks_that_take_them(monkeypatch):
-    calls = {}
-
-    def recorder(name, check):
-        def stand_in(**kwargs):
-            calls[name] = kwargs
+    def recorder(name):
+        def stand_in():
+            calls.append(name)
             return CheckResult(name, True, 0.0, 0.0)
 
-        stand_in.__signature__ = inspect.signature(check)
         return stand_in
 
-    for name, check in list(CRITERIA.items()):
-        monkeypatch.setitem(CRITERIA, name, recorder(name, check))
-    run_suite("all", dim=20, n=2000)
-    assert set(calls) == set(CRITERIA)
-    assert {name for name, kwargs in calls.items() if "dim" in kwargs} == TAKES_DIM
-    assert all(kwargs.get("dim", 20) == 20 for kwargs in calls.values())
-    assert {name: kwargs["n"] for name, kwargs in calls.items() if "n" in kwargs} == {
-        "lyapunov": 2000
-    }
-    calls.clear()
-    run_suite("all")
-    assert all(kwargs == {} for kwargs in calls.values())
+    for name in list(CRITERIA):
+        monkeypatch.setitem(CRITERIA, name, recorder(name))
+    for suite, names in SUITES.items():
+        calls.clear()
+        assert [r.name for r in run_suite(suite)] == names
+        assert calls == names
+    with pytest.raises(TypeError):
+        run_suite("all", dim=20)
 
 
 def test_flow_consistency_reads_both_ends_off_one_run(monkeypatch):

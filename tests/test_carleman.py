@@ -125,6 +125,23 @@ def test_quadrature_below_bound_flags_and_warns():
     assert M.quadrature_exact is False
 
 
+def test_quadrature_needs_at_least_one_node():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the aliasing warning
+        with pytest.raises(ValueError, match=r"^quadrature needs at least one node, got 0$"):
+            build_matrix_quadrature(logistic_series(4.0, 6), 6, nodes=0)
+
+
+def test_the_default_node_count_meets_the_exactness_bound():
+    # dim*deg + dim + 1 <= 4*dim*deg for every dim >= 2 and degree >= 1.
+    for coeffs in ([0, 1], [0, 4, -4], [0.0, 1.0, 0.25, -0.1, 0.05]):
+        for dim in (2, 3, 8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                M = build_matrix_quadrature(PowerSeries.from_coefficients(coeffs, order=dim), dim)
+            assert M.quadrature_exact is True
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.floats(0.6, 1.4),

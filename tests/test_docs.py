@@ -1,5 +1,6 @@
-"""The README's library quick start runs as printed, so the docs cannot keep
-a name the package no longer has."""
+"""The README's library quick start runs as printed, and its command-line
+usage block shows only flags the CLI takes, so the docs cannot keep a name
+or a flag the package no longer has."""
 
 import os
 import re
@@ -23,3 +24,23 @@ def test_readme_quick_start_runs(tmp_path):
         [sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _usage_lines():
+    """The lines of README's "Command line" usage block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    return re.search(r"```\n(.*?)```", section, re.DOTALL).group(1).splitlines()
+
+
+def test_readme_usage_shows_only_flags_the_subcommand_takes():
+    from mapflow.cli import _SUBPARSERS
+
+    lines = _usage_lines()
+    assert {line.split()[1] for line in lines} == set(_SUBPARSERS)
+    for line in lines:
+        command = line.split()[1]
+        taken = _SUBPARSERS[command]._option_string_actions
+        shown = re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)
+        assert shown, line
+        assert [flag for flag in shown if flag not in taken] == [], line

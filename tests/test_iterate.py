@@ -200,6 +200,17 @@ def test_chart_value_continues_past_series_radius(pipe4_second):
     assert abs(w - logistic4_chart_second(0.3)) < 1e-9
 
 
+def test_a_polynomial_chart_has_no_series_radius_to_continue_past():
+    # The chart of x -> 2x is u(x) = x: its forward radius is infinite, so
+    # every finite point is a direct sum, and only nan is refused.
+    chart = mf.pipeline(mf.PowerSeries.from_coefficients([0, 2], order=8), 0.0,
+                        r_eval=math.inf).chart
+    assert chart.forward_radius == math.inf
+    assert chart_value(chart, 1e6) == 1e6
+    with pytest.raises(mf.OutOfChart, match="left the inverse series' trust region"):
+        chart_value(chart, math.nan)
+
+
 def test_branch_non_uniqueness(pipe4_origin, pipe4_second):
     chart0 = pipe4_origin.chart
     chart1 = pipe4_second.chart
@@ -375,8 +386,6 @@ def _ref_chart_value(chart, x, passes=NEWTON_STEPS, trusted=True):
     r = chart.forward_radius
     if abs(delta) <= r:
         return chart.forward(x), 0, 0
-    if not 0 < r < math.inf:
-        return None, 0, 0
     start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
     w = chart.forward(start)
     slope_series = chart.inverse.derivative()
