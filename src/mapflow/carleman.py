@@ -19,8 +19,7 @@ built from its shifted map.  The matrix CSV format is the ``matrix``
 command's output; no command reads it back, but :func:`read_matrix_csv`
 stays on purpose as the reader of that format.  Its ``re+imi`` cells
 (:func:`format_complex`) also print x* and the multiplier in the headers of
-the ``chart`` and ``field`` commands.  A quadrature matrix records only
-whether its node count reached the exactness bound (``quadrature_exact``).
+the ``chart`` and ``field`` commands.
 
 A note on comparisons: entries grow like multiplier^j times binomials, so
 meaningful agreement checks are scaled per row (see
@@ -30,7 +29,6 @@ only measure double-precision representation noise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +50,6 @@ class CarlemanMatrix:
 
     entries: np.ndarray
     source_map: PowerSeries
-    quadrature_exact: bool | None = None
 
     def __post_init__(self):
         e = _read_only(np.array(self.entries, dtype=complex))
@@ -78,35 +75,20 @@ def build_matrix(f: PowerSeries, dim: int) -> CarlemanMatrix:
     return CarlemanMatrix(entries=entries, source_map=f)
 
 
-def build_matrix_quadrature(
-    f: PowerSeries, dim: int, nodes: int | None = None
-) -> CarlemanMatrix:
+def build_matrix_quadrature(f: PowerSeries, dim: int) -> CarlemanMatrix:
     """Embedding matrix via unit-circle quadrature.
 
     Entry (j, k) is the trapezoid-rule approximation of
     (1/2 pi) * integral of e^{i k phi} f(e^{-i phi})^j d phi,
-    evaluated as an inverse DFT of the sampled powers of f.  For a polynomial
-    map of degree d the rule is exact (up to rounding) once
-    nodes >= dim*d + dim + 1; below that bound the result carries
-    ``quadrature_exact=False`` and a warning is emitted.  Fewer than one
-    node raises ``ValueError`` before that, and entries that are not finite,
-    from samples of f^j that overflow, raise it after.
+    evaluated as an inverse DFT of the sampled powers of f at 4*dim*d nodes,
+    d the degree of f (at least 1).  For a polynomial map the rule is exact
+    (up to rounding) once nodes >= dim*d + dim + 1, which that count meets
+    for every dim >= 2.  Entries that are not finite, from samples of f^j
+    that overflow, raise ``ValueError``.
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    deg = max(f.degree(), 1)
-    if nodes is None:
-        nodes = 4 * dim * deg
-    if nodes < 1:
-        raise ValueError(f"quadrature needs at least one node, got {nodes}")
-    bound = dim * deg + dim + 1
-    exact = nodes >= bound
-    if not exact:
-        warnings.warn(
-            f"{nodes} quadrature nodes is below the exactness bound {bound}; "
-            "entries will be aliased",
-            stacklevel=2,
-        )
+    nodes = 4 * dim * max(f.degree(), 1)
     phi = 2.0 * np.pi * np.arange(nodes) / nodes
     z = np.exp(-1j * phi)
     fz = horner(f.coeffs, z)
@@ -118,7 +100,7 @@ def build_matrix_quadrature(
             entries[j] = np.fft.ifft(power)[:dim]
             power = power * fz
     _refuse_non_finite(entries, "quadrature matrix", _TOO_LARGE)
-    return CarlemanMatrix(entries=entries, source_map=f, quadrature_exact=exact)
+    return CarlemanMatrix(entries=entries, source_map=f)
 
 
 def scaled_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,13 +3,15 @@
 Subcommands: matrix, iterate, chart, field, integrate, lyapunov, verify.
 Outputs are deterministic CSV (or JSON where noted) intended for plotting;
 complex values in CSV grids are always split into re/im columns.  A
-subcommand accepts only the flags it reads: the chart flags ``--guess`` and
-``--r-eval`` belong to iterate, chart, field and integrate, and ``--format``
-to iterate and verify.  verify takes no order or sample count: each check
-runs at the settings its tolerance was pinned for.
-Every flag can also be given in a key=value config file (``--config``);
-explicit flags win over file entries, and file values are checked like
-flags (type and allowed choices).
+subcommand accepts only the flags it reads: the chart flags ``--guess``
+(also spelled ``--fixed-point``) and ``--r-eval`` belong to iterate, chart,
+field and integrate, and ``--format`` to iterate and verify.  verify takes
+no order or sample count: each check runs at the settings its tolerance was
+pinned for.
+Every flag can also be given in a key=value config file (``--config``),
+keyed by any of its long names with ``_`` for ``-``; explicit flags win over
+file entries, and file values are checked like flags (type and allowed
+choices).
 
 Each subcommand is made by one helper, ``command`` (``map_command`` adds the
 map and chart flags), which gives it ``--output`` and ``--config`` and names
@@ -138,7 +140,7 @@ def build_parser() -> tuple:
         p.add_argument("--dim", type=int, default=DEFAULT_DIM,
                        help=f"truncation order (default {DEFAULT_DIM})")
         if chart:
-            p.add_argument("--guess", type=complex, default=0j,
+            p.add_argument("--guess", "--fixed-point", type=complex, default=0j,
                            help="fixed-point search start (default 0)")
             p.add_argument("--r-eval", type=float, default=None, dest="r_eval",
                            help="chart evaluation radius override")
@@ -156,8 +158,6 @@ def build_parser() -> tuple:
     p.add_argument("--x", type=_comma_list(complex, "a complex number"), default=None,
                    help="comma list of evaluation points")
     p.add_argument("--route", default="both", choices=("chart", "matrix", "both"))
-    p.add_argument("--fixed-point", type=complex, default=None, dest="fixed_point",
-                   help="which fixed point's chart to use (overrides --guess)")
 
     map_command("chart", "dump the linearizing chart series", cmd_chart)
     map_command("field", "dump the flow field coefficients", cmd_field)
@@ -189,7 +189,7 @@ def _apply_config_file(ns, argv) -> argparse.Namespace:
     flags still win and the shared parser is left unchanged.
     """
     command = _SUBPARSERS[ns.command]
-    own = {a.dest: a for a in command._actions}
+    own = {key: a for a in command._actions for key in _config_keys(a)}
     values = {}
     for key, text in load_config_file(ns.config).items():
         if key not in _CONFIG_KEYS:
@@ -207,7 +207,7 @@ def _apply_config_file(ns, argv) -> argparse.Namespace:
         if action.choices is not None and value not in action.choices:
             allowed = ", ".join(map(repr, action.choices))
             raise ValueError(f"config key {key!r}: {value!r} is not one of {allowed}")
-        values[key] = value
+        values[action.dest] = value
     rest = argv[argv.index(ns.command) + 1:]
     return command.parse_args(rest, argparse.Namespace(command=ns.command, **values))
 
@@ -234,11 +234,8 @@ def _map_series(ns) -> PowerSeries:
 
 
 def _pipeline(ns):
-    """The pipeline of the map and chart flags; iterate's ``--fixed-point``
-    overrides ``--guess``."""
-    fixed_point = getattr(ns, "fixed_point", None)
-    guess = ns.guess if fixed_point is None else fixed_point
-    return pipeline(_map_series(ns), guess, r_eval=ns.r_eval)
+    """The pipeline of the map and chart flags."""
+    return pipeline(_map_series(ns), ns.guess, r_eval=ns.r_eval)
 
 
 def _emit(ns, text: str):
@@ -416,9 +413,14 @@ def cmd_verify(ns) -> int | None:
     return None if all_passed else EXIT_ERROR
 
 
+def _config_keys(action) -> list:
+    """The config-file keys of a flag: its long names, with ``_`` for ``-``."""
+    return [s[2:].replace("-", "_") for s in action.option_strings if s.startswith("--")]
+
+
 _PARSER, _SUBPARSERS = build_parser()
 _CONFIG_KEYS = frozenset(
-    a.dest for p in _SUBPARSERS.values() for a in p._actions
+    key for p in _SUBPARSERS.values() for a in p._actions for key in _config_keys(a)
 ) - {"help", "config"}
 
 

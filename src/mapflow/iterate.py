@@ -7,10 +7,12 @@ the fixed point, and of its inverse.  Then
     f^t(x) = u_inv(lambda^t * u(x)),
 
 with lambda^t on the principal branch of the frame's Log lambda.  Mode
-route: expanding the same matrix power row gives
-f^t(x) = sum_k lambda^{k t} phi_k(x) where each mode phi_k = h_k u^k is a
-fixed power series about the fixed point.  The two routes are algebraically
-identical and are cross-checked in the test suite.  Both take their objects
+route: row 1 of the paper's M^t = V^-1 diag(lambda^(jt)) V is the series
+of f^t - x* about x*, f^t(x) = x* + sum_k lambda^{k t} phi_k(x) with the
+modes phi_k = h_k u^k, u^k row k of V.  :func:`mapflow.spectral.iterate_rows`
+forms that row for every time of a grid in one product, and no mode is
+stored.  The two routes are algebraically identical and are cross-checked
+in the test suite.  Both take their objects
 from one :func:`mapflow.flow.pipeline`: the chart route its ``chart``, the
 mode route its ``expansion``.
 
@@ -45,11 +47,13 @@ the values, statuses and tails of the rest in place.  The continued points of
 a grid take their Newton passes together, each at its own waypoint: a pass
 fills one power matrix [w, w^2, ..., w^(n-1)] for the points still on their
 paths and multiplies it by the coefficients of h and h', and a point leaves
-once it has passed its last waypoint or been refused.  Reported values (u, h at lambda^(t-k) u, the
-shifted map, the mode values phi_k) come from Horner's rule over all points,
-and lambda^(t-k), the shift counts and the mode weights from ``np.exp`` and
-``np.log``.  They agree with the scalar formulas in Python complex
-arithmetic to rounding (u within about 1e-14 relative), not bit for bit.
+once it has passed its last waypoint or been refused.  Reported chart-route
+values (u, h at lambda^(t-k) u, the shifted map) come from Horner's rule
+over all points, mode-route values from one product of the rows of M^t with
+the powers [1, z, ..., z^(n-1)] of z = x - x*, and lambda^(t-k), the shift
+counts and the mode weights from ``np.exp`` and ``np.log``.  They agree
+with the scalar formulas in Python complex arithmetic to rounding (u within
+about 1e-14 relative), not bit for bit.
 :func:`chart_value`, :func:`evaluate_iterate_chart` and
 :func:`evaluate_iterate_matrix` are one-point grids.
 
@@ -72,12 +76,11 @@ from .errors import MapflowError, NonConvergent, OutOfChart
 from .series import (
     FixedPointFrame,
     PowerSeries,
-    _read_only,
     horner,
     tail_radius,
     trailing_term,
 )
-from .spectral import SpectralFactorization
+from .spectral import SpectralFactorization, iterate_rows
 
 # Relative size of the trailing stored terms tolerated at an evaluation
 # site: beyond this the truncated value has fewer than ~6 reliable digits
@@ -155,23 +158,22 @@ class SchroederChart:
 
 @dataclass(frozen=True, eq=False)
 class IterateExpansion:
-    """Mode expansion of f^t: mode k scaled by lambda^{k t} and summed.
+    """Mode expansion of f^t: mode k, h_k u^k, scaled by lambda^{k t} and summed.
 
-    Column k of ``mode_coeffs``, a read-only copy of the caller's array,
-    holds the coefficients of mode k, a series about x*; mode 0 is the
-    constant x*.  ``frame`` holds x*, lambda and the Log lambda of the
-    weights.  Points farther than ``r_eval`` from x* are refused, as on the
-    chart route.
+    The modes are not stored: u^k is row k of the ``factorization``'s
+    forward factor, and the sum over k for one t is row 1 of M^t
+    (:func:`mapflow.spectral.iterate_rows`).  ``frame``, the
+    factorization's, holds x*, lambda and the Log lambda of the weights.
+    Points farther than ``r_eval`` from x* are refused, as on the chart
+    route.
     """
 
-    mode_coeffs: np.ndarray
-    frame: FixedPointFrame
+    factorization: SpectralFactorization
     r_eval: float = math.inf
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "mode_coeffs", _read_only(np.array(self.mode_coeffs, dtype=complex))
-        )
+    @property
+    def frame(self) -> FixedPointFrame:
+        return self.factorization.frame
 
 
 class PointStatus(IntEnum):
@@ -512,19 +514,15 @@ def evaluate_iterate_chart(chart: SchroederChart, t: float, x) -> complex:
 def build_expansion(
     S: SpectralFactorization, frame: FixedPointFrame, r_eval: float = math.inf
 ) -> IterateExpansion:
-    """Mode series phi_k = h_k u^k built from the factorization's two rows.
+    """The mode expansion of a factorization, bounded by ``r_eval``.
 
-    Column k of the expansion's array holds phi_k for every k < dim: the
-    coefficients of u^k, row k of the forward factor, scaled by h_k and
-    expanded about the fixed point; phi_0 is the constant x*.
+    Nothing is assembled: the modes phi_k = h_k u^k are read from the
+    factorization's rows when a grid is evaluated.  ``frame`` is the
+    factorization's own, ``S.frame``, which the expansion reads.
     :attr:`mapflow.flow.Pipeline.expansion` passes its chart's ``r_eval``;
     with the default only the mode-sum test refuses points.
     """
-    n = S.dim
-    coeffs = np.zeros((n, n), dtype=complex)
-    coeffs[0, 0] = frame.x_star
-    coeffs[:, 1:] = (S.inverse_row[1:, np.newaxis] * S.chart_matrix[1:]).T
-    return IterateExpansion(mode_coeffs=coeffs, frame=frame, r_eval=float(r_eval))
+    return IterateExpansion(factorization=S, r_eval=float(r_eval))
 
 
 def evaluate_matrix_grid(
@@ -532,22 +530,26 @@ def evaluate_matrix_grid(
 ) -> IterateGrid:
     """f^t(x) = sum_k lambda^{k t} phi_k(x) for every t in ``ts``, x in ``xs``.
 
-    The mode values phi_k(x) are computed once per x, and the sums for all
-    t are one product of the weights lambda^{k t} with them.  An x farther
-    than the expansion's ``r_eval`` from x* is ``OUTSIDE_RADIUS`` at every
-    t; a point is ``NON_CONVERGENT`` when its last mode's term is not
-    negligible against the sum.
+    The series of f^t - x* for every t, row 1 of M^t
+    (:func:`mapflow.spectral.iterate_rows`), is summed at every x in one
+    product with the powers of x - x*.  An x farther than the expansion's
+    ``r_eval`` from x* is ``OUTSIDE_RADIUS`` at every t; a point is
+    ``NON_CONVERGENT`` when its last mode's term,
+    lambda^((n-1)t) h_(n-1) (x - x*)^(n-1) (u^(n-1) to n terms is
+    (x - x*)^(n-1)), is not negligible against the sum.
     """
-    frame = expansion.frame
+    S = expansion.factorization
+    frame = S.frame
     grid, x, inside = _new_grid(ts, xs, frame.x_star, expansion.r_eval)
+    n = S.dim
     with np.errstate(all="ignore"):
-        phi = horner(expansion.mode_coeffs[:, :, np.newaxis], x[inside] - frame.x_star)
-        k = np.arange(expansion.mode_coeffs.shape[1])
-        weight = np.exp(np.outer(grid.ts, k) * frame.log_multiplier)
-        total = weight @ phi
-        last = np.abs(weight[:, -1:] * phi[-1])
+        rows = iterate_rows(S, grid.ts)
+        powers = np.vander(x[inside] - frame.x_star, n, increasing=True)
+        total = frame.x_star + rows @ powers.T
+        lead = np.exp(np.multiply(grid.ts, n - 1) * frame.log_multiplier) * S.inverse_row[-1]
+        last = np.abs(lead[:, np.newaxis] * powers[:, -1])
         # A sum that overflowed has no meaningful last-term test.
-        finite = np.isfinite(total) & np.isfinite(weight).all(axis=1)[:, np.newaxis]
+        finite = np.isfinite(total) & np.isfinite(rows).all(axis=1)[:, np.newaxis]
         refused = ~finite | (last > tail_tol * np.maximum(np.abs(total), 1e-300))
     grid.values[:, inside] = np.where(refused, grid.values[:, inside], total)
     grid.status[:, inside] = np.where(refused, PointStatus.NON_CONVERGENT, PointStatus.OK)

@@ -23,10 +23,13 @@ matrix product per coefficient: n numpy calls and O(n^2 deg g) arithmetic.
 Lagrange inversion needs the coefficients of n powers of w / h(w); forming
 each power would take n convolutions, O(n^3) arithmetic.  Instead the
 powers are split into sqrt(n) baby and sqrt(n) giant steps (Brent and Kung,
-1978), about 2 sqrt(n) convolutions and O(n^2.5) arithmetic.  The mode rows
-h_k u^k and the field row Log(lambda) sum_k k h_k u^k (:func:`log_row`,
-summed the same way by Paterson and Stockmeyer, 1973) follow from the same
-two series.
+1978), about 2 sqrt(n) convolutions and O(n^2.5) arithmetic.  The field
+row Log(lambda) sum_k k h_k u^k (:func:`log_row`, summed the same way by
+Paterson and Stockmeyer, 1973) and row 1 of the power M^t,
+h diag(lambda^(jt)) V (:func:`iterate_rows`, one product with the forward
+factor for a list of times), follow from the same two series; the mode
+route of :mod:`mapflow.iterate` and :func:`fractional_power` both take
+their row from :func:`iterate_rows`.
 
 :func:`diagonalize` is the paper's construction: it factors a given
 triangular matrix by an entrywise O(n^3) recursion, and the paper's
@@ -35,9 +38,9 @@ row-1 series instead, as every Carleman matrix is (Kowalski and Steeb,
 1991).  :func:`matrix_log` is the derivation matrix of the field G: row j
 holds the coefficients of d(y^j)/dt = j y^(j-1) G(y).
 :func:`fractional_power` is the embedding matrix of the iterate, row j the
-j-th power of sum_k lambda^(kt) h_k u^k.  Both row-1 series are the
-composition with u that gives :func:`log_row`, so no function here
-multiplies two n x n arrays.  No CLI path runs these three; the
+j-th power of its row 1, sum_k lambda^(kt) h_k u^k.  Neither forms more
+than that one row from the factors, so no function here multiplies two
+n x n arrays.  No CLI path runs these three; the
 ``paper-matrix`` verify check forms V^-1 diag V from the factors of
 ``diagonalize`` at order 40 and holds the series core's matrices to it.
 That check is why they stay.  Cancellation in the forward recursion of
@@ -320,15 +323,26 @@ def matrix_log(S: SpectralFactorization) -> CarlemanMatrix:
     return CarlemanMatrix(entries=entries, source_map=G)
 
 
+def iterate_rows(S: SpectralFactorization, ts) -> np.ndarray:
+    """Row 1 of the real power M(g)^t for every t in ``ts``, one row per t.
+
+    Row 1 of M^t = V^-1 diag(lambda^(jt)) V is h diag(lambda^(jt)) V: the
+    coefficients of f^t(x) - x* = sum_k lambda^(kt) h_k u^k about x*, with
+    lambda^(kt) = exp(k t Log lambda) on the principal branch.  All the
+    rows are one product of the weighted inverse rows with the forward
+    factor V, ``chart_matrix``, whose row k holds u^k.
+    """
+    weights = np.exp(np.outer(ts, np.arange(S.dim)) * S.frame.log_multiplier)
+    return (weights * S.inverse_row) @ S.chart_matrix
+
+
 def fractional_power(S: SpectralFactorization, t: float) -> CarlemanMatrix:
     """The real power M(g)^t: the Carleman matrix of the iterate g^t.
 
-    Its row-1 series about x* is f^t(x) - x* = h(lambda^t u) - x*, that is
-    sum_k lambda^(kt) h_k u^k, with lambda^(kt) = exp(k t Log lambda) on the
-    principal branch, so powers form a semigroup in t and integer t
-    reproduces integer matrix powers on the leading window.  Row j is the
-    j-th power of that series, as for every embedding matrix
-    (:func:`mapflow.carleman.build_matrix`).
+    Its row-1 series about x* is f^t(x) - x*, :func:`iterate_rows` at t, so
+    powers form a semigroup in t and integer t reproduces integer matrix
+    powers on the leading window.  Row j is the j-th power of that series,
+    as for every embedding matrix (:func:`mapflow.carleman.build_matrix`).
     """
-    powers = np.exp(np.arange(S.dim) * (t * S.frame.log_multiplier))
-    return build_matrix(_sum_of_chart_powers(S, S.inverse_row * powers), S.dim)
+    row = PowerSeries.from_coefficients(iterate_rows(S, [t])[0], S.frame.x_star)
+    return build_matrix(row, S.dim)

@@ -100,46 +100,33 @@ def test_quadrature_matches_coefficients_for_logistic():
     dim = 16
     f = logistic_series(4.0, dim)
     a = build_matrix(f, dim)
-    b = build_matrix_quadrature(f, dim, nodes=256)
-    assert b.quadrature_exact is True
+    b = build_matrix_quadrature(f, dim)
     assert scaled_deviation(a.entries, b.entries) < 1e-10
 
 
 def test_quadrature_identity_map():
-    M = build_matrix_quadrature(PowerSeries.from_coefficients([0, 1], order=6), 6, nodes=16)
+    M = build_matrix_quadrature(PowerSeries.from_coefficients([0, 1], order=6), 6)
     assert np.abs(M.entries - np.eye(6)).max() < 1e-13
 
 
 def test_quadrature_square_map():
     # f = x^2: powers hop two columns at a time, mostly out of a 3-window.
     f = PowerSeries.from_coefficients([0, 0, 1], order=3)
-    M = build_matrix_quadrature(f, 3, nodes=16)
+    M = build_matrix_quadrature(f, 3)
     assert np.abs(M.entries[1] - np.array([0, 0, 1.0])).max() < 1e-13
     assert np.abs(M.entries[2]).max() < 1e-13
 
 
-def test_quadrature_below_bound_flags_and_warns():
-    f = logistic_series(4.0, 8)
-    with pytest.warns(UserWarning):
-        M = build_matrix_quadrature(f, 8, nodes=8)
-    assert M.quadrature_exact is False
-
-
-def test_quadrature_needs_at_least_one_node():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # refused before the aliasing warning
-        with pytest.raises(ValueError, match=r"^quadrature needs at least one node, got 0$"):
-            build_matrix_quadrature(logistic_series(4.0, 6), 6, nodes=0)
-
-
 def test_the_default_node_count_meets_the_exactness_bound():
-    # dim*deg + dim + 1 <= 4*dim*deg for every dim >= 2 and degree >= 1.
+    # dim*deg + dim + 1 <= 4*dim*deg for every dim >= 2 and degree >= 1, so
+    # the quadrature reproduces the exact matrix of a polynomial map.
     for coeffs in ([0, 1], [0, 4, -4], [0.0, 1.0, 0.25, -0.1, 0.05]):
         for dim in (2, 3, 8):
+            f = PowerSeries.from_coefficients(coeffs, order=dim)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                M = build_matrix_quadrature(PowerSeries.from_coefficients(coeffs, order=dim), dim)
-            assert M.quadrature_exact is True
+                M = build_matrix_quadrature(f, dim)
+            assert scaled_deviation(M.entries, build_matrix(f, dim).entries) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -653,13 +653,21 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
         assert err.startswith(f"error: ValueError: unknown config key '{key}'")
 
 
-def test_config_file_fixed_point_overrides_guess(tmp_path, capsys):
-    # suite belongs to verify only and is ignored here.
+def test_config_file_fixed_point_is_the_guess_and_an_explicit_flag_wins(tmp_path, capsys):
+    # fixed_point= is the config key of --fixed-point, the second spelling of
+    # --guess.  At t = 0.5 the two charts of mu=4 give different values at
+    # x = 0.3.  suite belongs to verify only and is ignored here.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("preset=logistic:4\nfixed_point=0.75\nt=1\nx=0.7\nroute=chart\nsuite=all\n")
-    code, out, _ = run(["iterate", "--config", str(cfg), "--guess", "0"], capsys)
-    assert code == 0
-    assert abs(float(out.splitlines()[1].split(",")[3]) - 0.84) < 1e-8
+    cfg.write_text("preset=logistic:4\nfixed_point=0.75\nr_eval=0.6\nt=0.5\nx=0.3\n"
+                   "route=chart\nsuite=all\n")
+    second, origin = logistic4_iterate_second(0.5, 0.3), logistic4_iterate(0.5, 0.3)
+    assert abs(second - origin) > 0.1
+    for flags, want in (([], second), (["--guess", "0"], origin),
+                        (["--fixed-point", "0"], origin)):
+        code, out, _ = run(["iterate", "--config", str(cfg), *flags], capsys)
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
+        assert abs(complex(float(cells[3]), float(cells[4])) - want) < 1e-9, flags
 
 
 def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):

@@ -228,27 +228,34 @@ def test_branch_non_uniqueness(pipe4_origin, pipe4_second):
 
 # --- the mode expansion ----------------------------------------------------------
 
+def _modes(fact):
+    """Row k holds mode k, h_k u^k, about x*: h_k times row k of the forward
+    factor.  Mode 0 is the constant x* of the mode sum."""
+    modes = fact.inverse_row[:, np.newaxis] * fact.chart_matrix
+    modes[0, 0] = fact.frame.x_star
+    return modes
+
+
 def test_mode_zero_is_fixed_point_constant(pipe4_origin, pipe4_second):
     for pipe in (pipe4_origin, pipe4_second):
         fact = pipe.factorization
-        frame = fact.frame
-        expansion = mf.build_expansion(fact, frame)
-        m0 = expansion.mode_coeffs[:, 0]
-        assert m0[0] == frame.x_star
-        assert all(c == 0 for c in m0[1:])
+        x_star = fact.frame.x_star
+        # h_0 = 0 and u^0 = 1: mode 0 adds nothing to the constant x*.
+        assert fact.inverse_row[0] == 0
+        assert np.array_equal(fact.chart_matrix[0], np.eye(DIM)[0])
+        assert np.array_equal(_modes(fact)[0], x_star * np.eye(DIM)[0])
+        grid = mf.evaluate_matrix_grid(pipe.expansion, [-0.5, 0.5, 1.5], [x_star])
+        assert (grid.values == x_star).all()
 
 
 def test_mode_one_has_unit_linear_coefficient(pipe4_origin):
-    fact = pipe4_origin.factorization
-    expansion = mf.build_expansion(fact, fact.frame)
-    assert abs(expansion.mode_coeffs[1, 1] - 1.0) < 1e-13
+    assert abs(_modes(pipe4_origin.factorization)[1, 1] - 1.0) < 1e-13
 
 
 def test_modes_match_closed_form_taylor(pipe4_origin):
     # phi_k = (-1)^(k+1)/2 * (2 arcsin(sqrt x))^(2k) / (2k)! ; its Taylor
     # coefficients follow from exact convolution powers of the chart series.
-    fact = pipe4_origin.factorization
-    expansion = mf.build_expansion(fact, fact.frame)
+    modes = _modes(pipe4_origin.factorization)
     u_exact = [Fraction(0)] + logistic4_chart_coefficients(11)
     for k in (1, 2):
         conv = [Fraction(1)] + [Fraction(0)] * 11
@@ -263,7 +270,7 @@ def test_modes_match_closed_form_taylor(pipe4_origin):
             conv = out
         scale = Fraction((-1) ** (k + 1) * 4**k, 2 * math.factorial(2 * k))
         expected = [float(scale * c) for c in conv]
-        got = expansion.mode_coeffs[:12, k]
+        got = modes[k, :12]
         assert np.abs(got - np.array(expected)).max() < 1e-6
 
 
@@ -272,7 +279,7 @@ def test_modes_sum_to_identity_at_time_zero(pipe4_origin):
     frame = fact.frame
     expansion = mf.build_expansion(fact, frame)
     for x in (0.005, 0.01, 0.03):
-        total = sum(_horner(mode, x - frame.x_star) for mode in expansion.mode_coeffs.T)
+        total = sum(_horner(mode, x - frame.x_star) for mode in _modes(fact).tolist())
         assert abs(total - x) < 1e-8
         assert abs(mf.evaluate_iterate_matrix(expansion, 0.0, x) - x) < 1e-8
 
@@ -302,17 +309,6 @@ def test_mode_sum_flags_divergence(pipe4_origin):
     with pytest.raises(mf.NonConvergent) as err:
         mf.evaluate_iterate_matrix(expansion, 12.0, 0.05)
     assert err.value.last_term is not None
-
-
-def test_expansion_holds_every_mode_in_a_copy_of_the_callers_array(pipe4_origin):
-    fact = pipe4_origin.factorization
-    frame = fact.frame
-    assert mf.build_expansion(fact, frame).mode_coeffs.shape == (DIM, DIM)
-    coeffs = np.eye(3, dtype=complex)
-    expansion = mf.IterateExpansion(coeffs, frame)
-    coeffs[0, 0] = 2
-    assert expansion.mode_coeffs[0, 0] == 1
-    assert not expansion.mode_coeffs.flags.writeable
 
 
 def test_complex_multiplier_pipeline():
@@ -467,7 +463,7 @@ def _ref_matrix(expansion, t, x):
     total = last = 0j
     scale = 1.0
     z = complex(x) - x_star
-    for k, mode in enumerate(expansion.mode_coeffs.T.tolist()):
+    for k, mode in enumerate(_modes(expansion.factorization).tolist()):
         last = cmath.exp(k * t * log_lam) * _horner(mode, z)
         total += last
         scale += abs(last)

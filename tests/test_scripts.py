@@ -28,9 +28,11 @@ def test_script_runs(name, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # A subprocess escapes pytest's filterwarnings: fail on numpy's warnings
+    # here too.
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *SCRIPTS[name],
-         "--output", str(out)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name),
+         *SCRIPTS[name], "--output", str(out)],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

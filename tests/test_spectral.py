@@ -24,6 +24,7 @@ from mapflow.spectral import (
     diagonalize,
     factor_from_series,
     fractional_power,
+    iterate_rows,
     log_row,
     matrix_log,
 )
@@ -423,6 +424,21 @@ def test_power_at_two_row_one_is_composed_map():
     assert np.abs(P.entries[1, :w] - ff.coeffs[:w]).max() < 1e-9
     squared = M.entries @ M.entries
     assert scaled_deviation(P.entries[:w, :w], squared[:w, :w]) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [20, 40, 80, 160])
+def test_row_one_of_the_power_is_the_identity_at_zero_and_the_map_at_one(dim):
+    # mu=4 at 0, where the chart's coefficients stay tame: M^0 = I and M^1 = M(g).
+    frame = find_fixed_point(logistic_series(4.0, dim), 0.1)
+    S = factor_from_series(frame)
+    at_zero, at_one = iterate_rows(S, [0.0, 1.0])
+    identity = np.eye(dim)[1]
+    g = np.zeros(dim, dtype=complex)
+    g[:3] = frame.shifted_map.coeffs[:3]
+    assert np.array_equal(frame.shifted_map.coeffs[3:], np.zeros(dim - 3))
+    assert scaled_deviation(at_zero, identity) < 1e-15
+    assert scaled_deviation(at_one, g) < 1e-15
+    assert scaled_deviation(fractional_power(S, 1.0).entries[1], at_one) < 1e-15
 
 
 def test_power_semigroup_in_t():
