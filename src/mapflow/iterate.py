@@ -22,8 +22,9 @@ evaluations honest rather than silently wrong:
 
 * the forward series of u is summed directly only within its
   ``forward_radius``, where every trailing term is at most 1e-12; every
-  evaluation of the inverse series is tail-checked, and a point that fails
-  is refused (``OutOfChart``) instead of returning junk;
+  evaluation of the inverse series outside its ``inverse_radius`` is
+  tail-checked, and a point that fails is refused (``OutOfChart``) instead
+  of returning junk;
 * an argument of u beyond ``forward_radius`` is reached by numerical
   analytic continuation: Newton's method on the inverse chart series, warm
   started along a straight path from inside the radius.  This tracks the
@@ -37,7 +38,13 @@ evaluations honest rather than silently wrong:
 * a large chart argument lambda^t u(x) is reduced by an integer time shift,
   f^t = f^k o f^{t-k}, applying the map k extra times afterwards; both sides
   of that identity are analytic wherever the reduced evaluation is, so the
-  reduction is branch-safe.
+  reduction is branch-safe.  It brings the argument within
+  ``inverse_radius``, the one radius of the inverse series h: its 1e-12
+  tail radius, capped where a nonlinear term h_k w^k reaches
+  INV_TERM_CAP (10) in modulus.  The tail test reads only the top
+  coefficients of h, so it cannot see the cancellation of an alternating
+  sum whose middle terms are large; the cap keeps every term small, and the
+  map steps that follow carry f^t's own conditioning.
 
 Grid evaluation.  :func:`evaluate_chart_grid` and :func:`evaluate_matrix_grid`
 take a list of times and a list of points and work on all of them at once in
@@ -88,8 +95,9 @@ from .spectral import SpectralFactorization, iterate_rows
 EVAL_TAIL_TOL = 1e-6
 # Relative last-term threshold that flags a non-convergent mode sum.
 TAIL_TOL = 1e-10
-# Fraction of the inverse-series radius targeted by the time-shift reduction.
-INV_SAFETY = 0.75
+# Modulus at which a nonlinear term h_k w^k of the inverse series caps its
+# radius: beyond it the sum of h cancels more digits as the order rises.
+INV_TERM_CAP = 10.0
 # Continuation path control.
 PATH_START_FRACTION = 0.8
 PATH_STEP_FRACTION = 0.4
@@ -111,9 +119,9 @@ class SchroederChart:
     reversion, expanded about 0 with constant term x*.  ``frame`` holds x*,
     the multiplier and Log lambda; ``x_star`` and ``multiplier`` read
     through to it.  ``r_eval`` is the user-facing evaluation radius;
-    ``forward_radius``/``inverse_radius`` are derived tail-test radii of the
-    two truncated series, computed on first use: building a chart reads
-    neither, and only chart-route evaluation needs them.
+    ``forward_radius`` and ``inverse_radius`` are the one radius of each
+    truncated series, derived from its coefficients on first use: building
+    a chart reads neither, and only chart-route evaluation needs them.
     """
 
     forward: PowerSeries
@@ -129,9 +137,17 @@ class SchroederChart:
 
     @cached_property
     def inverse_radius(self) -> float:
-        """The 1e-12 tail radius of the inverse series about 0, which the
-        time-shift reduction aims inside."""
-        return tail_radius(self.inverse.coeffs)
+        """The radius about 0 where the inverse series h is summed without a
+        tail test: its 1e-12 tail radius, capped at the least
+        (INV_TERM_CAP / |h_k|)^(1/k) over k >= 2 with h_k != 0.  The
+        time-shift reduction aims inside it.  The cap leaves out h_1 = 1, so
+        a linear h has an infinite radius; it stays finite where the
+        trailing coefficients underflow to 0 and the tail radius is inf."""
+        h = self.inverse.coeffs
+        # In Python floats, which overflow to inf without a warning.
+        cap = min(((INV_TERM_CAP / abs(c)) ** (1.0 / k)
+                   for k, c in enumerate(h[2:].tolist(), 2) if c), default=math.inf)
+        return min(tail_radius(h), cap)
 
     @cached_property
     def inverse_pair(self) -> np.ndarray:
@@ -139,13 +155,6 @@ class SchroederChart:
         of its derivative, the continuation's Newton slope."""
         dh = np.append(self.inverse.derivative().coeffs, 0)
         return np.stack([self.inverse.coeffs, dh], axis=1)
-
-    @cached_property
-    def inverse_trust_radius(self) -> float:
-        """A hair inside the radius about 0 where every trailing term of the
-        inverse series reaches EVAL_TAIL_TOL.  No argument within it can
-        fail the inverse tail test, so the continuation skips the test."""
-        return tail_radius(self.inverse.coeffs, tol=EVAL_TAIL_TOL) * (1.0 - 1e-9)
 
     @property
     def x_star(self) -> complex:
@@ -306,13 +315,12 @@ def _continue(chart: SchroederChart, x, start, steps, w) -> tuple:
     waypoint; then the point moves on to its next one.  Every point takes
     each Newton pass together with the others, whatever waypoint it is at,
     so one power matrix serves all of them.  A point is refused when an
-    iterate beyond ``inverse_trust_radius`` fails the tail test or is not
+    iterate beyond ``inverse_radius`` fails the tail test or is not
     finite, at a zero slope, or when a waypoint is not reached within
     NEWTON_STEPS passes.  Returns u at every x and the refusal reason by
     index of each x refused.
     """
     (h_0, h_1), h1 = chart.inverse_pair[0], chart.inverse_pair[1:]
-    rho = chart.inverse_trust_radius
     u = w.copy()
     reasons = {}
     at = np.arange(len(x))  # index of each point still on its path
@@ -329,7 +337,7 @@ def _continue(chart: SchroederChart, x, start, steps, w) -> tuple:
         done = np.abs(resid) <= tol
         slope = both[:, 1] + h_1
         refusals = []  # (index, reason); the first reason for an index wins
-        trusted = np.abs(w) <= rho
+        trusted = np.abs(w) <= chart.inverse_radius
         if np.count_nonzero(trusted) < m:
             far = (~trusted).nonzero()[0]
             left = far[_tail_refuses(chart.inverse, w[far], both[far, 0] + h_0)[1]]
@@ -452,14 +460,14 @@ def _new_grid(ts, xs, x_star: complex, r_eval: float) -> tuple:
 
 def _time_shift_steps(chart: SchroederChart, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Integer time shifts k per point that bring |lambda^(t-k) w| within
-    INV_SAFETY of the inverse series radius (0 where none is needed)."""
+    the chart's ``inverse_radius`` (0 where none is needed)."""
     lam_abs = abs(chart.multiplier)
-    safe = INV_SAFETY * chart.inverse_radius
-    if lam_abs <= 1.0 or not 0 < safe < math.inf:
+    radius = chart.inverse_radius
+    if lam_abs <= 1.0 or not 0 < radius < math.inf:
         return np.zeros(w.shape, dtype=np.int64)
     log_abs = np.log(lam_abs)
-    # log(|lambda^t w| / safe): -inf at w = 0, nan at a nan t.
-    excess = np.log(np.abs(w)) + t * log_abs - np.log(safe)
+    # log(|lambda^t w| / radius): -inf at w = 0, nan at a nan t.
+    excess = np.log(np.abs(w)) + t * log_abs - np.log(radius)
     steps = np.minimum(np.ceil(excess / log_abs), MAX_TIME_SHIFT)
     return np.where(excess > 0, steps, 0).astype(np.int64)
 

@@ -358,6 +358,46 @@ def test_chart_route_continues_past_the_series_radius(argv, capsys):
         assert abs(value - complex(float(chart[7]), float(chart[8]))) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [40, 80, 160])
+def test_chart_route_at_a_large_time_is_right_at_every_order(dim, capsys):
+    # lambda^t u(0.3) is about 30.4, past sqrt(30), where a term of the
+    # inverse chart first reaches 10 in modulus; the time shift brings it
+    # inside.  When the shift aimed at the tail radius of h alone, this
+    # point was 2.9e-6 off at dim 80 and printed -6.128e28 at dim 160, both
+    # marked converged.
+    code, out, _ = run(
+        ["iterate", "--preset", "logistic:4", "--guess", "0", "--dim", str(dim), "--r-eval",
+         "0.95", "--route", "chart", "--t", "6.5", "--x", "0.3"],
+        capsys,
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[6:8] == ["true", "0.65602641047908095"]
+    assert abs(float(row[3]) - 0.65602641047908095) < 1e-12 and float(row[4]) == 0
+
+
+def test_chart_route_of_a_linear_map_takes_no_time_shift(capsys):
+    # The inverse chart of a linear map is linear, so its radius is infinite
+    # and no map step is taken, however far out.  A radius that counted the
+    # linear term h_1 = 1 would time-shift these points and move their last
+    # digits.
+    code, out, _ = run(
+        ["iterate", "--coeffs", "0,2+0.5j", "--dim", "8", "--r-eval", "1e40", "--route",
+         "chart", "--t", "0.5,7.3", "--x=3,100,1e30"],
+        capsys,
+    )
+    assert code == 0
+    assert out == """\
+t,x_re,x_im,ft_re,ft_im,route,converged,ref_re,ref_im
+0.5,3,0,4.2751593721918413,0.52629616912888144,chart,true,,
+0.5,100,0,142.50531240639469,17.543205637629384,chart,true,,
+0.5,1e+30,0,1.4250531240639471e+30,1.7543205637629384e+29,chart,true,,
+7.2999999999999998,3,0,-127.31064045825821,575.94604497341663,chart,true,,
+7.2999999999999998,100,0,-4243.6880152752738,19198.201499113886,chart,true,,
+7.2999999999999998,1e+30,0,-4.2436880152752738e+31,1.9198201499113889e+32,chart,true,,
+"""
+
+
 # --- chart / field / integrate -------------------------------------------------
 
 def test_chart_dump(capsys):

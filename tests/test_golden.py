@@ -32,7 +32,15 @@ were written again when the mode route came to sum row 1 of M^t in the
 power basis, after the audit test below had passed on the old files and on
 the new: no point changed status, every chart row stayed byte-identical,
 and no mode-route value moved by more than 9.9e-15 relative, except the
-known fault at t = 4, x = 0.25 (7.5e-11).  Command lines that reproduce known
+known fault at t = 4, x = 0.25 (7.5e-11).  ``time_shift.csv`` and
+``mode_refusals.json`` were written again when the time shift came to aim
+inside the chart's conditioned ``inverse_radius``, after the audit test
+below had passed on the old files and on the new: no point changed status,
+only chart-route values moved (16 and 6 of them), and the worst chart-route
+error fell from 6.6e-11 to 1.8e-14 and from 2.1e-11 to 2.5e-13 relative
+(t = 4, x = 0.66: 6.6e-11 -> 1.1e-16; t = 6, x = 0.6: 2.1e-11 -> 2.1e-14).
+No error rose by more than 1.8e-14 relative.  Every other file stayed
+byte-identical.  Command lines that reproduce known
 wrong mode-route values are left out.  The chart, field and integrate files pin the fixed point 3/4
 (a negative multiplier, so a complex field) at two orders and the complex
 cubic's field.

@@ -11,7 +11,7 @@ import mapflow as mf
 from mapflow import iterate
 from mapflow.iterate import (
     EVAL_TAIL_TOL,
-    INV_SAFETY,
+    INV_TERM_CAP,
     MAX_PATH_STEPS,
     MAX_TIME_SHIFT,
     NEWTON_STEPS,
@@ -52,7 +52,9 @@ def test_chart_radii_are_computed_on_first_chart_route_use(logistic4):
     assert "forward_radius" not in vars(chart) and "inverse_radius" not in vars(chart)
     mf.evaluate_iterate_chart(chart, 0.5, 0.1)
     assert vars(chart)["forward_radius"] == tail_radius(chart.forward.coeffs)
-    assert vars(chart)["inverse_radius"] == tail_radius(chart.inverse.coeffs)
+    h = chart.inverse.coeffs
+    cap = min((INV_TERM_CAP / abs(h[k])) ** (1 / k) for k in range(2, len(h)) if h[k] != 0)
+    assert vars(chart)["inverse_radius"] == min(tail_radius(h), cap) < tail_radius(h)
 
 
 def test_origin_chart_values_match_closed_form(pipe4_origin):
@@ -374,7 +376,7 @@ def _ref_chart_value(chart, x, passes=NEWTON_STEPS, trusted=True):
     """u(x) by the scalar rule, in Python complex arithmetic: the direct
     forward sum within ``forward_radius``, else a per-point continuation
     with at most ``passes`` Newton passes per waypoint.  With ``trusted``
-    the inverse tail test is skipped within ``inverse_trust_radius``.
+    the inverse tail test is skipped within ``inverse_radius``.
     Returns (u(x) or None where it refuses, the most passes one waypoint
     took, the passes of the whole path)."""
     x = complex(x)
@@ -393,7 +395,7 @@ def _ref_chart_value(chart, x, passes=NEWTON_STEPS, trusted=True):
         for n in range(1, passes + 1):
             most, total = max(most, n), total + 1
             h = chart.inverse(w)
-            if not (trusted and abs(w) <= chart.inverse_trust_radius):
+            if not (trusted and abs(w) <= chart.inverse_radius):
                 try:
                     if not trailing_term(chart.inverse.coeffs, w) <= EVAL_TAIL_TOL * max(1.0, abs(h)):
                         return None, most, total
@@ -425,7 +427,7 @@ def _ref_chart(chart, t, x):
     log_lam = cmath.log(chart.multiplier)
     steps = 0
     if abs(chart.multiplier) > 1.0 and abs(w) > 0 and not math.isinf(chart.inverse_radius):
-        safe = INV_SAFETY * chart.inverse_radius
+        safe = chart.inverse_radius
         magnitude = abs(w) * math.exp(t * log_lam.real)
         if magnitude > safe > 0:
             steps = math.ceil(
@@ -714,7 +716,7 @@ def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, mon
 ])
 def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim):
     chart = mf.pipeline(mf.logistic_series(mu, dim), guess).chart
-    rho = chart.inverse_trust_radius
+    rho = chart.inverse_radius
     assert 0 < rho < math.inf
     rng = np.random.default_rng(dim)
     ws = rho * np.exp(1j * np.linspace(0, 2 * np.pi, 256, endpoint=False))
@@ -722,8 +724,23 @@ def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim)
     for w in [complex(w) for w in ws] + [complex(rho), complex(-rho)]:
         if abs(w) <= rho:  # the test the continuation skips
             assert evaluate_with_tail(chart.inverse, w)[1] <= EVAL_TAIL_TOL, w
-    # The radius is tight: a little farther out a trailing term passes the bound.
-    assert trailing_term(chart.inverse.coeffs, 1.001 * rho) > EVAL_TAIL_TOL
+
+
+@pytest.mark.parametrize("mu, x_star, radius", [(4.0, 0.0, 5.477), (4.0, 0.75, 2.114),
+                                                (2.0, 0.0, 2.34)])
+def test_inverse_radius_is_finite_and_the_same_at_every_order(mu, x_star, radius):
+    # From dim 40 on the cap of a low-order term sets the radius, while the
+    # tail radius grows with the order.  For mu=4 at 0, h(w) = sin^2 sqrt(w)
+    # and the cap is sqrt(30) from h_2 = -1/3; at dim 160 the trailing
+    # coefficients underflow to 0 and the tail radius reads a polynomial.
+    radii = []
+    for dim in (40, 80, 160):
+        chart = mf.pipeline(mf.logistic_series(mu, dim), x_star).chart
+        radii.append(chart.inverse_radius)
+        assert radii[-1] < tail_radius(chart.inverse.coeffs)
+    assert radii[0] == radii[1] == radii[2]
+    assert abs(radii[0] - radius) < 5e-3
+    assert math.isinf(tail_radius(chart.inverse.coeffs)) == ((mu, x_star) == (4.0, 0.0))
 
 
 def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
@@ -796,3 +813,35 @@ def test_converged_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_e
             assert not (~np.isnan(lo) & np.isnan(hi)).any(), route
             both = ~np.isnan(lo)
             assert (hi[both] <= lo[both] + 1e-11 * scale[both]).all(), route
+
+
+@pytest.mark.parametrize("mu, x_star, r_eval, closed_form", _SWEPT)
+def test_large_t_chart_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_eval,
+                                                                     closed_form):
+    # The same 400 x at t from 2.5 to 6.5, on the chart route.  The error is
+    # scaled by the problem's own conditioning, max(1, |f^t|) + |x| |f^t'|,
+    # the derivative a central difference of the closed form.  When the time
+    # shift aimed at the 1e-12 tail radius of h alone, which grows with the
+    # order (and is inf for mu=4 at 0 at dim 160), up to 599 of these 2000
+    # points were off by more than 1e-9, the worst by 1.2e99.
+    rng = np.random.default_rng(400)
+    xs = x_star + r_eval * rng.uniform(-1, 1, 400)
+    ts = [2.5, 3.5, 4.5, 5.5, 6.5]
+    ref = np.array([[complex(closed_form(t, x)) for x in xs] for t in ts])
+    eps = 1e-6
+    slope = np.array([[(complex(closed_form(t, x + eps)) - complex(closed_form(t, x - eps)))
+                       / (2 * eps) for x in xs] for t in ts])
+    scale = np.maximum(1.0, np.abs(ref)) + np.abs(xs) * np.abs(slope)
+    errors = []
+    for dim in (20, 40, 80, 160):
+        chart = mf.pipeline(mf.logistic_series(mu, dim), x_star, r_eval=r_eval).chart
+        # nan where a point is refused
+        errors.append(np.abs(mf.evaluate_chart_grid(chart, ts, list(xs)).values - ref) / scale)
+        converged = ~np.isnan(errors[-1])
+        assert (errors[-1][converged] <= 1e-9).all(), (dim, np.nanmax(errors[-1]))
+        # Every point at 0 and mu=2 converges; at 3/4, 297 x of 400 do.
+        assert converged.sum() == (1485 if x_star == 0.75 else 2000), dim
+    for lo, hi in zip(errors, errors[1:]):
+        both = ~np.isnan(lo)
+        assert not np.isnan(hi[both]).any()
+        assert (hi[both] <= lo[both] + 1e-11).all(), np.max(hi[both] - lo[both])

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "branch_ambiguity.py": ["--dim", "20", "--steps", "5"],
     "flow_vs_map.py": ["--dim", "20", "--t-end", "0.1"],
+    "large_t_sweep.py": ["--dims", "20,40"],
     "truncation_sweep.py": ["--dims", "8,12"],
 }
 
