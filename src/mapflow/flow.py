@@ -9,8 +9,9 @@ a cross-check when building a field (a mismatch almost always means a wrong
 logarithm branch; coefficients that are not finite are refused on their own).
 
 :func:`pipeline` is the one way the CLI, ``verify`` and the scripts build all
-this: fixed point, factorization and chart at once, and the mode expansion of
-:mod:`mapflow.iterate` and the field on first use (:class:`Pipeline`).
+this: fixed point, factorization and chart at once, and the field on first
+use (:class:`Pipeline`).  Both routes of :mod:`mapflow.iterate` evaluate
+that one chart.
 
 The field is summed by Horner's rule up to the last term that can change the
 result at the current |x - x*|: the terms it drops add up to at most one
@@ -42,13 +43,11 @@ import numpy as np
 from .carleman import CarlemanMatrix, scaled_deviation
 from .errors import BranchMismatch, ChartEscape, OutOfChart
 from .iterate import (
-    IterateExpansion,
     IterateGrid,
     SchroederChart,
     _in_radius,
     _outside_reason,
     build_chart,
-    build_expansion,
     evaluate_chart_grid,
     evaluate_matrix_grid,
 )
@@ -327,21 +326,15 @@ def lyapunov_logistic(n: int, x0: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """One map's factorization and chart, and what is built from them.
+    """One map's factorization and chart, and the field built from them.
 
-    The factorization's frame holds x*, lambda and Log lambda; the chart,
-    the mode expansion and the field hold that same frame.  The expansion
-    and the field are built on first use, once each.
+    The chart holds the factorization, whose frame holds x*, lambda and
+    Log lambda; the field holds the chart.  Both routes evaluate the chart,
+    and the field is built on first use, once.
     """
 
     factorization: SpectralFactorization
     chart: SchroederChart
-
-    @cached_property
-    def expansion(self) -> IterateExpansion:
-        """The mode expansion, bounded by the chart's radius."""
-        fact = self.factorization
-        return build_expansion(fact, fact.frame, r_eval=self.chart.r_eval)
 
     @cached_property
     def field(self) -> FlowField:
@@ -349,11 +342,11 @@ class Pipeline:
         return build_field(log_row(self.factorization), self.chart)
 
     def grid(self, route: str, ts, xs) -> IterateGrid:
-        """f^t over the (t, x) grid on ``route``: "chart" evaluates the chart,
-        "matrix" the mode expansion, which only this route builds."""
+        """f^t over the (t, x) grid on ``route``: "chart" sums the chart's
+        two series, "matrix" row 1 of M^t from the chart's factorization."""
         if route == "chart":
             return evaluate_chart_grid(self.chart, ts, xs)
-        return evaluate_matrix_grid(self.expansion, ts, xs)
+        return evaluate_matrix_grid(self.chart, ts, xs)
 
 
 def pipeline(f: PowerSeries, guess, *, r_eval: float | None = None) -> Pipeline:

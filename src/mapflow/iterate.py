@@ -12,9 +12,10 @@ of f^t - x* about x*, f^t(x) = x* + sum_k lambda^{k t} phi_k(x) with the
 modes phi_k = h_k u^k, u^k row k of V.  :func:`mapflow.spectral.iterate_rows`
 forms that row for every time of a grid in one product, and no mode is
 stored.  The two routes are algebraically identical and are cross-checked
-in the test suite.  Both take their objects
-from one :func:`mapflow.flow.pipeline`: the chart route its ``chart``, the
-mode route its ``expansion``.
+in the test suite.  Both evaluate one :class:`SchroederChart`, the
+``chart`` of a :func:`mapflow.flow.pipeline`: it holds the factorization
+and the radius, the mode route reads the factorization's rows, and the
+chart route the two series the chart forms from them on first use.
 
 Evaluation hygiene.  Truncated series only deserve trust inside an empirical
 radius (a tail test on the top coefficients).  Three mechanisms keep
@@ -80,13 +81,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MapflowError, NonConvergent, OutOfChart
-from .series import (
-    FixedPointFrame,
-    PowerSeries,
-    horner,
-    tail_radius,
-    trailing_term,
-)
+from .series import FixedPointFrame, PowerSeries, _tail_window, horner, tail_radius
 from .spectral import SpectralFactorization, iterate_rows
 
 # Relative size of the trailing stored terms tolerated at an evaluation
@@ -112,22 +107,39 @@ MAX_TIME_SHIFT = 64
 
 @dataclass(frozen=True, eq=False)
 class SchroederChart:
-    """Linearizing chart at a fixed point.
+    """Linearizing chart at a fixed point, read from one factorization.
 
-    ``forward`` maps x near the fixed point to the linear coordinate (zero
-    constant term, unit linear term, expanded about x*); ``inverse`` is its
-    reversion, expanded about 0 with constant term x*.  ``frame`` holds x*,
-    the multiplier and Log lambda; ``x_star`` and ``multiplier`` read
-    through to it.  ``r_eval`` is the user-facing evaluation radius;
-    ``forward_radius`` and ``inverse_radius`` are the one radius of each
-    truncated series, derived from its coefficients on first use: building
-    a chart reads neither, and only chart-route evaluation needs them.
+    ``factorization`` holds the chart row u and the inverse row h, and its
+    frame holds x*, the multiplier and Log lambda; ``frame``, ``x_star``
+    and ``multiplier`` read through to it.  ``r_eval`` is the user-facing
+    evaluation radius, which both routes apply.  The mode route sums the
+    factorization's rows and reads nothing else.  The chart route's two
+    series, ``forward`` and ``inverse``, and the radii and tail window
+    derived from them are formed on first use.
     """
 
-    forward: PowerSeries
-    inverse: PowerSeries
-    frame: FixedPointFrame
+    factorization: SpectralFactorization
     r_eval: float
+
+    @property
+    def frame(self) -> FixedPointFrame:
+        return self.factorization.frame
+
+    @cached_property
+    def forward(self) -> PowerSeries:
+        """u re-based at the fixed point: zero constant term, unit linear
+        term, expanded about x*."""
+        return PowerSeries.from_coefficients(self.factorization.chart_row, self.x_star)
+
+    @cached_property
+    def inverse(self) -> PowerSeries:
+        """h with constant term x*, expanded about 0.  The Poincare recursion
+        gives its fast-decaying coefficients at full relative precision,
+        where a floating-point reversion of the (rapidly growing) forward
+        coefficients would drown them in rounding noise."""
+        coeffs = self.factorization.inverse_row.copy()
+        coeffs[0] = self.x_star
+        return PowerSeries.from_coefficients(coeffs, 0j)
 
     @cached_property
     def forward_radius(self) -> float:
@@ -150,6 +162,13 @@ class SchroederChart:
         return min(tail_radius(h), cap)
 
     @cached_property
+    def inverse_tail(self) -> tuple:
+        """The magnitudes and indices of the trailing terms of h that the
+        evaluation tail test reads: the window of
+        :func:`mapflow.series.trailing_term`."""
+        return _tail_window(self.inverse.coeffs)
+
+    @cached_property
     def inverse_pair(self) -> np.ndarray:
         """The (order, 2) array of the coefficients of the inverse series and
         of its derivative, the continuation's Newton slope."""
@@ -163,26 +182,6 @@ class SchroederChart:
     @property
     def multiplier(self) -> complex:
         return self.frame.multiplier
-
-
-@dataclass(frozen=True, eq=False)
-class IterateExpansion:
-    """Mode expansion of f^t: mode k, h_k u^k, scaled by lambda^{k t} and summed.
-
-    The modes are not stored: u^k is row k of the ``factorization``'s
-    forward factor, and the sum over k for one t is row 1 of M^t
-    (:func:`mapflow.spectral.iterate_rows`).  ``frame``, the
-    factorization's, holds x*, lambda and the Log lambda of the weights.
-    Points farther than ``r_eval`` from x* are refused, as on the chart
-    route.
-    """
-
-    factorization: SpectralFactorization
-    r_eval: float = math.inf
-
-    @property
-    def frame(self) -> FixedPointFrame:
-        return self.factorization.frame
 
 
 class PointStatus(IntEnum):
@@ -267,35 +266,31 @@ def build_chart(
     frame: FixedPointFrame,
     r_eval: float | None = None,
 ) -> SchroederChart:
-    """The linearizing chart of a factorization.
+    """The linearizing chart of a factorization, bounded by ``r_eval``.
 
-    The forward series is the chart row u re-based at the fixed point, with
-    unit derivative there.  The inverse series is the inverse row h with
-    constant term x*: the Poincare recursion gives its fast-decaying
-    coefficients at full relative precision, where a floating-point
-    reversion of the (rapidly growing) forward coefficients would drown them
-    in rounding noise.  An ``r_eval`` that is nan, zero or negative raises
-    ``ValueError``; inf is accepted.
+    The chart reads x* and lambda from ``S.frame``; ``frame`` is that same
+    frame and is not read.  Without ``r_eval`` the radius is
+    :func:`default_chart_radius`.  An ``r_eval`` that is nan, zero or
+    negative raises ``ValueError``; inf is accepted.
     """
-    forward = PowerSeries.from_coefficients(S.chart_row, frame.x_star)
-    inv_coeffs = S.inverse_row.copy()
-    inv_coeffs[0] = frame.x_star
-    inverse = PowerSeries.from_coefficients(inv_coeffs, 0j)
-    radius = default_chart_radius(frame) if r_eval is None else float(r_eval)
+    radius = default_chart_radius(S.frame) if r_eval is None else float(r_eval)
     if not radius > 0:
         raise ValueError(f"r_eval must be positive, got {r_eval!r}")
-    return SchroederChart(forward=forward, inverse=inverse, frame=frame, r_eval=radius)
+    return SchroederChart(S, radius)
 
 
-def _tail_refuses(series: PowerSeries, z: np.ndarray, value: np.ndarray) -> tuple:
-    """The evaluation tail test at every z: (tail, refused).
+def _tail_refuses(chart: SchroederChart, z: np.ndarray, value: np.ndarray) -> tuple:
+    """The evaluation tail test of the inverse series at every z: (tail,
+    refused).
 
-    ``tail`` is the largest trailing stored term, as
-    :func:`mapflow.series.trailing_term` gives it (inf where it overflows).
-    A tail above EVAL_TAIL_TOL * max(1, |value|), or a value that is not
-    finite, refuses.
+    ``tail`` is the largest trailing stored term of h, as
+    :func:`mapflow.series.trailing_term` gives it (inf where it overflows),
+    from the chart's ``inverse_tail``.  A tail above
+    EVAL_TAIL_TOL * max(1, |value|), or a value that is not finite,
+    refuses.  The callers silence numpy's overflow warnings.
     """
-    tail = trailing_term(series.coeffs, z)
+    a, k = chart.inverse_tail
+    tail = (a * np.abs(z)[:, np.newaxis] ** k).max(axis=1, initial=0.0)
     fine = np.isfinite(value) & (tail <= EVAL_TAIL_TOL * np.maximum(1.0, np.abs(value)))
     return tail, ~fine
 
@@ -340,7 +335,7 @@ def _continue(chart: SchroederChart, x, start, steps, w) -> tuple:
         trusted = np.abs(w) <= chart.inverse_radius
         if np.count_nonzero(trusted) < m:
             far = (~trusted).nonzero()[0]
-            left = far[_tail_refuses(chart.inverse, w[far], both[far, 0] + h_0)[1]]
+            left = far[_tail_refuses(chart, w[far], both[far, 0] + h_0)[1]]
             done[left] = False
             refusals += [(i, "continuation left the inverse series' trust region")
                          for i in left.tolist()]
@@ -493,7 +488,7 @@ def evaluate_chart_grid(chart: SchroederChart, ts, xs) -> IterateGrid:
         k = _time_shift_steps(chart, t, w[cols])
         arg = np.exp((t - k) * chart.frame.log_multiplier) * w[cols]
         value = horner(chart.inverse.coeffs, arg)
-        tail, refused = _tail_refuses(chart.inverse, arg, value)
+        tail, refused = _tail_refuses(chart, arg, value)
         g = chart.frame.shifted_map
         g_coeffs = g.coeffs[: g.degree() + 1]
         for s in range(1, int(k.max(initial=0)) + 1):
@@ -521,34 +516,32 @@ def evaluate_iterate_chart(chart: SchroederChart, t: float, x) -> complex:
 
 def build_expansion(
     S: SpectralFactorization, frame: FixedPointFrame, r_eval: float = math.inf
-) -> IterateExpansion:
-    """The mode expansion of a factorization, bounded by ``r_eval``.
+) -> SchroederChart:
+    """The chart of a factorization bounded by ``r_eval``, for the mode route.
 
-    Nothing is assembled: the modes phi_k = h_k u^k are read from the
-    factorization's rows when a grid is evaluated.  ``frame`` is the
-    factorization's own, ``S.frame``, which the expansion reads.
-    :attr:`mapflow.flow.Pipeline.expansion` passes its chart's ``r_eval``;
-    with the default only the mode-sum test refuses points.
+    ``frame`` is ``S.frame`` and is not read.  With the default only the
+    mode-sum test refuses points; ``r_eval`` is not checked.
     """
-    return IterateExpansion(factorization=S, r_eval=float(r_eval))
+    return SchroederChart(S, float(r_eval))
 
 
 def evaluate_matrix_grid(
-    expansion: IterateExpansion, ts, xs, tail_tol: float = TAIL_TOL
+    chart: SchroederChart, ts, xs, tail_tol: float = TAIL_TOL
 ) -> IterateGrid:
     """f^t(x) = sum_k lambda^{k t} phi_k(x) for every t in ``ts``, x in ``xs``.
 
     The series of f^t - x* for every t, row 1 of M^t
-    (:func:`mapflow.spectral.iterate_rows`), is summed at every x in one
-    product with the powers of x - x*.  An x farther than the expansion's
+    (:func:`mapflow.spectral.iterate_rows`), is formed from the chart's
+    factorization and summed at every x in one product with the powers of
+    x - x*; neither chart series is formed.  An x farther than the chart's
     ``r_eval`` from x* is ``OUTSIDE_RADIUS`` at every t; a point is
     ``NON_CONVERGENT`` when its last mode's term,
     lambda^((n-1)t) h_(n-1) (x - x*)^(n-1) (u^(n-1) to n terms is
     (x - x*)^(n-1)), is not negligible against the sum.
     """
-    S = expansion.factorization
+    S = chart.factorization
     frame = S.frame
-    grid, x, inside = _new_grid(ts, xs, frame.x_star, expansion.r_eval)
+    grid, x, inside = _new_grid(ts, xs, frame.x_star, chart.r_eval)
     n = S.dim
     with np.errstate(all="ignore"):
         rows = iterate_rows(S, grid.ts)
@@ -565,10 +558,10 @@ def evaluate_matrix_grid(
     return grid
 
 
-def evaluate_iterate_matrix(expansion: IterateExpansion, t: float, x) -> complex:
+def evaluate_iterate_matrix(chart: SchroederChart, t: float, x) -> complex:
     """f^t(x) = sum_k lambda^{k t} phi_k(x), with a last-term convergence test.
 
     Raises :class:`NonConvergent` (carrying the last-term magnitude) when the
     final mode's contribution is not negligible against the running sum.
     """
-    return evaluate_matrix_grid(expansion, (t,), (x,)).value(0, 0)
+    return evaluate_matrix_grid(chart, (t,), (x,)).value(0, 0)

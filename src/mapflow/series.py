@@ -13,8 +13,8 @@ complex ``ndarray``, copied from the caller's coefficients once at
 construction, and the only form of them, with no tuple or second array
 accessor beside it: slice it for numpy, or ``.tolist()`` it for a scalar
 loop in Python complex arithmetic.  The array helpers here
-(:func:`horner`, :func:`trailing_term` and :func:`tail_radius`) serve every
-module.
+(:func:`horner`, :func:`tail_radius`, and :func:`trailing_term` with its
+window of top terms) serve every module.
 
 Composition with an inner series whose constant term sits exactly on the
 outer base point is exact to the truncation order; otherwise the result is
@@ -218,12 +218,13 @@ def _tail_window(coeffs: np.ndarray) -> tuple:
     return a[k], k + start
 
 
-def tail_radius(coeffs: np.ndarray, tol: float = 1e-12) -> float:
-    """Radius where the top stored coefficients still contribute at most ``tol``.
+def tail_radius(coeffs: np.ndarray) -> float:
+    """Radius where the top stored coefficients still contribute at most 1e-12.
 
     A root-test style estimate of how far from the base point the truncated
-    series can be trusted: the largest r with |a_k| r^k <= tol over the
-    trailing stored coefficients.  The scan window is the top of the series
+    series can be trusted: the largest r with |a_k| r^k <= 1e-12 over the
+    trailing stored coefficients.  The tolerance is fixed: both radii of a
+    chart use it.  The scan window is the top of the series
     (never below its midpoint), so structural zeros of short polynomials are
     not mistaken for a tail; a window of exact zeros means the stored
     function is a polynomial and the radius is infinite.  Heuristic by
@@ -231,7 +232,7 @@ def tail_radius(coeffs: np.ndarray, tol: float = 1e-12) -> float:
     """
     a, k = _tail_window(coeffs)
     # In Python floats, which overflow to inf without a warning.
-    return min(((tol / x) ** (1.0 / j) for x, j in zip(a.tolist(), k.tolist())), default=math.inf)
+    return min(((1e-12 / x) ** (1.0 / j) for x, j in zip(a.tolist(), k.tolist())), default=math.inf)
 
 
 def evaluate_with_tail(series: PowerSeries, x) -> tuple:
@@ -272,8 +273,8 @@ class FixedPointFrame:
     exactly upper triangular.
 
     The frame is the one owner of x*, the multiplier and its logarithm: the
-    factorization, the chart, the mode expansion and the field all read them
-    from here.
+    factorization holds it, and the chart and the field read them through
+    the factorization.
     """
 
     x_star: complex

@@ -15,7 +15,7 @@ Charts are built with explicit generous evaluation radii (the conservative
 default radius is a usage guard, not an accuracy statement; the internal
 tail checks keep the evaluations honest at these sample points).  Every
 check builds through one cached :func:`mapflow.flow.pipeline` per map,
-fixed point, order and radius, and takes the mode expansion and the field
+fixed point, order and radius, and takes the chart and the field
 from it, so a suite run builds each factorization once; every iterate grid
 comes from its route helper, :meth:`mapflow.flow.Pipeline.grid`.  The checks
 against the closed mu=4 iterate (iterate-oracle, truncation-convergence,
@@ -76,7 +76,7 @@ class CheckResult:
 @lru_cache(maxsize=None)
 def _pipeline(mu: float, guess: float, dim: int, r_eval: float):
     """The pipeline of the logistic map ``mu`` at the fixed point nearest
-    ``guess``; the checks share it, its expansion and its field."""
+    ``guess``; the checks share it, its chart and its field."""
     return pipeline(logistic_series(mu, dim), guess, r_eval=r_eval)
 
 

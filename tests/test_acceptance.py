@@ -5,6 +5,7 @@ pinned tolerance (run with ``pytest -s`` to see them for passing tests too).
 The same checks back the ``mapflow verify`` subcommand.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -105,6 +106,12 @@ def test_run_suite_calls_each_check_of_the_suite_with_no_argument(monkeypatch):
         run_suite("all", dim=20)
 
 
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError) as err:
+        run_suite("nope")
+    assert str(err.value) == f"unknown suite 'nope'; choose from {sorted(SUITES)}"
+
+
 def test_flow_consistency_reads_both_ends_off_one_run(monkeypatch):
     # A t = 0.5 run has the step of the t = 1 run, 0.5/500 = 1/1000, so it
     # is that run's first 501 rows; the check integrates once and still
@@ -159,7 +166,9 @@ def test_paper_matrix_fails_on_the_wrong_branch_of_log_lambda(monkeypatch):
         p = pipeline(*args)
         frame = p.factorization.frame
         wrong = _WrongBranchFrame(frame.x_star, frame.multiplier, frame.shifted_map)
-        return Pipeline(p.factorization, build_chart(p.factorization, wrong, r_eval=p.chart.r_eval))
+        # The chart reads its frame from its factorization.
+        chart_fact = dataclasses.replace(p.factorization, frame=wrong)
+        return Pipeline(p.factorization, build_chart(chart_fact, wrong, r_eval=p.chart.r_eval))
 
     monkeypatch.setattr(verify, "_pipeline", wrong_chart)
     result = check_paper_matrix()

@@ -247,6 +247,11 @@ def test_matrix_csv_roundtrip():
     assert np.array_equal(back.source_map.coeffs, f.coeffs)
 
 
+def test_read_matrix_csv_refuses_another_header():
+    with pytest.raises(ValueError, match="^not a carleman matrix dump$"):
+        read_matrix_csv(io.StringIO("matrix dim=4\n1+0i\n"))
+
+
 def test_matrix_csv_header_format():
     M = build_matrix(PowerSeries.from_coefficients([0, 1 + 2j], order=4), 4)
     buf = io.StringIO()

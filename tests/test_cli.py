@@ -499,11 +499,12 @@ def test_a_chart_past_the_float_range_is_refused(argv, message, capsys):
 
 def test_chart_builds_neither_the_expansion_nor_the_field(monkeypatch, capsys):
     import mapflow.flow
+    import mapflow.iterate
 
     def refuse(*args, **kwargs):
         raise AssertionError("chart built the mode expansion or the field")
 
-    monkeypatch.setattr(mapflow.flow, "build_expansion", refuse)
+    monkeypatch.setattr(mapflow.iterate, "iterate_rows", refuse)
     monkeypatch.setattr(mapflow.flow, "log_row", refuse)
     code, out, _ = run(["chart", "--preset", "logistic:4", "--dim", "40"], capsys)
     assert code == 0
@@ -868,6 +869,23 @@ def test_nonsensical_radius_or_node_count_is_refused(argv, message, capsys):
         warnings.simplefilter("error")  # refused before any warning
         code, _, err = run(argv, capsys)
     assert code == 1
+    assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["iterate", "--preset", "logistic:4", "--t", ",", "--x", "0.1"],
+     "iterate needs non-empty --t and --x grids"),
+    (["iterate", "--preset", "logistic:4", "--t", "0.5", "--x", ","],
+     "iterate needs non-empty --t and --x grids"),
+    (["iterate", "--preset", "foo:4", "--t", "0.5", "--x", "0.1"], "unknown preset 'foo:4'"),
+    (["chart", "--preset", "logistic:4", "--config", "{config}"],
+     "bad config line (need key=value): 'dim'"),
+], ids=["empty-t", "empty-x", "unknown-preset", "config-line-without-value"])
+def test_malformed_input_is_one_error_line(argv, message, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("dim\n")
+    code, out, err = run([arg.format(config=config) for arg in argv], capsys)
+    assert (code, out) == (1, "")
     assert err == f"error: ValueError: {message}\n"
 
 

@@ -61,6 +61,13 @@ def test_branch_mismatch_detected(logistic4, pipe2_origin):
         mf.build_field(log, wrong_chart)
 
 
+def test_build_field_refuses_a_log_row_about_another_point(pipe4_origin, pipe4_second):
+    # The log row of mu=4 at 0, with the chart at 3/4.
+    with pytest.raises(ValueError) as err:
+        mf.build_field(mf.log_row(pipe4_origin.factorization), pipe4_second.chart)
+    assert str(err.value) == "log expanded about 0j but chart sits at (0.75+0j)"
+
+
 # --- evaluate_field ----------------------------------------------------------------
 
 def test_field_values_match_closed_form(field4, field2):
@@ -90,16 +97,17 @@ def test_field_out_of_radius_raises(field4):
 
 
 def test_pipeline_objects_share_one_frame(logistic4):
-    # A fresh pipeline: the shared fixture may already hold its expansion and field.
+    # A fresh pipeline: the shared fixture may already hold its field.
     p = mf.pipeline(logistic4, 0.1, r_eval=0.6)
-    assert "expansion" not in vars(p) and "field" not in vars(p)
+    assert "field" not in vars(p)
     frame = p.factorization.frame
-    # Each is built once, on first use; a second access gives the same object.
-    assert p.expansion is p.expansion and p.field is p.field
-    for owner in (p.chart, p.expansion, p.field.chart):
-        assert owner.frame is frame
+    # The chart reads its frame through the pipeline's factorization.
+    assert p.chart.frame is p.chart.factorization.frame is frame
+    assert p.chart.factorization is p.factorization
+    # The field is built once, on first use; a second access gives the same object.
+    assert p.field is p.field
     assert p.field.chart is p.chart
-    assert p.expansion.r_eval == p.chart.r_eval == 0.6
+    assert p.chart.r_eval == 0.6
     assert (p.chart.x_star, p.chart.multiplier) == (frame.x_star, frame.multiplier)
 
 
@@ -110,28 +118,34 @@ def test_pipeline_takes_the_order_from_the_map_and_the_radius_by_keyword(logisti
         mf.pipeline(logistic4, 0.1, 40)
 
 
-def test_pipeline_grid_is_the_route_evaluator_and_builds_the_expansion_only_for_matrix(
-    logistic4,
-):
+def test_pipeline_grid_evaluates_one_chart_and_forms_its_series_only_where_used(logistic4):
     p = mf.pipeline(logistic4, 0.1, r_eval=0.6)
     ts, xs = [0.5, -0.5, 2.0], [0.05, 0.3, 0.7]
+    # The mode route reads the factorization's rows and forms no chart series.
+    matrix = p.grid("matrix", ts, xs)
+    assert set(vars(p.chart)) == {"factorization", "r_eval"}
+    want = mf.evaluate_matrix_grid(p.chart, ts, xs)
+    np.testing.assert_array_equal(matrix.values, want.values)
+    np.testing.assert_array_equal(matrix.status, want.status)
+    # The field needs the forward series alone.
+    assert p.field.chart is p.chart
+    assert "forward" in vars(p.chart) and "inverse" not in vars(p.chart)
     chart = p.grid("chart", ts, xs)
-    assert "expansion" not in vars(p)
     want = mf.evaluate_chart_grid(p.chart, ts, xs)
     np.testing.assert_array_equal(chart.values, want.values)
     np.testing.assert_array_equal(chart.status, want.status)
-    matrix = p.grid("matrix", ts, xs)
-    want = mf.evaluate_matrix_grid(p.expansion, ts, xs)
-    np.testing.assert_array_equal(matrix.values, want.values)
-    np.testing.assert_array_equal(matrix.status, want.status)
+    # The mode route's own builder gives the unbounded chart.
+    unbounded = mf.build_expansion(p.factorization, p.factorization.frame)
+    assert type(unbounded) is mf.SchroederChart
+    assert unbounded.factorization is p.factorization and unbounded.r_eval == math.inf
 
 
 def test_every_evaluator_applies_one_chart_radius(pipe4_origin, field4):
     # x* is exactly 0 and r_eval 0.6 on both; the rule allows a relative 1e-12.
-    chart, expansion = pipe4_origin.chart, pipe4_origin.expansion
+    chart = pipe4_origin.chart
     inside, outside = 0.6 * (1 + 5e-13), 0.6 * (1 + 2e-12)
     grids = (mf.evaluate_chart_grid(chart, (0.5,), (inside, outside)),
-             mf.evaluate_matrix_grid(expansion, (0.5,), (inside, outside)))
+             mf.evaluate_matrix_grid(chart, (0.5,), (inside, outside)))
     for grid in grids:
         assert grid.status.tolist() == [[mf.PointStatus.OK, mf.PointStatus.OUTSIDE_RADIUS]]
     # Both routes refuse the outside point with the same message.

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -246,7 +247,7 @@ def test_mode_zero_is_fixed_point_constant(pipe4_origin, pipe4_second):
         assert fact.inverse_row[0] == 0
         assert np.array_equal(fact.chart_matrix[0], np.eye(DIM)[0])
         assert np.array_equal(_modes(fact)[0], x_star * np.eye(DIM)[0])
-        grid = mf.evaluate_matrix_grid(pipe.expansion, [-0.5, 0.5, 1.5], [x_star])
+        grid = mf.evaluate_matrix_grid(pipe.chart, [-0.5, 0.5, 1.5], [x_star])
         assert (grid.values == x_star).all()
 
 
@@ -348,21 +349,12 @@ def test_pipeline_linearizes_random_repelling_maps(a1, a2, a3):
 # --- normalization invariance -----------------------------------------------------
 
 def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
-    chart = pipe4_origin.chart
+    chart, fact = pipe4_origin.chart, pipe4_origin.factorization
     c = 2.5 - 0.4j
-    fwd = mf.PowerSeries(
-        tuple(c * v for v in chart.forward.coeffs), chart.forward.base_point
-    )
-    inv_coeffs = [chart.inverse.coeffs[0]] + [
-        chart.inverse.coeffs[k] / c**k for k in range(1, chart.inverse.order)
-    ]
-    inv = mf.PowerSeries(tuple(inv_coeffs), 0j)
-    scaled = SchroederChart(
-        forward=fwd,
-        inverse=inv,
-        frame=chart.frame,
-        r_eval=chart.r_eval,
-    )
+    # u -> c u and h(w) -> h(w / c): the same iterates from another chart.
+    rescaled = dataclasses.replace(fact, chart_row=c * fact.chart_row,
+                                   inverse_row=fact.inverse_row / c ** np.arange(fact.dim))
+    scaled = SchroederChart(rescaled, chart.r_eval)
     for t in (0.3, 1.0, 1.7):
         for x in (0.01, 0.04):
             a = mf.evaluate_iterate_chart(chart, t, x)
@@ -561,7 +553,7 @@ def test_grid_status_gives_the_scalar_exception_and_payload(pipe4_origin, pipe4_
     fact, chart0 = pipe4_origin.factorization, pipe4_origin.chart
     chart1 = pipe4_second.chart
     expansion = mf.build_expansion(fact, fact.frame)
-    bounded = pipe4_origin.expansion
+    bounded = pipe4_origin.chart
     cases = [
         # x = 1.4 is past r_eval; continuation cannot reach 1.2.
         (mf.evaluate_iterate_chart, mf.evaluate_chart_grid, chart1, 0.5, 1.4,
@@ -759,14 +751,14 @@ def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
 def test_continuation_refuses_a_zero_slope(pipe4_second):
     # h(w) = x* + w - w^2/2 stops at h'(1) = 0; its trailing terms are 0,
     # so no tail test runs.  The second point converges from w = 0.
-    chart = pipe4_second.chart
-    inverse = mf.PowerSeries.from_coefficients([chart.x_star, 1.0, -0.5], order=8)
-    flat = SchroederChart(forward=chart.forward, inverse=inverse, frame=chart.frame,
-                          r_eval=chart.r_eval)
+    chart, fact = pipe4_second.chart, pipe4_second.factorization
+    inverse_row = np.zeros(fact.dim, dtype=complex)
+    inverse_row[:3] = [0.0, 1.0, -0.5]
+    flat = SchroederChart(dataclasses.replace(fact, inverse_row=inverse_row), chart.r_eval)
     x = chart.x_star + np.array([0.2, 0.3])
     u, reasons = iterate._continue(flat, x, x, np.ones(2), np.array([1.0, 0.0], dtype=complex))
     assert reasons == {0: "continuation hit a critical point of the chart"}
-    assert abs(inverse(u[1]) - x[1]) < 1e-13
+    assert abs(flat.inverse(u[1]) - x[1]) < 1e-13
 
 
 # --- accuracy against the closed forms -------------------------------------------
