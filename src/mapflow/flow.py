@@ -52,7 +52,7 @@ from .iterate import (
     evaluate_matrix_grid,
 )
 from .logistic import LN2
-from .series import PowerSeries, _horner, _refuse_non_finite, _trunc_div, find_fixed_point
+from .series import PowerSeries, _refuse_non_finite, _trunc_div, find_fixed_point
 from .spectral import SpectralFactorization, factor_from_series, log_row
 
 # Field cross-check tolerance (row-scaled, leading half of the coefficients).
@@ -124,17 +124,23 @@ class FlowField:
         one rounding unit of the linear term at |x - x*|.  No domain check:
         see :func:`evaluate_field`.
 
-        On a :attr:`real` field a float x is summed in floats and gives a
-        float.  A complex x gives the same bits as summing the complex
-        coefficients: each float coefficient and x* act as that number plus
-        +0.0j.
+        The loop runs inline over a highest-power-first copy of each prefix,
+        made once here, in the order of ``series._horner``: the sum starts
+        from 0.0 at a float z and from 0j otherwise.  On a :attr:`real` field
+        a float x is summed in floats and gives a float.  A complex x gives
+        the same bits as summing the complex coefficients: each float
+        coefficient and x* act as that number plus +0.0j.
         """
         radii, prefixes = self.radius_table
+        reversed_prefixes = [prefix[::-1] for prefix in prefixes]
         x_star = self.x_star.real if self.real else self.x_star
 
         def value(x):
             z = x - x_star
-            return _horner(prefixes[bisect_left(radii, abs(z))], z)
+            acc = 0.0 if isinstance(z, float) else 0j
+            for c in reversed_prefixes[bisect_left(radii, abs(z))]:
+                acc = acc * z + c
+            return acc
 
         return value
 
@@ -172,15 +178,21 @@ def build_field(L: PowerSeries | CarlemanMatrix, chart: SchroederChart) -> FlowF
 
 
 def evaluate_field(field: FlowField, x) -> complex:
-    """G(x) by :meth:`FlowField.value`; domain-guarded by the chart radius.
+    """G(x) by :meth:`FlowField.value`, as a complex number; domain-guarded
+    by the chart radius.
 
     A point farther than ``r_eval`` from x*, or not finite, raises
-    :class:`OutOfChart`.
+    :class:`OutOfChart`.  On a :attr:`FlowField.real` field a point whose
+    imaginary part is exactly +0.0 is summed in floats, which gives the bits
+    of complex arithmetic (see :func:`integrate_flow`) without converting
+    each float coefficient to complex.
     """
     x = complex(x)
     dist = abs(x - field.x_star)
     if not _in_radius(dist, field.chart.r_eval):
         raise OutOfChart(_outside_reason(dist, field.chart.r_eval))
+    if field.real and x.imag == 0.0 and math.copysign(1.0, x.imag) > 0:
+        return complex(field.value(x.real))
     return field.value(x)
 
 
@@ -283,11 +295,13 @@ def lyapunov_logistic(n: int, x0: float) -> float:
     Averages ln|f'(x_m)| = ln|4 - 8 x_m| over the orbit x_0 = x0, ...,
     x_{n-1}.  The expected limit for a generic seed is ln 2.
 
-    The orbit is iterated in plain floats, LYAPUNOV_CHUNK iterates at a time
-    into a reused buffer, so memory stays bounded for any n.  numpy takes the
-    logs of each chunk (within 1 ulp of ``math.log``) and adds them in orbit
-    order with the running total carried into the chunk's first term, so the
-    sum is the sequential one.
+    The orbit is iterated in plain floats, LYAPUNOV_CHUNK iterates at a time,
+    each written through a ``memoryview`` into one reused numpy buffer, so
+    memory stays bounded for any n and no Python float outlives its step;
+    each chunk is a view of the buffer, not a copy.  numpy takes the logs of
+    each chunk (within 1 ulp of ``math.log``) and adds them in orbit order
+    with the running total carried into the chunk's first term, so the sum is
+    the sequential one.
 
     An orbit that reaches the critical point 1/2 or the fixed point 0 within
     its n iterates is refused with ``ValueError`` naming the step: in floats
@@ -303,13 +317,14 @@ def lyapunov_logistic(n: int, x0: float) -> float:
         )
     x = float(x0)
     total = 0.0
-    buf = [0.0] * LYAPUNOV_CHUNK
+    buf = np.empty(LYAPUNOV_CHUNK)
+    slots = memoryview(buf)
     for start in range(0, n, LYAPUNOV_CHUNK):
         m = min(LYAPUNOV_CHUNK, n - start)
         for i in range(m):
-            buf[i] = x
+            slots[i] = x
             x = 4.0 * x * (1.0 - x)
-        orbit = np.array(buf[:m])
+        orbit = buf[:m]
         hit = np.flatnonzero((orbit == 0.5) | (orbit == 0.0))
         if hit.size:
             step = start + int(hit[0])

@@ -370,6 +370,10 @@ def test_real_field_value_is_a_float_at_a_float_and_complex_at_a_complex(field4)
     assert type(field4.value(0.03 + 0j)) is complex
     assert field4.value(0.03) == field4.value(0.03 + 0j) == _complex_value(field4)(0.03)
     assert type(mf.evaluate_field(field4, 0.03)) is complex
+    # evaluate_field sums an imaginary part of +0.0 in floats, any other in
+    # complex arithmetic; either way it gives the complex sum's bits.
+    for x in (0.03, -0.2, complex(0.03, -0.0), complex(-0.2, -0.0), 0.03 + 0.01j, -0.2 - 0.1j):
+        assert repr(mf.evaluate_field(field4, x)) == repr(_complex_value(field4)(x)), x
 
 
 @pytest.mark.parametrize("r_eval, x0", [(1e9, 3.0), (math.inf, -1.25)])
@@ -496,6 +500,24 @@ def _lyapunov_scalar(n, x0):
     return total / n
 
 
+def _lyapunov_list_chunks(n, x0):
+    """Chunked reference: each chunk of the orbit gathered in a Python list
+    and copied to numpy, its logs added in orbit order with the running total
+    carried into the chunk's first term (no collapse test)."""
+    x = float(x0)
+    total = 0.0
+    buf = [0.0] * LYAPUNOV_CHUNK
+    for start in range(0, n, LYAPUNOV_CHUNK):
+        m = min(LYAPUNOV_CHUNK, n - start)
+        for i in range(m):
+            buf[i] = x
+            x = 4.0 * x * (1.0 - x)
+        terms = np.log(np.abs(4.0 - 8.0 * np.array(buf[:m])))
+        terms[0] += total
+        total = float(np.add.accumulate(terms, out=terms)[-1])
+    return total / n
+
+
 def test_lyapunov_matches_the_scalar_loop_across_chunk_boundaries():
     seeds = np.random.default_rng(8).uniform(0.05, 0.95, 10)
     lengths = (1000, LYAPUNOV_CHUNK - 1, LYAPUNOV_CHUNK, LYAPUNOV_CHUNK + 1, 100_000)
@@ -505,6 +527,7 @@ def test_lyapunov_matches_the_scalar_loop_across_chunk_boundaries():
             sigma = mf.lyapunov_logistic(n, float(seed))
             ref = _lyapunov_scalar(n, float(seed))
             assert abs(sigma - ref) <= 1e-12, (seed, n)
+            assert repr(sigma) == repr(_lyapunov_list_chunks(n, float(seed))), (seed, n)
             identical += sigma == ref
     print(f"{identical} of {len(seeds) * len(lengths)} estimates bit-identical")
 

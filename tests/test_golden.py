@@ -43,7 +43,10 @@ No error rose by more than 1.8e-14 relative.  Every other file stayed
 byte-identical.  Command lines that reproduce known
 wrong mode-route values are left out.  The chart, field and integrate files pin the fixed point 3/4
 (a negative multiplier, so a complex field) at two orders and the complex
-cubic's field.
+cubic's field.  ``lyapunov.json`` pins the bits of the Lyapunov estimate at
+verify's first seed; it was written while the orbit chunks were still
+gathered in a Python list, before they came to be written into a reused
+numpy buffer.
 """
 
 import csv
@@ -92,6 +95,7 @@ COMMANDS = {
                         "--dim", "40"],
     "integrate_34.csv": ["integrate", *L4_GUESS_34, "--dim", "40", "--r-eval", "0.6",
                          "--x0", "0.8", "--t-end", "0.5", "--dt", "0.01"],
+    "lyapunov.json": ["lyapunov", "--n", "100000", "--x0", "0.123456"],
 }
 
 
