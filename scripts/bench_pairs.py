@@ -2,7 +2,7 @@
 """Alternating parent/change runs of perfbench, summarised as one JSON file.
 
 Usage, from the root of the change's checkout, with the parent commit
-checked out (``git archive`` or ``git clone``) in another directory::
+checked out in another directory (``git worktree add ../parent <commit>``)::
 
     python3 scripts/bench_pairs.py --parent ../parent \\
         --workload orders=1201-1210 --workload grid=1101-1106 \\
@@ -15,7 +15,9 @@ alternates from pair to pair.  For every end-to-end metric that
 and runs, the number of pairs in which the change reads better, and a
 verdict against the metric's bound (:func:`verdict`); ``median_digits``
 stands next to each rate.  Every run's last output line is also appended to
-``<output>.runs.jsonl`` as it finishes.
+``<output>.runs.jsonl`` as it finishes.  The parent's commit is read from
+its checkout, so a ``--parent`` that is not a git checkout (a ``git
+archive`` copy, say) is refused before any run.
 """
 
 import argparse
@@ -154,7 +156,10 @@ def main(argv=None) -> int:
     parent_commit = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], cwd=args.parent,
         capture_output=True, text=True,
-    ).stdout.strip() or None
+    ).stdout.strip()
+    if not parent_commit:
+        ap.error(f"--parent {args.parent} is not a git checkout, so its commit is "
+                 "unknown; check the parent out with `git worktree add`")
     doc = {
         "description": DESCRIPTION.format(seconds=f"{args.seconds:g}"),
         "change": args.note,

@@ -13,8 +13,8 @@ the fixed-point frame,
 
 with everything cross-checked against exactly solvable logistic references.
 :func:`pipeline` runs these steps for one map and fixed point; its
-:class:`Pipeline` holds the factorization and the chart, which both routes
-evaluate, and builds the field on first use.
+:class:`Pipeline` holds the chart, which holds the factorization and which
+both routes evaluate, and builds the field on first use.
 """
 
 from .carleman import (

@@ -341,15 +341,18 @@ def lyapunov_logistic(n: int, x0: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """One map's factorization and chart, and the field built from them.
+    """One map's chart, and the field built from it.
 
     The chart holds the factorization, whose frame holds x*, lambda and
     Log lambda; the field holds the chart.  Both routes evaluate the chart,
     and the field is built on first use, once.
     """
 
-    factorization: SpectralFactorization
     chart: SchroederChart
+
+    @property
+    def factorization(self) -> SpectralFactorization:
+        return self.chart.factorization
 
     @cached_property
     def field(self) -> FlowField:
@@ -374,4 +377,4 @@ def pipeline(f: PowerSeries, guess, *, r_eval: float | None = None) -> Pipeline:
     """
     frame = find_fixed_point(f, guess)
     fact = factor_from_series(frame)
-    return Pipeline(fact, build_chart(fact, frame, r_eval=r_eval))
+    return Pipeline(build_chart(fact, frame, r_eval=r_eval))

@@ -22,20 +22,33 @@ radius (a tail test on the top coefficients).  Three mechanisms keep
 evaluations honest rather than silently wrong:
 
 * the forward series of u is summed directly only within its
-  ``forward_radius``, where every trailing term is at most 1e-12; every
-  evaluation of the inverse series outside its ``inverse_radius`` is
-  tail-checked, and a point that fails is refused (``OutOfChart``) instead
-  of returning junk;
-* an argument of u beyond ``forward_radius`` is reached by numerical
-  analytic continuation: Newton's method on the inverse chart series, warm
-  started along a straight path from inside the radius.  This tracks the
-  principal branch of u.  A waypoint whose Newton iteration has not
-  converged after NEWTON_STEPS (16) iterations is refused: on a path that
-  is being tracked a waypoint converges in a handful of iterations, and
-  nearly all the slow ones seen in sweeps are points a finer path refuses.
-  (Rewriting u(x) as u(f(x))/lambda would also extend the domain but
-  follows the wrong branch once x crosses a critical point of the map, so
-  it is deliberately not used.)
+  ``forward_radius``, where every trailing term is at most 1e-12; the
+  inverse series h is tail-checked at every argument lambda^t u(x), and a
+  point that fails is refused (``OutOfChart``) instead of returning junk;
+* an argument x of u beyond ``forward_radius`` is reached through the exact
+  map, never through a truncated series outside its radius.  As
+  u(f(x)) = lambda u(x), u(x) = lambda^m u(phi^m(x)) for the branch phi of
+  f^-1 that fixes x*.  For |lambda| > 1 the straight path from 0.8 of the
+  radius towards x is pulled back through the map a level at a time: the
+  path's seed has the preimage h(lambda^-m u(seed)), an argument far
+  inside the radius of h, and every later waypoint the root of the map
+  that Newton's method finds from the preimage of the waypoint before it;
+  once the endpoint's preimage is within 0.8 of the radius, u is summed
+  there.  The branch stays phi: phi^m, continued along the path from the
+  seed where it is h(lambda^-m u), is analytic along it, so
+  u(phi^m(x)) = lambda^-m u(x) holds along the whole path, and
+  lambda^m u(phi^m(x)) is the principal continuation of u along the
+  segment.  The pullback refuses what would leave that branch: a preimage
+  that turns 90 degrees or more about a critical point of the map from the
+  one before it (a jump across a fold), a Newton solve that has not
+  converged within NEWTON_STEPS (16) steps, a value that is not finite,
+  and a path that MAX_TIME_SHIFT (64) levels do not bring inside.  For
+  |lambda| < 1 the forward orbit needs no Newton: u is single valued on the
+  basin of x*, and u(x) = lambda^-m u(g^m(x - x*)) with g the shifted map.
+  For |lambda| = 1 the map brings no point nearer x*, and a point past the
+  radius is refused.  (For |lambda| > 1, rewriting u(x) as u(f(x))/lambda
+  would also extend the domain but follows the wrong branch once x crosses
+  a critical point of the map, so it is deliberately not used.)
 * a large chart argument lambda^t u(x) is reduced by an integer time shift,
   f^t = f^k o f^{t-k}, applying the map k extra times afterwards; both sides
   of that identity are analytic wherever the reduced evaluation is, so the
@@ -52,16 +65,18 @@ take a list of times and a list of points and work on all of them at once in
 numpy complex arithmetic.  Both start from one empty grid (:func:`_new_grid`)
 that already refuses every point outside the radius rule below, and fill in
 the values, statuses and tails of the rest in place.  The continued points of
-a grid take their Newton passes together, each at its own waypoint: a pass
-fills one power matrix [w, w^2, ..., w^(n-1)] for the points still on their
-paths and multiplies it by the coefficients of h and h', and a point leaves
-once it has passed its last waypoint or been refused.  Reported chart-route
-values (u, h at lambda^(t-k) u, the shifted map) come from Horner's rule
-over all points, mode-route values from one product of the rows of M^t with
-the powers [1, z, ..., z^(n-1)] of z = x - x*, and lambda^(t-k), the shift
-counts and the mode weights from ``np.exp`` and ``np.log``.  They agree
-with the scalar formulas in Python complex arithmetic to rounding (u within
-about 1e-14 relative), not bit for bit.
+a grid are pulled back together: each level solves its waypoints in order,
+every point's at once, by Newton steps that sum the map and its derivative
+by Horner's rule over their few coefficients, and a point leaves once its
+endpoint is inside or it is refused.  Reported chart-route values (u within
+its radius, h at lambda^(t-k) u, the shifted map) come from Horner's rule
+over all points, u at the pulled-back points and h at the path seeds from
+one product of a power matrix with the series' coefficients, mode-route
+values from one product of the rows of M^t with the powers
+[1, z, ..., z^(n-1)] of z = x - x*, and lambda^(t-k), the shift counts and
+the mode weights from ``np.exp`` and ``np.log``.  They agree with the scalar
+formulas in Python complex arithmetic to rounding (u within about 1e-14
+relative), not bit for bit.
 :func:`chart_value`, :func:`evaluate_iterate_chart` and
 :func:`evaluate_iterate_matrix` are one-point grids.
 
@@ -93,15 +108,17 @@ TAIL_TOL = 1e-10
 # Modulus at which a nonlinear term h_k w^k of the inverse series caps its
 # radius: beyond it the sum of h cancels more digits as the order rises.
 INV_TERM_CAP = 10.0
-# Continuation path control.
+# The pullback's path starts at this fraction of the forward series radius
+# from x*, its waypoints are at most that far apart, and it ends once the
+# endpoint's preimage is that near x*.
 PATH_START_FRACTION = 0.8
-PATH_STEP_FRACTION = 0.4
 MAX_PATH_STEPS = 256
-# Newton iterations per continuation waypoint.  In a sweep of 6523 continued
-# points on logistic and cubic charts at dims 40-160, every value that a 40x
-# finer path confirms took at most 14 but one (20); the finer path refuses
-# the 233 other points that took more.
+# Newton steps per pullback waypoint.  In a sweep of 2928 continued points
+# on logistic and cubic charts at dims 40-160, every waypoint of a point
+# that 60 steps reach took at most 13, and 60 steps refuse every point that
+# 16 refuse.
 NEWTON_STEPS = 16
+# The cap on the time-shift steps and on the pullback's levels.
 MAX_TIME_SHIFT = 64
 
 
@@ -169,11 +186,11 @@ class SchroederChart:
         return _tail_window(self.inverse.coeffs)
 
     @cached_property
-    def inverse_pair(self) -> np.ndarray:
-        """The (order, 2) array of the coefficients of the inverse series and
-        of its derivative, the continuation's Newton slope."""
-        dh = np.append(self.inverse.derivative().coeffs, 0)
-        return np.stack([self.inverse.coeffs, dh], axis=1)
+    def critical_points(self) -> np.ndarray:
+        """The roots of g', the critical points of the shifted map, as
+        offsets from x*: the pullback's fold test reads them."""
+        g = self.frame.shifted_map
+        return np.roots(g.derivative().coeffs[: g.degree()][::-1])
 
     @property
     def x_star(self) -> complex:
@@ -295,84 +312,97 @@ def _tail_refuses(chart: SchroederChart, z: np.ndarray, value: np.ndarray) -> tu
     return tail, ~fine
 
 
-def _inverse_with_slope(h1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The power matrix [w, w^2, ..., w^(n-1)] times ``h1``: rows 1 to n-1
-    of the chart's ``inverse_pair``, so h(w) - h_0 and h'(w) - h_1."""
-    return np.multiply.accumulate(w[:, np.newaxis].repeat(len(h1), axis=1), axis=1) @ h1
+def _poly(c: list, z: np.ndarray) -> np.ndarray:
+    """Horner's rule over a short list of coefficients from its top one: a
+    multiply and an add per lower coefficient, the cheapest sum of a
+    low-degree polynomial over an array in the pullback's Newton steps."""
+    v = c[-1]
+    for a in c[-2::-1]:
+        v = v * z + a
+    return v
 
 
-def _continue(chart: SchroederChart, x, start, steps, w) -> tuple:
-    """Track u from the path seeds ``start``, where it is ``w``, to every x.
+def _pull_back(chart: SchroederChart, d: np.ndarray, seed: np.ndarray, w: np.ndarray) -> tuple:
+    """u at the offsets ``d`` = x - x* past ``forward_radius``, from the path
+    seeds ``seed``, offsets within it where u is ``w``.  Returns u and the
+    refusal reason by index of each offset refused.
 
-    A point's waypoints are start + (x - start) * s / steps for s = 1, ...,
-    steps.  At each, Newton's method on the inverse series, warm started at
-    the last waypoint's solution, runs until h(w) is within 1e-13 of the
-    waypoint; then the point moves on to its next one.  Every point takes
-    each Newton pass together with the others, whatever waypoint it is at,
-    so one power matrix serves all of them.  A point is refused when an
-    iterate beyond ``inverse_radius`` fails the tail test or is not
-    finite, at a zero slope, or when a waypoint is not reached within
-    NEWTON_STEPS passes.  Returns u at every x and the refusal reason by
-    index of each x refused.
+    For |lambda| > 1 the path's waypoints seed + (d - seed) s / steps, at
+    most 0.8 forward_radius apart, are pulled back through the shifted map g
+    one level at a time.  At level m the seed's preimage is h(lambda^-m w),
+    and each later waypoint's is the root of g(e) = (its level m-1 value)
+    that Newton's method reaches from the preimage of the waypoint before
+    it.  Once the endpoint's preimage y_m is within 0.8 forward_radius,
+    u = lambda^m u(y_m).  For |lambda| < 1 the endpoint is pushed forward
+    instead, u = lambda^-m u(g^m(d)).  A point is refused when a Newton
+    solve has not converged within NEWTON_STEPS steps, a value is not
+    finite, a preimage e lies no nearer the one before it than e's
+    reflection 2c - e at a critical point c of g does (a jump across a fold
+    of g), or MAX_TIME_SHIFT levels leave the endpoint outside.  For
+    |lambda| = 1 every point is refused.
     """
-    (h_0, h_1), h1 = chart.inverse_pair[0], chart.inverse_pair[1:]
-    u = w.copy()
+    lam = chart.multiplier
+    if abs(lam) == 1:
+        why = "|lambda| = 1: the map brings no point nearer x*, so u is not continued"
+        return np.full(len(d), complex(math.nan, math.nan)), dict.fromkeys(range(len(d)), why)
+    why = (None, "the pullback reached a value that is not finite",
+           f"a Newton solve of the pullback did not converge within {NEWTON_STEPS} steps",
+           "the pullback jumped across a fold of the map")
+    r = PATH_START_FRACTION * chart.forward_radius
+    h, f = chart.factorization.inverse_row, chart.forward.coeffs
+    # g(e) = e q(e), as g(0) = 0; q and g' as Python lists (see _poly).
+    g = chart.frame.shifted_map.coeffs[1 : chart.frame.shifted_map.degree() + 1]
+    q, dg = g.tolist(), (g * np.arange(1, len(g) + 1)).tolist()
+    fold = 2 * chart.critical_points[:, np.newaxis]
+    expanding = abs(lam) > 1
+    # Row s holds waypoint s; a shorter path repeats its endpoint, and a nan
+    # offset takes one step.  Pushed forward, only the endpoint is read.
+    steps = np.fmax(np.minimum(np.ceil(np.abs(d - seed) / r), MAX_PATH_STEPS), 1)
+    rows = np.arange(int(steps.max()) + 1)[:, np.newaxis]
+    path = seed + (d - seed) * (np.minimum(rows, steps) / steps)
+    at = np.arange(len(d))  # the points still being pulled back
+    y = np.full(len(d), complex(math.nan, math.nan))  # their y_m, once inside
+    m = np.zeros(len(d), dtype=np.int64)
     reasons = {}
-    at = np.arange(len(x))  # index of each point still on its path
-    way = np.ones(len(x))  # the waypoint it is solving for
-    began = np.zeros(len(x), dtype=np.int64)  # the pass before that waypoint's first
-    target = start + (x - start) * (way / steps)
-    goal, tol = target - h_0, 1e-13 * np.maximum(1.0, np.abs(target))
-    passes = oldest = 0  # oldest: the earliest pass a waypoint still open began after
-    while at.size:
-        passes += 1
-        m = len(at)
-        both = _inverse_with_slope(h1, w)
-        resid = both[:, 0] - goal
-        done = np.abs(resid) <= tol
-        slope = both[:, 1] + h_1
-        refusals = []  # (index, reason); the first reason for an index wins
-        trusted = np.abs(w) <= chart.inverse_radius
-        if np.count_nonzero(trusted) < m:
-            far = (~trusted).nonzero()[0]
-            left = far[_tail_refuses(chart, w[far], both[far, 0] + h_0)[1]]
-            done[left] = False
-            refusals += [(i, "continuation left the inverse series' trust region")
-                         for i in left.tolist()]
-        if np.count_nonzero(slope) < m:
-            refusals += [(i, "continuation hit a critical point of the chart")
-                         for i in (~done & (slope == 0)).nonzero()[0].tolist()]
-        if passes - oldest >= NEWTON_STEPS:
-            stalled = ~done & (passes - began >= NEWTON_STEPS)
-            refusals += [(i, f"continuation Newton failed to converge at {complex(target[i])!r}")
-                         for i in stalled.nonzero()[0].tolist()]
-        drop = None  # points refused, or at the end of their path
-        if refusals:
-            drop = np.zeros(m, dtype=bool)
-            for i, why in refusals:
-                reasons.setdefault(int(at[i]), why)
-                drop[i] = True
-        advanced = np.count_nonzero(done)
-        if advanced:
-            way += done
-            began[done] = passes
-            end = way > steps
-            if np.count_nonzero(end):
-                u[at[end]] = w[end]
-                drop = end if drop is None else drop | end
-            target = start + (x - start) * (way / steps)
-            goal, tol = target - h_0, 1e-13 * np.maximum(1.0, np.abs(target))
-            resid[done], slope[done] = 0.0, 1.0  # a point stays where it converged
-        if drop is not None and np.count_nonzero(drop):
-            keep = ~drop
-            at, x, start, steps, w = at[keep], x[keep], start[keep], steps[keep], w[keep]
-            way, began, target, goal, tol = way[keep], began[keep], target[keep], goal[keep], tol[keep]
-            resid, slope = resid[keep], slope[keep]
-            oldest = began.min(initial=passes)
-        elif advanced:
-            oldest = began.min()
-        w = w - resid / slope
-    return u, reasons
+    for level in range(1, MAX_TIME_SHIFT + 1):
+        fail = np.zeros(len(at), dtype=np.int8)  # an index into ``why``
+        if expanding:
+            pre = np.empty_like(path)
+            pre[0] = np.vander(w[at] * lam**-level, len(h), increasing=True) @ h
+            tol = 1e-13 * np.maximum(1.0, np.abs(path))
+            for s in range(1, len(path)):
+                e, target, within = pre[s - 1], path[s], tol[s]
+                for _ in range(NEWTON_STEPS):
+                    resid = e * _poly(q, e) - target
+                    # Converged points take the step too, to rounding.
+                    e = e - resid / _poly(dg, e)
+                    todo = ~(np.abs(resid) <= within)
+                    if not np.count_nonzero(todo):
+                        break
+                jumped = (np.abs(pre[s - 1] - e) >= np.abs(pre[s - 1] - (fold - e))).any(axis=0)
+                bad = todo | jumped
+                if np.count_nonzero(bad):
+                    fail[bad] = np.where(todo[bad], np.where(np.isfinite(e[bad]), 2, 1), 3)
+                    # Parked at 0 = g(0), a refused point solves every later
+                    # waypoint at once.
+                    e[bad], path[s + 1 :, bad] = 0, 0
+                pre[s] = e
+            path = pre
+        else:
+            path = path * _poly(q, path)
+        end = path[-1]
+        fail[~np.isfinite(end) & (fail == 0)] = 1
+        inside = (fail == 0) & (np.abs(end) <= r)
+        y[at[inside]], m[at[inside]] = end[inside], level
+        reasons.update(zip(at[fail > 0].tolist(), (why[k] for k in fail[fail > 0])))
+        keep = (fail == 0) & ~inside
+        at, path = at[keep], path[:, keep]
+        if not at.size:
+            break
+    reasons.update(dict.fromkeys(at.tolist(), "the pullback did not bring x within the "
+                                 f"series radius in {MAX_TIME_SHIFT} levels"))
+    u = np.vander(y, len(f), increasing=True) @ f
+    return lam ** (m if expanding else -m) * u, reasons
 
 
 def _chart_values(chart: SchroederChart, xs: np.ndarray) -> tuple:
@@ -380,37 +410,32 @@ def _chart_values(chart: SchroederChart, xs: np.ndarray) -> tuple:
     none.
 
     The forward series is summed directly where |x - x*| <= forward_radius.
-    Beyond it, u is tracked along the segment from 0.8 of that radius to x
-    by solving the inverse relation at each waypoint (:func:`_continue`).
+    Beyond it, u is pulled back through the map along the segment from 0.8
+    of that radius to x (:func:`_pull_back`).
     """
     d = xs - chart.x_star
     dist = np.abs(d)
     r = chart.forward_radius
     far = np.flatnonzero(~(dist <= r))
-    reasons = {}
     # The direct points and the path seeds, in one Horner call.
     z = d.copy()
     z[far] *= PATH_START_FRACTION * r / dist[far]
     u = horner(chart.forward.coeffs, z)
-    if far.size:
-        start = chart.x_star + z[far]
-        span = np.abs(xs[far] - start) / (PATH_STEP_FRACTION * r)
-        steps = np.clip(np.ceil(span), 1, MAX_PATH_STEPS)
-        u[far], refused = _continue(chart, xs[far], start, steps, u[far])
-        reasons.update((int(far[i]), why) for i, why in refused.items())
-    return u, reasons
+    if not far.size:
+        return u, {}
+    u[far], refused = _pull_back(chart, d[far], z[far], u[far])
+    return u, {int(far[i]): why for i, why in refused.items()}
 
 
 def chart_value(chart: SchroederChart, x) -> complex:
     """The chart coordinate u(x), continued past the series radius if needed.
 
     Within ``forward_radius`` of the fixed point this is the direct sum of
-    the forward series.  Beyond it the value is tracked along the segment
-    from inside the radius to x by solving the inverse relation at each
-    waypoint, which follows the principal analytic continuation of the
-    chart.  The point is refused with :class:`OutOfChart` when a waypoint
-    leaves the inverse series' trust region or its Newton iteration does
-    not converge within NEWTON_STEPS.
+    the forward series.  Beyond it the segment from inside the radius to x
+    is pulled back through the exact map until it lies inside, and
+    u(x) = lambda^m u(y_m), which follows the principal analytic
+    continuation of the chart.  The point is refused with
+    :class:`OutOfChart` when the pullback breaks down (:func:`_pull_back`).
     """
     with np.errstate(all="ignore"):
         u, reasons = _chart_values(chart, np.array([complex(x)]))

@@ -13,8 +13,8 @@ import pytest
 
 import mapflow.flow
 from mapflow import verify
-from mapflow.flow import Pipeline, integrate_flow
-from mapflow.iterate import build_chart, evaluate_iterate_chart
+from mapflow.flow import integrate_flow
+from mapflow.iterate import SchroederChart, evaluate_iterate_chart
 from mapflow.series import FixedPointFrame, PowerSeries
 from mapflow.verify import (
     CRITERIA,
@@ -160,17 +160,16 @@ class _WrongBranchFrame(FixedPointFrame):
 def test_paper_matrix_fails_on_the_wrong_branch_of_log_lambda(monkeypatch):
     # Only the chart route raises lambda^t with Log(lambda) + 2 pi i; the
     # paper's matrices keep the principal branch of the true frame.
-    pipeline = verify._pipeline
+    evaluate = mapflow.flow.evaluate_chart_grid
 
-    def wrong_chart(*args):
-        p = pipeline(*args)
-        frame = p.factorization.frame
+    def wrong_branch(chart, ts, xs):
+        frame = chart.frame
         wrong = _WrongBranchFrame(frame.x_star, frame.multiplier, frame.shifted_map)
         # The chart reads its frame from its factorization.
-        chart_fact = dataclasses.replace(p.factorization, frame=wrong)
-        return Pipeline(p.factorization, build_chart(chart_fact, wrong, r_eval=p.chart.r_eval))
+        chart_fact = dataclasses.replace(chart.factorization, frame=wrong)
+        return evaluate(SchroederChart(chart_fact, chart.r_eval), ts, xs)
 
-    monkeypatch.setattr(verify, "_pipeline", wrong_chart)
+    monkeypatch.setattr(mapflow.flow, "evaluate_chart_grid", wrong_branch)
     result = check_paper_matrix()
     assert not result.passed
     assert result.deviation > result.tolerance

@@ -359,6 +359,27 @@ def test_chart_route_continues_past_the_series_radius(argv, capsys):
 
 
 @pytest.mark.parametrize("dim", [40, 80, 160])
+def test_chart_route_near_the_critical_value_is_right_or_refused_at_every_order(dim, capsys):
+    # A complex point past the series radius of u about 3/4, next to the
+    # critical value 1: Newton's method on the inverse chart series jumped
+    # to another preimage here at dim 80 and printed -354.69-207.48i as
+    # converged, where the closed form is -0.49747+0.52525i.
+    code, out, _ = run(
+        ["iterate", "--preset", "logistic:4", "--guess", "0.75", "--dim", str(dim),
+         "--r-eval", "0.6", "--route", "chart", "--t", "0.5",
+         "--x", "1.339042587236219+0.000444036351464j"],
+        capsys,
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    if row[6] == "true":
+        value, ref = (complex(float(row[k]), float(row[k + 1])) for k in (3, 7))
+        assert abs(value - ref) < 1e-10
+    else:
+        assert row[3:7] == ["", "", "chart", "false"]
+
+
+@pytest.mark.parametrize("dim", [40, 80, 160])
 def test_chart_route_at_a_large_time_is_right_at_every_order(dim, capsys):
     # lambda^t u(0.3) is about 30.4, past sqrt(30), where a term of the
     # inverse chart first reaches 10 in modulus; the time shift brings it

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from bisect import bisect_left
@@ -109,6 +110,10 @@ def test_pipeline_objects_share_one_frame(logistic4):
     assert p.field.chart is p.chart
     assert p.chart.r_eval == 0.6
     assert (p.chart.x_star, p.chart.multiplier) == (frame.x_star, frame.multiplier)
+    # The pipeline holds only its chart: no other factorization can be paired with it.
+    assert [f.name for f in dataclasses.fields(p)] == ["chart"]
+    with pytest.raises(TypeError):
+        mf.Pipeline(p.factorization, p.chart)
 
 
 def test_pipeline_takes_the_order_from_the_map_and_the_radius_by_keyword(logistic4):

@@ -40,7 +40,16 @@ only chart-route values moved (16 and 6 of them), and the worst chart-route
 error fell from 6.6e-11 to 1.8e-14 and from 2.1e-11 to 2.5e-13 relative
 (t = 4, x = 0.66: 6.6e-11 -> 1.1e-16; t = 6, x = 0.6: 2.1e-11 -> 2.1e-14).
 No error rose by more than 1.8e-14 relative.  Every other file stayed
-byte-identical.  Command lines that reproduce known
+byte-identical.  ``continuation.csv``, ``mode_refusals.json``,
+``negative_t.csv``, ``refusals.csv``, ``route_both.csv`` and
+``time_shift.csv`` were written again when u past its series radius came
+to be pulled back through the map instead of continued by Newton's method
+on the inverse series, after the audit test below had passed on the new
+files: no point changed status, no value at a point within the forward
+series radius moved, and 30 chart-route values moved, by at most 1.9e-12
+relative (``refusals.csv``, t = 3.9, x = 0.3, whose error fell from 1.9e-12
+to 9.5e-15).  No error rose by more than 9e-16 relative.  Command lines
+that reproduce known
 wrong mode-route values are left out.  The chart, field and integrate files pin the fixed point 3/4
 (a negative multiplier, so a complex field) at two orders and the complex
 cubic's field.  ``lyapunov.json`` pins the bits of the Lyapunov estimate at

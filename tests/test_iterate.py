@@ -17,7 +17,6 @@ from mapflow.iterate import (
     MAX_TIME_SHIFT,
     NEWTON_STEPS,
     PATH_START_FRACTION,
-    PATH_STEP_FRACTION,
     TAIL_TOL,
     SchroederChart,
     chart_value,
@@ -31,7 +30,7 @@ from mapflow.logistic import (
     logistic4_iterate,
     logistic4_iterate_second,
 )
-from mapflow.series import _horner, evaluate_with_tail, tail_radius, trailing_term
+from mapflow.series import _horner, evaluate_with_tail, tail_radius
 
 DIM = 40
 
@@ -210,7 +209,7 @@ def test_a_polynomial_chart_has_no_series_radius_to_continue_past():
                         r_eval=math.inf).chart
     assert chart.forward_radius == math.inf
     assert chart_value(chart, 1e6) == 1e6
-    with pytest.raises(mf.OutOfChart, match="left the inverse series' trust region"):
+    with pytest.raises(mf.OutOfChart, match="not finite"):
         chart_value(chart, math.nan)
 
 
@@ -364,44 +363,53 @@ def test_chart_rescaling_leaves_iterates_unchanged(pipe4_origin):
 
 # --- grid evaluation ---------------------------------------------------------------
 
-def _ref_chart_value(chart, x, passes=NEWTON_STEPS, trusted=True):
+def _ref_chart_value(chart, x, steps=NEWTON_STEPS, fine=1):
     """u(x) by the scalar rule, in Python complex arithmetic: the direct
-    forward sum within ``forward_radius``, else a per-point continuation
-    with at most ``passes`` Newton passes per waypoint.  With ``trusted``
-    the inverse tail test is skipped within ``inverse_radius``.
-    Returns (u(x) or None where it refuses, the most passes one waypoint
-    took, the passes of the whole path)."""
+    forward sum within ``forward_radius``, else a per-point pullback of the
+    path from 0.8 of that radius to x through the shifted map, with at most
+    ``steps`` Newton steps per waypoint and ``fine`` times the waypoints of
+    the rule.  Returns (u(x) or None where it refuses, the kind of refusal:
+    None, "finite", "newton", "fold" or "levels", the most steps one
+    waypoint took, the levels taken)."""
     x = complex(x)
-    delta = x - chart.x_star
-    r = chart.forward_radius
-    if abs(delta) <= r:
-        return chart.forward(x), 0, 0
-    start = chart.x_star + delta * (PATH_START_FRACTION * r / abs(delta))
-    w = chart.forward(start)
-    slope_series = chart.inverse.derivative()
-    steps = min(MAX_PATH_STEPS, max(1, math.ceil(abs(x - start) / (PATH_STEP_FRACTION * r))))
-    most = total = 0
-    for s in range(1, steps + 1):
-        target = start + (x - start) * (s / steps)
-        tol = 1e-13 * max(1.0, abs(target))
-        for n in range(1, passes + 1):
-            most, total = max(most, n), total + 1
-            h = chart.inverse(w)
-            if not (trusted and abs(w) <= chart.inverse_radius):
-                try:
-                    if not trailing_term(chart.inverse.coeffs, w) <= EVAL_TAIL_TOL * max(1.0, abs(h)):
-                        return None, most, total
-                except OverflowError:
-                    return None, most, total
-            if abs(h - target) <= tol:
-                break
-            slope = slope_series(w)
-            if slope == 0:
-                return None, most, total
-            w = w - (h - target) / slope
+    d = x - chart.x_star
+    if abs(d) <= chart.forward_radius:
+        return chart.forward(x), None, 0, 0
+    r = PATH_START_FRACTION * chart.forward_radius
+    lam = chart.multiplier
+    g = chart.frame.shifted_map.coeffs.tolist()
+    dg = [k * c for k, c in enumerate(g)][1:]
+    u = chart.forward.coeffs.tolist()
+    h = chart.factorization.inverse_row.tolist()
+    seed = d * (r / abs(d))
+    w = _horner(u, seed)
+    n = min(MAX_PATH_STEPS, max(1, math.ceil(abs(d - seed) / r))) * fine
+    path = [seed + (d - seed) * (s / n) for s in range(n + 1)] if abs(lam) > 1 else [d]
+    most = 0
+    for level in range(1, MAX_TIME_SHIFT + 1):
+        if abs(lam) < 1:
+            path = [_horner(g, y) for y in path]
         else:
-            return None, most, total
-    return w, most, total
+            pre = [_horner(h, w * lam**-level)]
+            for target in path[1:]:
+                e = prev = pre[-1]
+                for k in range(1, steps + 1):
+                    resid = _horner(g, e) - target
+                    e -= resid / _horner(dg, e)
+                    most = max(most, k)
+                    if abs(resid) <= 1e-13 * max(1.0, abs(target)):
+                        break
+                else:
+                    return None, "newton" if cmath.isfinite(e) else "finite", most, level
+                if any(abs(prev - e) >= abs(prev - (2 * c - e)) for c in chart.critical_points):
+                    return None, "fold", most, level
+                pre.append(e)
+            path = pre
+        if not cmath.isfinite(path[-1]):
+            return None, "finite", most, level
+        if abs(path[-1]) <= r:
+            return lam ** (level if abs(lam) > 1 else -level) * _horner(u, path[-1]), None, most, level
+    return None, "levels", most, MAX_TIME_SHIFT
 
 
 def _ref_chart(chart, t, x):
@@ -524,13 +532,18 @@ def test_matrix_grid_matches_the_scalar_formulas(pipe4_origin, pipe4_second):
             )
 
 
+# Words of the pullback's refusal reason for each kind of scalar refusal.
+_REFUSAL_WORDS = {"finite": "not finite", "newton": "did not converge", "fold": "fold",
+                  "levels": "levels"}
+
+
 @pytest.mark.parametrize("mu, guess, dim", [
     (4.0, 0.7, 40), (4.0, 0.7, 160), (4.0, 0.0, 40), (2.0, 0.0, 40), (3.7, 0.7, 40),
 ])
 def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
     # 600 seeded real and complex points out to r_eval: the batched
-    # continuation refuses the same points as the scalar one, and the
-    # values agree to rounding.
+    # pullback refuses the same points as the scalar one, for the same
+    # reason, and the values agree to rounding.
     chart = mf.pipeline(mf.logistic_series(mu, dim), guess).chart
     reach = 9 * iterate.default_chart_radius(chart.frame)  # 0.9 of the fixed-point gap
     rng = np.random.default_rng(dim)
@@ -541,11 +554,13 @@ def test_chart_values_match_the_scalar_continuation(mu, guess, dim):
         got, refused = iterate._chart_values(chart, xs)
     continued = 0
     for j, x in enumerate(xs):
-        expected, passes, _ = _ref_chart_value(chart, x)
+        expected, kind, _, levels = _ref_chart_value(chart, x)
         assert (j in refused) == (expected is None), x
-        continued += passes > 0
+        continued += levels > 0
         if expected is not None:
             assert abs(got[j] - expected) <= 1e-14 * max(1.0, abs(expected)), x
+        else:
+            assert _REFUSAL_WORDS[kind] in refused[j], x
     assert continued > 50
 
 
@@ -621,16 +636,17 @@ def _seeded_cubic_charts():
 
 def test_capped_continuation_matches_the_uncapped_newton():
     # Seeded real and complex points out to r_eval, at 3/4 and on two
-    # cubics: the 16-pass cap changes no verdict, except that a point whose
-    # uncapped Newton (60 passes, the full tail test at every iterate)
-    # needed more than 16 passes at some waypoint is refused.
+    # cubics: the 16-step cap changes no verdict.  Every waypoint of a point
+    # that the uncapped pullback (60 Newton steps per waypoint) reaches
+    # converges within 16 steps, and the points it refuses, it refuses at
+    # either cap.
     rng = np.random.default_rng(10)
     cases = []
     for dim in (40, 80, 160):
         chart = mf.pipeline(mf.logistic_series(4.0, dim), 0.7, r_eval=0.6).chart
         cases.append((chart, 0.6))
     cases += _seeded_cubic_charts()
-    counts = {"same value": 0, "same continued value": 0, "both refuse": 0, "capped": 0}
+    counts = {"same value": 0, "same continued value": 0, "both refuse": 0}
     for chart, reach in cases:
         radius = reach * np.sqrt(rng.uniform(0, 1, 24))
         angle = np.concatenate([rng.choice([0, np.pi], 12), rng.uniform(0, 2 * np.pi, 12)])
@@ -639,67 +655,120 @@ def test_capped_continuation_matches_the_uncapped_newton():
         with np.errstate(all="ignore"):
             got, refused = iterate._chart_values(chart, xs)
         for j, x in enumerate(xs):
-            expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
-            if most > NEWTON_STEPS:
-                assert j in refused, x
-                counts["capped"] += 1
-            elif expected is None:
+            expected, _, most, levels = _ref_chart_value(chart, x, steps=60)
+            if expected is None:
                 assert j in refused, x
                 counts["both refuse"] += 1
             else:
-                assert j not in refused, x
+                assert most <= NEWTON_STEPS and j not in refused, x
                 assert abs(got[j] - expected) <= 1e-14 * max(1.0, abs(expected)), x
-                counts["same continued value" if most else "same value"] += 1
+                counts["same continued value" if levels else "same value"] += 1
     assert min(counts.values()) > 0, counts
 
 
 def test_points_reached_only_after_many_newton_passes_are_refused():
-    # mu = 3.7 at its second fixed point: the uncapped Newton printed
-    # f^0.5(0.0861) = 1083.6+32.1i as converged; a waypoint of every one of
-    # these points took more than 16 passes, and a 40x finer path refuses
-    # them all.
+    # mu = 3.7 at its second fixed point: Newton's method on the inverse
+    # series once printed f^0.5(0.0861) = 1083.6+32.1i as converged after
+    # more than 16 passes at a waypoint.  Each of these real points lies
+    # past a fold of the map on the real axis: its preimage there is not
+    # real, and Newton's method on the map, which stays real from a real
+    # start, converges at no cap.
     f = mf.logistic_series(3.7, 160)
     chart = mf.pipeline(f, 0.7, r_eval=0.66).chart
     xs = [0.08610810810810798, 1.0646756756756757, 0.9595945945945946]
     for x in xs:
-        expected, most, _ = _ref_chart_value(chart, x, passes=60, trusted=False)
-        assert expected is not None and most > NEWTON_STEPS
+        for steps in (NEWTON_STEPS, 60, 200):
+            assert _ref_chart_value(chart, x, steps)[:3] == (None, "newton", steps)
     grid = mf.evaluate_chart_grid(chart, [0.5, 1.0, 1.5], xs)
     assert (grid.status == mf.PointStatus.OUT_OF_CHART).all()
 
 
-def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second, monkeypatch):
-    # Each point takes exactly the Newton passes of the scalar continuation.
-    # x = 1.2 at 3/4 runs out of its 16 at one waypoint, where the uncapped
-    # Newton ran all 60 without converging.  In a batch the points share
-    # their passes: it takes as many as its longest path.
+def test_continuation_refuses_within_newton_steps_per_waypoint(pipe4_second):
+    # x = 1.2 at 3/4 is past the critical value 1 of the map: no real point
+    # maps to it, and Newton's method runs out of its 16 steps at the first
+    # waypoint past 1, as it does with 60.  The points of a batch do not
+    # change each other's verdicts.
     chart = pipe4_second.chart
-    calls = []
-    evaluate = iterate._inverse_with_slope
-
-    def counting_evaluate(*args):
-        calls.append(len(args[1]))
-        return evaluate(*args)
-
-    monkeypatch.setattr(iterate, "_inverse_with_slope", counting_evaluate)
-    totals = []
-    for x in (0.3, 1.2):
-        calls.clear()
-        grid = mf.evaluate_chart_grid(chart, [0.5], [x])
-        expected, most, total = _ref_chart_value(chart, x)
-        assert len(calls) == total
-        totals.append(total)
-    assert expected is None and most == NEWTON_STEPS == 16
-    assert grid.status[0, 0] == mf.PointStatus.OUT_OF_CHART
-    assert "failed to converge" in grid.column_errors[0]
-    assert _ref_chart_value(chart, 1.2, passes=60, trusted=False)[:2] == (None, 60)
-    calls.clear()
+    assert _ref_chart_value(chart, 1.2)[:3] == (None, "newton", NEWTON_STEPS)
+    assert _ref_chart_value(chart, 1.2, steps=60)[:3] == (None, "newton", 60)
     grid = mf.evaluate_chart_grid(chart, [0.5], [0.3, 1.2, 0.7])
     assert grid.status.tolist() == [[mf.PointStatus.OK, mf.PointStatus.OUT_OF_CHART,
                                      mf.PointStatus.OK]]
-    assert len(calls) == max(totals) and sum(calls) == sum(totals)
-    with pytest.raises(mf.OutOfChart, match="failed to converge"):
+    assert grid.column_errors[1] == (
+        "a Newton solve of the pullback did not converge within 16 steps")
+    assert grid.values[0, 0] == mf.evaluate_iterate_chart(chart, 0.5, 0.3)
+    with pytest.raises(mf.OutOfChart, match="did not converge"):
         chart_value(chart, 1.2)
+
+
+def test_pullback_refuses_a_jump_across_a_fold():
+    # On this cubic the coarse path to x passes close to a critical value:
+    # between two waypoints the preimage turns more than 90 degrees about a
+    # critical point, onto another branch of the inverse map.  Without the
+    # fold test (no critical points) the pullback returns a value 0.32 from
+    # the one a 40x finer path reaches.
+    f = mf.PowerSeries.from_coefficients([0, 1.2 - 0.55j, -0.5 - 1j, -0.15 - 0.3j], order=40)
+    chart = mf.pipeline(f, 0.0, r_eval=0.5).chart
+    x = -0.1975721105901788 - 0.38435567637239415j
+    with np.errstate(all="ignore"):
+        _, refused = iterate._chart_values(chart, np.array([x]))
+    assert refused == {0: "the pullback jumped across a fold of the map"}
+    assert _ref_chart_value(chart, x)[:2] == (None, "fold")
+    right = _ref_chart_value(chart, x, fine=40)[0]
+    blind = SchroederChart(chart.factorization, chart.r_eval)
+    vars(blind)["critical_points"] = np.empty(0)
+    with np.errstate(all="ignore"):
+        jumped, refused = iterate._chart_values(blind, np.array([x]))
+    assert refused == {} and abs(jumped[0] - right) > 0.3
+
+
+def test_critical_points_are_the_roots_of_the_shifted_maps_derivative(pipe4_second):
+    # g(e) = -2e - 4e^2 about 3/4 folds at e = -1/4, the critical point 1/2.
+    assert pipe4_second.chart.critical_points.tolist() == [-0.25]
+    f = mf.PowerSeries.from_coefficients([0, 1.2 - 0.55j, -0.5 - 1j, -0.15 - 0.3j], order=12)
+    chart = mf.pipeline(f, 0.0).chart
+    g = chart.frame.shifted_map.derivative()
+    assert len(chart.critical_points) == 2
+    assert all(abs(g(c)) < 1e-14 for c in chart.critical_points)
+
+
+def test_pullback_refuses_a_point_left_outside_after_max_time_shift_levels():
+    # x -> 0.99 x + x^2 contracts towards 0 so slowly that 64 steps of the
+    # map leave -0.1 outside the series radius (0.0052); 0.05 is outside the
+    # basin of 0, and its orbit overflows.  Both refusals agree with the
+    # scalar rule.
+    f = mf.PowerSeries.from_coefficients([0, 0.99, 1.0], order=40)
+    chart = mf.pipeline(f, 0.0, r_eval=1.0).chart
+    with np.errstate(all="ignore"):
+        _, refused = iterate._chart_values(chart, np.array([-0.1, 0.05]))
+    assert refused == {
+        0: f"the pullback did not bring x within the series radius in {MAX_TIME_SHIFT} levels",
+        1: "the pullback reached a value that is not finite",
+    }
+    assert _ref_chart_value(chart, -0.1)[:2] == (None, "levels")
+    assert _ref_chart_value(chart, 0.05)[:2] == (None, "finite")
+
+
+def test_a_contracting_chart_is_continued_along_the_forward_orbit():
+    # For |lambda| < 1, u(x) = lambda^-m u(g^m(x)) once the orbit is inside:
+    # u(f(x)) = lambda u(x) holds past the series radius.
+    f = mf.PowerSeries.from_coefficients([0, 0.9, 1.0], order=40)
+    chart = mf.pipeline(f, 0.0, r_eval=1.0).chart
+    for x in (-0.5, -0.3 + 0.2j, 0.05):
+        assert abs(x) > chart.forward_radius
+        u = chart_value(chart, x)
+        assert abs(chart_value(chart, f(x)) - 0.9 * u) < 1e-12 * abs(u)
+        assert abs(u - _ref_chart_value(chart, x)[0]) < 1e-14 * abs(u)
+
+
+def test_a_chart_with_a_unimodular_multiplier_is_not_continued():
+    # With |lambda| = 1 the map carries no point nearer x*.
+    f = mf.PowerSeries.from_coefficients([0, cmath.exp(2j * math.pi * (math.sqrt(5) - 1) / 2), 1.0], order=40)
+    chart = mf.pipeline(f, 0.0, r_eval=1.0).chart
+    assert abs(abs(chart.multiplier) - 1) < 1e-15
+    assert abs(chart_value(chart, 0.05) - chart.forward(0.05)) == 0
+    with pytest.raises(mf.OutOfChart, match=r"\|lambda\| = 1"):
+        chart_value(chart, 0.3)
 
 
 @pytest.mark.parametrize("mu, guess, dim", [
@@ -714,7 +783,7 @@ def test_trusted_radius_admits_no_argument_the_tail_test_refuses(mu, guess, dim)
     ws = rho * np.exp(1j * np.linspace(0, 2 * np.pi, 256, endpoint=False))
     ws = [*ws, *(rho * rng.uniform(0.9, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(0, 1, 64)))]
     for w in [complex(w) for w in ws] + [complex(rho), complex(-rho)]:
-        if abs(w) <= rho:  # the test the continuation skips
+        if abs(w) <= rho:  # the test that h skips within its radius
             assert evaluate_with_tail(chart.inverse, w)[1] <= EVAL_TAIL_TOL, w
 
 
@@ -736,29 +805,16 @@ def test_inverse_radius_is_finite_and_the_same_at_every_order(mu, x_star, radius
 
 
 def test_continuation_refuses_an_iterate_too_large_for_a_float(pipe4_second):
-    # The first point starts its path at an iterate whose powers overflow;
-    # the second, at 0.1 from the solution of its only waypoint, converges.
+    # The first point's seed preimage h(w / lambda) overflows; the second,
+    # the same path from the true u of its seed, converges to u(0.3).
     chart = pipe4_second.chart
-    x = np.array([1.0, chart.inverse(0.1)])
+    d = np.full(2, 0.3 - chart.x_star)
+    seed = d * (PATH_START_FRACTION * chart.forward_radius / abs(d))
+    w = np.array([complex(1.5e308, 1.5e308), chart.forward(chart.x_star + seed[1])])
     with np.errstate(all="ignore"):
-        u, reasons = iterate._continue(
-            chart, x, x, np.ones(2), np.array([complex(1.5e308, 1.5e308), 0.1])
-        )
-    assert reasons == {0: "continuation left the inverse series' trust region"}
-    assert abs(u[1] - 0.1) < 1e-15
-
-
-def test_continuation_refuses_a_zero_slope(pipe4_second):
-    # h(w) = x* + w - w^2/2 stops at h'(1) = 0; its trailing terms are 0,
-    # so no tail test runs.  The second point converges from w = 0.
-    chart, fact = pipe4_second.chart, pipe4_second.factorization
-    inverse_row = np.zeros(fact.dim, dtype=complex)
-    inverse_row[:3] = [0.0, 1.0, -0.5]
-    flat = SchroederChart(dataclasses.replace(fact, inverse_row=inverse_row), chart.r_eval)
-    x = chart.x_star + np.array([0.2, 0.3])
-    u, reasons = iterate._continue(flat, x, x, np.ones(2), np.array([1.0, 0.0], dtype=complex))
-    assert reasons == {0: "continuation hit a critical point of the chart"}
-    assert abs(flat.inverse(u[1]) - x[1]) < 1e-13
+        u, reasons = iterate._pull_back(chart, d, seed, w)
+    assert reasons == {0: "the pullback reached a value that is not finite"}
+    assert abs(u[1] - logistic4_chart_second(0.3)) < 1e-12
 
 
 # --- accuracy against the closed forms -------------------------------------------
@@ -837,3 +893,23 @@ def test_large_t_chart_values_are_right_and_do_not_worsen_with_order(mu, x_star,
         both = ~np.isnan(lo)
         assert not np.isnan(hi[both]).any()
         assert (hi[both] <= lo[both] + 1e-11).all(), np.max(hi[both] - lo[both])
+
+
+@pytest.mark.parametrize("mu, x_star, r_eval, closed_form", _SWEPT)
+def test_complex_chart_values_are_right_and_do_not_worsen_with_order(mu, x_star, r_eval,
+                                                                     closed_form):
+    # 400 seeded complex x in the r_eval disc at non-integer t, where a
+    # value from another branch of u shows (at an integer t every branch
+    # gives the same f^t).  Every point converges at every order, so none
+    # that converges at a lower order is refused at a higher one.
+    rng = np.random.default_rng(7)
+    xs = x_star + r_eval * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 400))
+    ts = [0.5, 1.5]
+    ref = np.array([[complex(closed_form(t, x)) for x in xs] for t in ts])
+    scale = np.maximum(1.0, np.abs(ref))
+    for dim in (20, 40, 80, 160):
+        chart = mf.pipeline(mf.logistic_series(mu, dim), x_star, r_eval=r_eval).chart
+        err = np.abs(mf.evaluate_chart_grid(chart, ts, list(xs)).values - ref)
+        assert not np.isnan(err).any(), dim
+        assert (err <= 1e-10 * scale).all(), (dim, np.max(err / scale))

@@ -1,7 +1,8 @@
 """Smoke test of the experiment scripts: each runs to completion on small
 arguments and writes its CSV.  The benchmark-pairs script, which runs
-perfbench for minutes, is tested through its summariser on canned runs, and
-the code-line counter on two small modules."""
+perfbench for minutes, is tested through its summariser on canned runs and
+its refusal of a parent that is not a git checkout, and the code-line
+counter on two small modules."""
 
 import importlib.util
 import json
@@ -123,6 +124,20 @@ def test_bench_pairs_gives_each_metric_a_verdict(expected):
     summary = bench.summarise_workload(bench._seeds("1-4"), parent, change, metrics)
     assert {name: m["verdict"] for name, m in summary["metrics"].items()} == {
         "wall_s": expected, "field_builds_per_s": expected}
+
+
+def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monkeypatch, capsys):
+    # Such a parent once gave "parent_commit": null after minutes of runs.
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench, "run_once", lambda *args: pytest.fail("perfbench ran"))
+    parent, output = tmp_path / "parent", tmp_path / "pairs.json"
+    parent.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--parent", str(parent), "--change", str(ROOT), "--workload", "grid=1-2",
+                    "--output", str(output)])
+    assert exc.value.code == 2
+    assert "is not a git checkout" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [parent]
 
 
 # The lines marked "code" count: docstrings, comments and blank lines do
